@@ -88,20 +88,32 @@ class RunConfig:
             cfg.eta = DEFAULT_ETA[cfg.optimizer]
         if cfg.alpha_max is None:
             cfg.alpha_max = 10.0 * cfg.alpha0 if cfg.optimizer == "adam_rdbd" else math.inf
-        if cfg.steps < 1:
-            raise ConfigError("steps must be >= 1")
-        if cfg.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
-        if cfg.eval_every < 1:
-            raise ConfigError("eval_every must be >= 1")
-        for name in ("alpha0", "eta"):
-            if not math.isfinite(getattr(cfg, name)):
-                raise ConfigError(f"{name} must be finite")
-        if cfg.eta < 0:
-            raise ConfigError("eta must be >= 0")
-        if cfg.alpha_min > cfg.alpha_max:
-            raise ConfigError("alpha_min must be <= alpha_max")
         cfg.layer_sizes = tuple(int(s) for s in cfg.layer_sizes)
+        classes = cfg.layer_sizes[-1] if cfg.layer_sizes else 0
+        samples = {"logistic": cfg.n_samples, "mlp-blobs": cfg.n_samples,
+                   "mlp-mnist": cfg.subset_n}.get(cfg.problem, math.inf)
+        for ok, message in (
+                (cfg.steps >= 1, "steps must be >= 1"),
+                (cfg.batch_size >= 1, "batch_size must be >= 1"),
+                (cfg.eval_every >= 1, "eval_every must be >= 1"),
+                (math.isfinite(cfg.alpha0), "alpha0 must be finite"),
+                (math.isfinite(cfg.eta), "eta must be finite"),
+                (cfg.alpha0 > 0, "alpha0 must be > 0"),
+                (cfg.eta >= 0, "eta must be >= 0"),
+                (cfg.alpha_min <= cfg.alpha_max, "alpha_min must be <= alpha_max"),
+                (0 <= cfg.grad_noise_prob <= 1, "grad_noise_prob must lie in [0, 1]"),
+                (cfg.dim >= 1, "dim must be >= 1"),
+                (all(s >= 1 for s in cfg.layer_sizes), "every layer width must be >= 1"),
+                (not cfg.problem.startswith("mlp") or len(cfg.layer_sizes) >= 2,
+                 "layer_sizes needs an input and an output width"),
+                (cfg.problem != "logistic" or cfg.n_samples >= cfg.dim,
+                 "logistic needs n_samples >= dim"),
+                (cfg.problem != "mlp-blobs" or cfg.n_samples >= classes,
+                 "mlp-blobs needs n_samples >= the number of classes"),
+                (cfg.batch_size <= samples,
+                 f"batch_size must be <= the {samples} samples of {cfg.problem}")):
+            if not ok:
+                raise ConfigError(message)
         return cfg
 
     def problem_signature(self) -> tuple:
@@ -145,8 +157,6 @@ def build_problem(config: RunConfig):
                 "MNIST IDX files not found; pass --mnist-dir or set MNIST_DIR")
         subset = mnist_subset(full, cfg.subset_n, cfg.problem_seed)
         problem = MlpProblem(cfg.layer_sizes, subset, batch_size=cfg.batch_size)
-    else:
-        raise ConfigError(f"unknown problem {cfg.problem!r}")
     if cfg.grad_noise > 0.0:
         # Noise stream is seed-derived, so optimizers compared at one seed
         # see identical perturbations.
@@ -197,11 +207,11 @@ def _run_loop(cfg, problem, x, sampler, groups, records, fail):
     for t in range(1, cfg.steps + 1):
         t0 = time.perf_counter()
         batch = sampler.next_batch() if sampler else None
-        batch_loss = problem.batch_loss(x, batch)
+        batch_loss, grad = problem.loss_and_grad(x, batch)
         if not math.isfinite(batch_loss):
             fail(t, f"batch loss {batch_loss}")
         try:
-            g_full = problem.minibatch_gradient(x, batch=batch, step=t)
+            g_full = GradientEstimate(grad, step=t)
         except ValueError as exc:
             fail(t, str(exc))
 

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import GradientEstimate
 from .data import Dataset, synthetic_blobs
 
 
@@ -16,8 +15,10 @@ class Problem:
 
     param_layout partitions the flat vector into named segments (one per
     schedulable weight group); single-group problems use [("x", dim)].
-    Deterministic problems report n_samples == 0 and their mini-batch
-    gradient is just the full gradient.
+    loss_and_grad(x, batch) is the one oracle call per step: the loss and
+    gradient over an index batch from a single pass. loss(x) is the
+    whole-dataset loss, forward pass only. Deterministic problems report
+    n_samples == 0 and ignore batch: (loss(x), full_gradient(x)).
     """
 
     def __init__(self, name, dim, param_layout=None, known_constants=None,
@@ -34,11 +35,8 @@ class Problem:
     def full_gradient(self, x) -> np.ndarray:
         raise NotImplementedError
 
-    def batch_loss(self, x, batch) -> float:
-        return self.loss(x)
-
-    def minibatch_gradient(self, x, batch=None, rng=None, step=0) -> GradientEstimate:
-        return GradientEstimate(self.full_gradient(x), step=step)
+    def loss_and_grad(self, x, batch) -> tuple[float, np.ndarray]:
+        return self.loss(x), self.full_gradient(x)
 
     def initial_point(self, rng=None) -> np.ndarray:
         return np.ones(self.dim)
@@ -54,38 +52,29 @@ class Problem:
 
 
 class _SampledProblem(Problem):
-    """Dataset-backed problem: loss is the mean per-sample loss, and batch
-    gradients average per-sample gradients over an index set."""
+    """Dataset-backed problem: losses and gradients are per-sample means.
 
-    def __init__(self, name, dim, n_samples, default_batch_size,
+    Subclasses implement _batch_loss_grad(x, idx, need_grad=True) over the
+    rows idx, or over every row, read in place, when idx is None. Without
+    need_grad it skips the backward pass and returns (loss, None).
+    """
+
+    def __init__(self, name, dim, n_samples, batch_size,
                  param_layout=None, known_constants=None):
-        if default_batch_size < 1 or default_batch_size > n_samples:
+        if batch_size < 1 or batch_size > n_samples:
             raise ValueError(
-                f"batch size must be in [1, {n_samples}], got {default_batch_size}")
+                f"batch size must be in [1, {n_samples}], got {batch_size}")
         super().__init__(name, dim, param_layout, known_constants,
                          n_samples=n_samples)
-        self.default_batch_size = int(default_batch_size)
-
-    def _batch_loss_grad(self, x, idx):
-        raise NotImplementedError
 
     def loss(self, x):
-        return self._batch_loss_grad(np.asarray(x, float), np.arange(self.n_samples))[0]
+        return self._batch_loss_grad(np.asarray(x, float), None, need_grad=False)[0]
 
     def full_gradient(self, x):
-        return self._batch_loss_grad(np.asarray(x, float), np.arange(self.n_samples))[1]
+        return self._batch_loss_grad(np.asarray(x, float), None)[1]
 
-    def batch_loss(self, x, batch):
-        return self._batch_loss_grad(np.asarray(x, float), np.asarray(batch))[0]
-
-    def minibatch_gradient(self, x, batch=None, rng=None, step=0):
-        if batch is None:
-            if rng is None:
-                raise ValueError("need either an index batch or an rng")
-            batch = rng.choice(self.n_samples, size=self.default_batch_size,
-                               replace=False)
-        _, grad = self._batch_loss_grad(np.asarray(x, float), np.asarray(batch))
-        return GradientEstimate(grad, step=step)
+    def loss_and_grad(self, x, batch):
+        return self._batch_loss_grad(np.asarray(x, float), np.asarray(batch))
 
 
 class QuadraticProblem(Problem):
@@ -167,18 +156,22 @@ class LogisticProblem(_SampledProblem):
                          known_constants={"L": L})
         self.dataset = dataset
 
-    def _batch_loss_grad(self, w, idx):
-        X = self.dataset.features[idx]
-        y = self.dataset.labels[idx].astype(np.float64)
+    def _batch_loss_grad(self, w, idx, need_grad=True):
+        X, y = self.dataset.features, self.dataset.labels
+        if idx is not None:
+            X, y = X[idx], y[idx]
+        y = y.astype(np.float64)
         z = X @ w
         loss = float(np.mean(np.logaddexp(0.0, z) - y * z))
+        if not need_grad:
+            return loss, None
         # Overflow-safe sigmoid, split on the sign of z.
         p = np.empty_like(z)
         pos = z >= 0
         p[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
         ez = np.exp(z[~pos])
         p[~pos] = ez / (1.0 + ez)
-        grad = X.T @ (p - y) / idx.size
+        grad = X.T @ (p - y) / y.size
         return loss, grad
 
     def initial_point(self, rng=None):
@@ -237,11 +230,11 @@ class MlpProblem(_SampledProblem):
             params.append((W, b))
         return params
 
-    def _batch_loss_grad(self, x, idx):
+    def _batch_loss_grad(self, x, idx, need_grad=True):
         params = self._unpack(x)
-        X = self.dataset.features[idx]
-        Y = self._onehot[idx]
-        batch = idx.size
+        X, Y = self.dataset.features, self._onehot
+        if idx is not None:
+            X, Y = X[idx], Y[idx]
 
         activations = [X]
         pre = []
@@ -256,10 +249,12 @@ class MlpProblem(_SampledProblem):
         shifted = logits - logits.max(axis=1, keepdims=True)
         logsumexp = np.log(np.exp(shifted).sum(axis=1)) + logits.max(axis=1)
         loss = float(np.mean(logsumexp - (logits * Y).sum(axis=1)))
+        if not need_grad:
+            return loss, None
 
         probs = np.exp(shifted)
         probs /= probs.sum(axis=1, keepdims=True)
-        delta = (probs - Y) / batch
+        delta = (probs - Y) / len(X)
         grads = []
         for j in range(len(params) - 1, -1, -1):
             W, _ = params[j]
@@ -289,15 +284,15 @@ def mlp_problem(layer_sizes, dataset, activation="relu", batch_size=16) -> MlpPr
 
 
 class NoisyGradientProblem(Problem):
-    """Wrapper injecting zero-mean bounded noise into mini-batch gradients.
+    """Wrapper injecting zero-mean bounded noise into loss_and_grad gradients.
 
     With probability `prob` per estimate, a uniform(-scale, scale)
     perturbation is added per coordinate (prob=1 means every step; a small
     prob models rare bursts). The perturbation is zero-mean and independent of
     the batch, so estimates stay unbiased, and its norm stays below
-    scale*sqrt(dim). Full gradients and losses pass through untouched; the
-    noise stream is seeded, so runs sharing a seed see identical
-    perturbations.
+    scale*sqrt(dim). Losses (mini-batch and full) and full gradients pass
+    through untouched, and only loss_and_grad draws from the noise stream.
+    The stream is seeded, so runs sharing a seed see identical perturbations.
     """
 
     def __init__(self, inner: Problem, scale, seed=0, prob=1.0):
@@ -318,16 +313,11 @@ class NoisyGradientProblem(Problem):
     def full_gradient(self, x):
         return self.inner.full_gradient(x)
 
-    def batch_loss(self, x, batch):
-        return self.inner.batch_loss(x, batch)
-
-    def minibatch_gradient(self, x, batch=None, rng=None, step=0):
-        clean = self.inner.minibatch_gradient(x, batch=batch, rng=rng, step=step)
-        values = clean.values
+    def loss_and_grad(self, x, batch):
+        loss, grad = self.inner.loss_and_grad(x, batch)
         if self._noise_rng.uniform() < self.prob:
-            values = values + self._noise_rng.uniform(
-                -self.scale, self.scale, self.dim)
-        return GradientEstimate(values, step=step)
+            grad = grad + self._noise_rng.uniform(-self.scale, self.scale, self.dim)
+        return loss, grad
 
     def initial_point(self, rng=None):
         return self.inner.initial_point(rng)
@@ -372,6 +362,6 @@ def estimate_sigma(problem: Problem, region_samples, radius=1.0, center=None,
         largest = max(largest, float(np.linalg.norm(problem.full_gradient(point))))
         if batch_size and problem.n_samples:
             batch = rng.choice(problem.n_samples, size=batch_size, replace=False)
-            g = problem.minibatch_gradient(point, batch=batch)
-            largest = max(largest, g.norm2)
+            _, g = problem.loss_and_grad(point, batch)
+            largest = max(largest, float(np.linalg.norm(g)))
     return 1.1 * largest

@@ -313,3 +313,78 @@ def test_cli_sweep(tmp_path, monkeypatch, capsys):
     assert any(f.endswith("plot.csv") for f in files)
     assert sum(f.endswith(".csv") for f in files) == 3
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv, config_text", [
+    (["--problem", "logistic", "--batch-size", "5000"], None),
+    (["--problem", "mlp-blobs", "--batch-size", "3000"], None),
+    (["--preset", "mnist-default", "--batch-size", "4096"], None),
+    (["--alpha0", "-1", "--optimizer", "sgd"], None),
+    (["--alpha0", "0", "--optimizer", "sgd"], None),
+    ([], "problem = quadratic\ndim = 0\n"),
+    ([], "problem = logistic\ndim = 0\n"),
+    ([], "problem = mlp-blobs\nlayer_sizes = 10,0,3\n"),
+    ([], "problem = mlp-blobs\nlayer_sizes = 10\n"),
+    ([], "problem = mlp-blobs\nn_samples = 2\nbatch_size = 1\n"
+         "layer_sizes = 4,3\n"),
+    ([], "problem = logistic\nn_samples = 10\nbatch_size = 4\n"),
+    ([], "problem = logistic\ngrad_noise = 0.1\ngrad_noise_prob = 2\n"),
+])
+def test_cli_bad_input_exits_with_config_error(tmp_path, capsys, argv,
+                                                config_text):
+    if config_text is not None:
+        path = tmp_path / "bad.cfg"
+        path.write_text(config_text)
+        argv = ["--config", str(path)] + argv
+    assert main(["run", "--steps", "5"] + argv) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+
+
+def test_run_makes_one_oracle_call_per_step(monkeypatch):
+    from rdbd import harness
+
+    calls = []
+    build = harness.build_problem
+
+    def counting_build(config):
+        problem = build(config)
+        oracle = problem.loss_and_grad
+
+        def loss_and_grad(x, batch):
+            calls.append(batch)
+            return oracle(x, batch)
+
+        monkeypatch.setattr(problem, "loss_and_grad", loss_and_grad)
+        return problem
+
+    monkeypatch.setattr(harness, "build_problem", counting_build)
+    for cfg in (QUICK, dataclasses.replace(QUICK, grad_noise=0.2),
+                preset("quadratic-dbd")):
+        calls.clear()
+        records = run(dataclasses.replace(cfg, steps=40))
+        assert len(records) == 40
+        assert len(calls) == 40
+
+
+@pytest.mark.parametrize("alpha0, failed_step, detail", [
+    # The weights stay finite, but the full-dataset sum in the forward-only
+    # eval overflows at the first eval step.
+    (1e307, 25, "full loss inf"),
+    # The logits overflow at once, so the merged oracle returns a NaN
+    # mini-batch loss on the second step.
+    (1e308, 2, "batch loss nan"),
+])
+def test_diverging_sampled_run_raises_and_flushes(tmp_path, capsys, alpha0,
+                                                  failed_step, detail):
+    path = tmp_path / "diverge.csv"
+    cfg = RunConfig(problem="logistic", optimizer="sgd", alpha0=alpha0,
+                    steps=200, out=str(path))
+    with pytest.raises(NumericError, match=f"step {failed_step}: {detail}"):
+        run(cfg)
+    lines = path.read_text().splitlines()
+    assert lines[0] == "step,loss,full_loss,grad_norm,alpha,h,reverted"
+    assert [int(line.split(",")[0]) for line in lines[1:]] == \
+        list(range(1, failed_step))
+    assert main(["run", "--problem", "logistic", "--optimizer", "sgd",
+                 "--alpha0", repr(alpha0), "--steps", "200"]) == 4
+    assert "numeric failure" in capsys.readouterr().err

@@ -90,7 +90,7 @@ def test_logistic_full_gradient_is_mean_of_per_sample():
     prob = logistic_problem(64, 6, seed=1)
     rng = np.random.default_rng(0)
     w = rng.normal(size=6)
-    singles = [prob.minibatch_gradient(w, batch=[i]).values for i in range(64)]
+    singles = [prob.loss_and_grad(w, [i])[1] for i in range(64)]
     assert np.allclose(np.mean(singles, axis=0), prob.full_gradient(w),
                        rtol=1e-10, atol=1e-14)
 
@@ -103,8 +103,8 @@ def test_unbiasedness_over_epoch_partition():
         x = prob.initial_point(rng)
         sampler = BatchSampler(prob.n_samples, 8, seed=4)
         batches = [sampler.next_batch() for _ in range(prob.n_samples // 8)]
-        mean = np.mean([prob.minibatch_gradient(x, batch=b).values
-                        for b in batches], axis=0)
+        mean = np.mean([prob.loss_and_grad(x, b)[1] for b in batches],
+                       axis=0)
         full = prob.full_gradient(x)
         assert np.all(np.abs(mean - full) <= 1e-10 * np.maximum(1.0, np.abs(full)))
 
@@ -125,9 +125,9 @@ def test_logistic_sgd_run_decreases_loss():
     w = np.zeros(20)
     initial = prob.loss(w)
     sampler = BatchSampler(2048, 16, seed=7)
-    for t in range(2000):
-        g = prob.minibatch_gradient(w, batch=sampler.next_batch(), step=t + 1)
-        w = w - 0.1 * g.values
+    for _ in range(2000):
+        _, g = prob.loss_and_grad(w, sampler.next_batch())
+        w = w - 0.1 * g
     final = prob.loss(w)
     assert final < initial
     assert abs(final - 0.053730624776038) <= 1e-9
@@ -153,7 +153,7 @@ def test_mlp_uniform_logits_loss():
     # smallest case: a single linear layer on one sample
     one = synthetic_blobs(2, 4, 2, seed=1)
     single = mlp_problem((4, 2), one, batch_size=1)
-    assert abs(single.batch_loss(np.zeros(single.dim), np.array([0]))
+    assert abs(single.loss_and_grad(np.zeros(single.dim), np.array([0]))[0]
                - math.log(2.0)) < 1e-12
 
 
@@ -214,8 +214,7 @@ def test_noise_wrapper_unbiased_and_bounded():
     noisy = with_gradient_noise(prob, scale=0.5, seed=11)
     x = np.array([1.0, -2.0, 0.5])
     clean = prob.full_gradient(x)
-    draws = np.array([noisy.minibatch_gradient(x, step=t).values
-                      for t in range(4000)])
+    draws = np.array([noisy.loss_and_grad(x, None)[1] for _ in range(4000)])
     deltas = draws - clean
     assert np.max(np.abs(deltas)) <= 0.5
     assert np.all(np.abs(deltas.mean(axis=0)) < 0.02)
@@ -231,9 +230,9 @@ def test_noise_wrapper_probability_gate_and_determinism():
     b = with_gradient_noise(prob, scale=1.0, seed=3, prob=0.25)
     clean = prob.full_gradient(x)
     touched = 0
-    for t in range(400):
-        ga = a.minibatch_gradient(x, step=t).values
-        gb = b.minibatch_gradient(x, step=t).values
+    for _ in range(400):
+        ga = a.loss_and_grad(x, None)[1]
+        gb = b.loss_and_grad(x, None)[1]
         assert np.array_equal(ga, gb)
         touched += not np.array_equal(ga, clean)
     assert 40 <= touched <= 180
@@ -241,3 +240,52 @@ def test_noise_wrapper_probability_gate_and_determinism():
         with_gradient_noise(prob, scale=-1.0)
     with pytest.raises(ValueError):
         with_gradient_noise(prob, scale=1.0, prob=1.5)
+
+
+def test_forward_only_loss_matches_loss_and_grad_bit_for_bit():
+    # loss() reads the dataset in place and skips the backward pass; the
+    # value must equal the one-pass oracle over every index exactly.
+    blobs = synthetic_blobs(96, 6, 3, seed=4)
+    for prob in (logistic_problem(96, 6, seed=5),
+                 mlp_problem((6, 7, 3), blobs, batch_size=8)):
+        x = prob.initial_point(np.random.default_rng(2))
+        loss, grad = prob.loss_and_grad(x, np.arange(prob.n_samples))
+        assert prob.loss(x) == loss
+        assert np.array_equal(prob.full_gradient(x), grad)
+
+
+def test_deterministic_loss_and_grad_is_loss_and_full_gradient():
+    for prob, x in ((quadratic_problem(np.diag([1.0, 3.0])), np.array([2.0, -1.0])),
+                    (rosenbrock_problem(), np.array([-1.2, 1.0]))):
+        loss, grad = prob.loss_and_grad(x, None)
+        assert loss == prob.loss(x)
+        assert np.array_equal(grad, prob.full_gradient(x))
+
+
+def test_noise_wrapper_loss_and_grad_draws_once_per_call():
+    # One gate draw per call, then one perturbation vector when the gate
+    # opens: a reference generator on the same seed replays the sequence.
+    inner = logistic_problem(64, 4, seed=2)
+    noisy = with_gradient_noise(inner, scale=0.3, seed=9, prob=0.5)
+    ref = np.random.default_rng(9)
+    x = np.array([0.5, -0.25, 1.0, 0.0])
+    sampler = BatchSampler(64, 8, seed=1)
+    for _ in range(50):
+        batch = sampler.next_batch()
+        loss, grad = noisy.loss_and_grad(x, batch)
+        clean_loss, expected = inner.loss_and_grad(x, batch)
+        if ref.uniform() < 0.5:
+            expected = expected + ref.uniform(-0.3, 0.3, 4)
+        assert loss == clean_loss
+        assert np.array_equal(grad, expected)
+    assert (noisy._noise_rng.bit_generator.state
+            == ref.bit_generator.state)
+
+
+def test_noise_wrapper_loss_draws_nothing():
+    noisy = with_gradient_noise(logistic_problem(64, 4, seed=2), scale=0.3,
+                                seed=9)
+    before = noisy._noise_rng.bit_generator.state
+    noisy.loss(np.zeros(4))
+    noisy.full_gradient(np.zeros(4))
+    assert noisy._noise_rng.bit_generator.state == before
