@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import math
 import os
 import sys
 
@@ -152,11 +151,9 @@ def _cmd_compare(args) -> int:
                 base, optimizer=opt, seed=base_seed + s, out=None,
                 eta=None if opt != base.optimizer else base.eta,
                 alpha_max=None if opt != base.optimizer else base.alpha_max))
-    out = None
-    if base.out:
-        out = base.out
-        if os.path.isdir(out) or out.endswith(os.sep):
-            out = os.path.join(out, "comparison.csv")
+    out = base.out
+    if out and (os.path.isdir(out) or out.endswith(os.sep)):
+        out = os.path.join(out, "comparison.csv")
     rows, winner = compare(configs, metric=args.metric,
                            threshold=args.threshold, out=out)
     print(render_comparison(rows))

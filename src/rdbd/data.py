@@ -4,6 +4,7 @@ synthetic cluster generators, and the without-replacement batch sampler."""
 from __future__ import annotations
 
 import gzip
+import math
 import os
 import struct
 
@@ -59,19 +60,14 @@ def parse_idx(data: bytes) -> np.ndarray:
     if len(data) < 4:
         raise ValueError("IDX stream shorter than its magic number")
     (magic,) = struct.unpack(">I", data[:4])
-    if magic == LABELS_MAGIC:
-        ndim = 1
-    elif magic == IMAGES_MAGIC:
-        ndim = 3
-    else:
+    ndim = {LABELS_MAGIC: 1, IMAGES_MAGIC: 3}.get(magic)
+    if ndim is None:
         raise ValueError(f"bad IDX magic 0x{magic:08x}")
     header_len = 4 + 4 * ndim
     if len(data) < header_len:
         raise ValueError("IDX header truncated")
     dims = struct.unpack(f">{ndim}I", data[4:header_len])
-    count = 1
-    for d in dims:
-        count *= d
+    count = math.prod(dims)
     if count > 2 ** 40:
         raise ValueError(f"IDX dims {dims} overflow any sane payload")
     payload = data[header_len:]
@@ -87,11 +83,8 @@ def parse_idx(data: bytes) -> np.ndarray:
 def serialize_idx(arr) -> bytes:
     """Encode a uint8 tensor (1-D labels or 3-D images) as IDX bytes."""
     arr = np.ascontiguousarray(arr, dtype=np.uint8)
-    if arr.ndim == 1:
-        magic = LABELS_MAGIC
-    elif arr.ndim == 3:
-        magic = IMAGES_MAGIC
-    else:
+    magic = {1: LABELS_MAGIC, 3: IMAGES_MAGIC}.get(arr.ndim)
+    if magic is None:
         raise ValueError("only 1-D label or 3-D image tensors are supported")
     header = struct.pack(">I", magic) + struct.pack(
         f">{arr.ndim}I", *arr.shape)

@@ -13,6 +13,7 @@ Wall-clock timings stay in the in-memory records only, so identical
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import os
 import time
@@ -135,6 +136,22 @@ class TraceRecord:
     wall_ms: float = 0.0
 
 
+@functools.lru_cache(maxsize=1)
+def _shared_blobs(*args):
+    """synthetic_blobs(*args), kept read-only for every run that asks again.
+
+    Runs sharing a problem signature (a seed sweep, `compare`) would each
+    regenerate identical data. Rebuilding a large dataset per run also made
+    peak memory vary: once the first copy is freed, malloc puts later ones
+    on the heap, which numpy advises for huge pages that the kernel may or
+    may not supply.
+    """
+    dataset = synthetic_blobs(*args)
+    dataset.features.flags.writeable = False
+    dataset.labels.flags.writeable = False
+    return dataset
+
+
 def build_problem(config: RunConfig):
     cfg = config.resolved()
     if cfg.problem == "quadratic":
@@ -146,9 +163,9 @@ def build_problem(config: RunConfig):
                                   batch_size=cfg.batch_size,
                                   separation=cfg.separation)
     elif cfg.problem == "mlp-blobs":
-        dataset = synthetic_blobs(cfg.n_samples, cfg.layer_sizes[0],
-                                  cfg.layer_sizes[-1], cfg.problem_seed,
-                                  separation=cfg.separation)
+        dataset = _shared_blobs(cfg.n_samples, cfg.layer_sizes[0],
+                                cfg.layer_sizes[-1], cfg.problem_seed,
+                                cfg.separation)
         problem = MlpProblem(cfg.layer_sizes, dataset, batch_size=cfg.batch_size)
     elif cfg.problem == "mlp-mnist":
         full = load_mnist(cfg.mnist_dir)
@@ -276,6 +293,13 @@ def trace_columns(vector_ids):
     return cols
 
 
+def _write_lines(path, lines):
+    """Write lines as one newline-terminated file, making its directory."""
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    with open(path, "w", newline="") as f:
+        f.write("\n".join(lines) + "\n")
+
+
 def write_trace_csv(records, vector_ids, path):
     lines = [",".join(trace_columns(vector_ids))]
     for rec in records:
@@ -285,10 +309,7 @@ def write_trace_csv(records, vector_ids, path):
             cells += [_fmt(rec.grad_norms[vec_id]), _fmt(rec.alphas[vec_id]),
                       _fmt(rec.hs[vec_id]), str(int(rec.reverted[vec_id]))]
         lines.append(",".join(cells))
-    parent = os.path.dirname(os.path.abspath(path))
-    os.makedirs(parent, exist_ok=True)
-    with open(path, "w", newline="") as f:
-        f.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)
     return path
 
 
@@ -363,10 +384,7 @@ def write_comparison_csv(rows, path):
         values = ";".join(_fmt(v) for v in r.values)
         lines.append(f"{r.optimizer},{r.metric},{_fmt(r.median)},"
                      f"{_fmt(r.iqr)},{r.n_seeds},{values}")
-    parent = os.path.dirname(os.path.abspath(path))
-    os.makedirs(parent, exist_ok=True)
-    with open(path, "w", newline="") as f:
-        f.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)
     return path
 
 
@@ -377,10 +395,7 @@ def write_bound_reports(reports, path):
         lines.append(f"{r.name},{_fmt(r.theoretical_value)},"
                      f"{_fmt(r.empirical_value)},{int(r.satisfied)},"
                      f"{_fmt(r.margin)},{int(r.applicable)}")
-    parent = os.path.dirname(os.path.abspath(path))
-    os.makedirs(parent, exist_ok=True)
-    with open(path, "w", newline="") as f:
-        f.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)
     return path
 
 
@@ -422,10 +437,8 @@ def emit_plot_data(traces, out_path, series=("loss", "alpha")):
         suffix = len(ids) > 1
         for rec in records:
             for name in series:
-                if name == "loss":
-                    add(run_id, rec.step, "loss", rec.loss)
-                elif name == "full_loss":
-                    add(run_id, rec.step, "full_loss", rec.full_loss)
+                if name in ("loss", "full_loss"):
+                    add(run_id, rec.step, name, getattr(rec, name))
                 elif name in ("alpha", "grad_norm", "h", "reverted"):
                     source = {"alpha": rec.alphas, "grad_norm": rec.grad_norms,
                               "h": rec.hs, "reverted": rec.reverted}[name]
@@ -434,10 +447,7 @@ def emit_plot_data(traces, out_path, series=("loss", "alpha")):
                         add(run_id, rec.step, label, float(source[vec_id]))
                 else:
                     raise ConfigError(f"unknown series {name!r}")
-    parent = os.path.dirname(os.path.abspath(out_path))
-    os.makedirs(parent, exist_ok=True)
-    with open(out_path, "w", newline="") as f:
-        f.write("\n".join(lines) + "\n")
+    _write_lines(out_path, lines)
     return count
 
 

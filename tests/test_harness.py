@@ -388,3 +388,21 @@ def test_diverging_sampled_run_raises_and_flushes(tmp_path, capsys, alpha0,
     assert main(["run", "--problem", "logistic", "--optimizer", "sgd",
                  "--alpha0", repr(alpha0), "--steps", "200"]) == 4
     assert "numeric failure" in capsys.readouterr().err
+
+
+def test_mlp_blobs_runs_share_one_read_only_dataset():
+    from rdbd.harness import build_problem
+
+    cfg = preset("mlp-blobs-demo")
+    first = build_problem(cfg)
+    again = build_problem(dataclasses.replace(cfg, seed=cfg.seed + 1))
+    assert again.dataset is first.dataset
+    assert not first.dataset.features.flags.writeable
+    assert not first.dataset.labels.flags.writeable
+    other = build_problem(dataclasses.replace(cfg, problem_seed=cfg.problem_seed + 1))
+    assert other.dataset is not first.dataset
+    assert not np.array_equal(other.dataset.features, first.dataset.features)
+    # A repeated run still reproduces its trace exactly.
+    first_run = [dataclasses.replace(rec, wall_ms=0.0) for rec in run(cfg)]
+    second_run = [dataclasses.replace(rec, wall_ms=0.0) for rec in run(cfg)]
+    assert first_run == second_run
