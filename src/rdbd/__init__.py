@@ -4,9 +4,9 @@ and a seeded benchmark harness."""
 
 from .core import (GradientEstimate, ParamVector, ScheduleState, StepOutcome,
                    TheoryParams, dot, validate_theory_params)
-from .schedulers import (SchedulerKind, dbd_step, plain_step, rdbd_step,
+from .schedulers import (FlatSchedule, dbd_step, plain_step, rdbd_step,
                          revert_exactness_check)
-from .baselines import AdamState, adam_rdbd_step, adam_step, sgd_step
+from .baselines import AdamState, adam_advance, adam_rdbd_step, adam_step
 from .problems import (Problem, estimate_sigma, finite_difference_gradient,
                        logistic_problem, mlp_problem, quadratic_problem,
                        rosenbrock_problem, with_gradient_noise)

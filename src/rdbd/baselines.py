@@ -1,14 +1,15 @@
-"""Unscheduled baseline optimizers (SGD, Adam) and the composition that
-lets the revertible scheduler drive Adam's global rate per vector."""
+"""The Adam baseline and the composition that lets the revertible scheduler
+drive Adam's global rate per vector. Plain SGD is `schedulers.plain_step`."""
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import GradientEstimate, ParamVector, ScheduleState, StepOutcome
-from .schedulers import plain_step, rdbd_step
+from .schedulers import rdbd_step
 
 
 @dataclass
@@ -36,22 +37,17 @@ class AdamState:
                    beta1=beta1, beta2=beta2, eps_hat=eps_hat, step=0)
 
 
-def sgd_step(x: ParamVector, g: GradientEstimate, alpha: float) -> np.ndarray:
-    """Plain stochastic gradient step; the named baseline for the harness."""
-    return plain_step(x, g, alpha)
-
-
-def _adam_direction(state: AdamState, g: GradientEstimate):
-    """Updated moments and the bias-corrected direction m_hat/(sqrt(v_hat)+eps)."""
-    if g.dim != state.m.size:
-        raise ValueError(f"gradient dim {g.dim} != moment dim {state.m.size}")
-    t = state.step + 1
-    m = state.beta1 * state.m + (1.0 - state.beta1) * g.values
-    v = state.beta2 * state.v + (1.0 - state.beta2) * g.values ** 2
-    m_hat = m / (1.0 - state.beta1 ** t)
-    v_hat = v / (1.0 - state.beta2 ** t)
-    u = m_hat / (np.sqrt(v_hat) + state.eps_hat)
-    return m, v, u
+def adam_advance(state: AdamState, g) -> np.ndarray:
+    """Fold the gradient g into the moments, in place, and return the
+    bias-corrected direction u = m_hat / (sqrt(v_hat) + eps_hat)."""
+    if g.size != state.m.size:
+        raise ValueError(f"gradient dim {g.size} != moment dim {state.m.size}")
+    state.step += 1
+    state.m = state.beta1 * state.m + (1.0 - state.beta1) * g
+    state.v = state.beta2 * state.v + (1.0 - state.beta2) * g ** 2
+    m_hat = state.m / (1.0 - state.beta1 ** state.step)
+    v_hat = state.v / (1.0 - state.beta2 ** state.step)
+    return m_hat / (np.sqrt(v_hat) + state.eps_hat)
 
 
 def adam_step(state: AdamState, x: ParamVector, g: GradientEstimate,
@@ -60,12 +56,12 @@ def adam_step(state: AdamState, x: ParamVector, g: GradientEstimate,
 
     Returns (new_x, new_state, u_t) where u_t is the bias-corrected
     direction, so callers can feed it to a scheduler as the weight update.
+    The input state is left unchanged.
     """
     if g.dim != x.dim:
         raise ValueError(f"gradient dim {g.dim} != vector dim {x.dim}")
-    m, v, u = _adam_direction(state, g)
-    new_state = AdamState(m=m, v=v, beta1=state.beta1, beta2=state.beta2,
-                          eps_hat=state.eps_hat, step=state.step + 1)
+    new_state = dataclasses.replace(state)
+    u = adam_advance(new_state, g.values)
     return x.values - alpha * u, new_state, u
 
 
@@ -82,7 +78,5 @@ def adam_rdbd_step(adam: AdamState, sched: ScheduleState, x: ParamVector,
     """
     if g.dim != x.dim:
         raise ValueError(f"gradient dim {g.dim} != vector dim {x.dim}")
-    m, v, u = _adam_direction(adam, g)
-    adam.m, adam.v = m, v
-    adam.step += 1
+    u = adam_advance(adam, g.values)
     return rdbd_step(sched, x, GradientEstimate(u, step=g.step))

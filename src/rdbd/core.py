@@ -112,9 +112,6 @@ class ScheduleState:
                    alpha_min=float(alpha_min), alpha_max=float(alpha_max),
                    step=0)
 
-    def clamp(self, raw_alpha: float) -> float:
-        return min(max(raw_alpha, self.alpha_min), self.alpha_max)
-
 
 @dataclass
 class StepOutcome:

@@ -6,8 +6,7 @@ Trace CSV schema (one row per step): `step,loss,full_loss` followed by
 problem has more than one group). `loss` is the mini-batch loss at the
 pre-step point; `full_loss` is the whole-dataset loss after the step,
 filled every `eval_every` steps and at the final step, blank otherwise.
-Wall-clock timings stay in the in-memory records only, so identical
-(config, seed) pairs produce byte-identical files.
+Identical (config, seed) pairs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -16,26 +15,31 @@ import dataclasses
 import functools
 import math
 import os
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .baselines import AdamState, adam_rdbd_step, adam_step, sgd_step
-from .core import GradientEstimate, ParamVector, ScheduleState
+from .baselines import AdamState, adam_advance
 from .data import BatchSampler, load_mnist, mnist_subset, synthetic_blobs
 from .problems import (LogisticProblem, MlpProblem, QuadraticProblem,
                        RosenbrockProblem, with_gradient_noise)
-from .schedulers import dbd_step, rdbd_step
+from .schedulers import FlatSchedule
 
-OPTIMIZERS = ("sgd", "adam", "dbd", "rdbd", "adam_rdbd")
+# optimizer -> (direction, rate rule, default eta). The direction is the
+# gradient or Adam's bias-corrected u; the rule holds every rate at alpha0
+# ("fixed") or schedules one rate per weight group ("dbd", "rdbd"). Default
+# meta rates: 0.01 for gradient-fed schedulers, 5e-7 when the schedule
+# rides on Adam directions.
+OPTIMIZER_TABLE = {
+    "sgd": ("gradient", "fixed", 0.0),
+    "adam": ("adam", "fixed", 0.0),
+    "dbd": ("gradient", "dbd", 0.01),
+    "rdbd": ("gradient", "rdbd", 0.01),
+    "adam_rdbd": ("adam", "rdbd", 5e-7),
+}
+OPTIMIZERS = tuple(OPTIMIZER_TABLE)
 PROBLEMS = ("quadratic", "rosenbrock", "logistic", "mlp-blobs", "mlp-mnist")
 METRICS = ("final_loss", "steps_to_threshold", "min_grad_norm")
-
-# Default meta rates: 0.01 for gradient-fed schedulers, 5e-7 when the
-# schedule rides on Adam directions.
-DEFAULT_ETA = {"sgd": 0.0, "adam": 0.0, "dbd": 0.01, "rdbd": 0.01,
-               "adam_rdbd": 5e-7}
 
 
 class ConfigError(ValueError):
@@ -86,7 +90,7 @@ class RunConfig:
             raise ConfigError(f"unknown problem {cfg.problem!r}; "
                               f"choose from {', '.join(PROBLEMS)}")
         if cfg.eta is None:
-            cfg.eta = DEFAULT_ETA[cfg.optimizer]
+            cfg.eta = OPTIMIZER_TABLE[cfg.optimizer][2]
         if cfg.alpha_max is None:
             cfg.alpha_max = 10.0 * cfg.alpha0 if cfg.optimizer == "adam_rdbd" else math.inf
         cfg.layer_sizes = tuple(int(s) for s in cfg.layer_sizes)
@@ -133,7 +137,6 @@ class TraceRecord:
     alphas: dict
     hs: dict
     reverted: dict
-    wall_ms: float = 0.0
 
 
 @functools.lru_cache(maxsize=1)
@@ -199,83 +202,57 @@ def run(config: RunConfig):
     if problem.n_samples:
         sampler = BatchSampler(problem.n_samples, cfg.batch_size, batch_ss)
 
-    groups = []
-    for vec_id, sl in problem.segments():
-        vec = ParamVector(vec_id, x[sl])
-        sched = ScheduleState.fresh(vec.dim, cfg.alpha0, cfg.eta,
-                                    cfg.alpha_min, cfg.alpha_max)
-        adam = AdamState.fresh(vec.dim, cfg.beta1, cfg.beta2, cfg.eps_hat)
-        groups.append([vec_id, sl, vec, sched, adam])
-
+    ids, segments = zip(*problem.segments())
+    direction, rule, _ = OPTIMIZER_TABLE[cfg.optimizer]
+    adam = AdamState.fresh(x.size, cfg.beta1, cfg.beta2, cfg.eps_hat)
+    sched = FlatSchedule(segments, [cfg.alpha0] * len(ids), [0.0] * len(ids),
+                         np.zeros(x.size), cfg.eta, cfg.alpha_min,
+                         cfg.alpha_max)
+    fixed = [cfg.alpha0] * len(ids), [0.0] * len(ids), [False] * len(ids)
     records = []
 
     def fail(step, detail):
         if cfg.out:
-            write_trace_csv(records, [g[0] for g in groups], cfg.out)
+            write_trace_csv(records, ids, cfg.out)
         raise NumericError(f"non-finite values at step {step}: {detail}")
 
     # Divergence is detected by the explicit finiteness checks below, so the
     # overflow that precedes an abort does not need to warn as well.
     with np.errstate(over="ignore", invalid="ignore"):
-        return _run_loop(cfg, problem, x, sampler, groups, records, fail)
+        for t in range(1, cfg.steps + 1):
+            batch = sampler.next_batch() if sampler else None
+            batch_loss, grad = problem.loss_and_grad(x, batch)
+            if not math.isfinite(batch_loss):
+                fail(t, f"batch loss {batch_loss}")
+            if not np.all(np.isfinite(grad)):
+                fail(t, "gradient values contains non-finite entries")
 
+            d = adam_advance(adam, grad) if direction == "adam" else grad
+            if rule == "fixed":
+                x -= cfg.alpha0 * d
+                alphas, hs, reverted = fixed
+            else:
+                hs, reverted = sched.step(x, d, revert=rule == "rdbd")
+                alphas = sched.alpha
+            if not np.all(np.isfinite(x)):
+                bad = next(vec_id for vec_id, sl in zip(ids, segments)
+                           if not np.all(np.isfinite(x[sl])))
+                fail(t, f"weights of group {bad!r}")
+            norms = [math.sqrt(np.dot(d[sl], d[sl])) for sl in segments]
 
-def _run_loop(cfg, problem, x, sampler, groups, records, fail):
-    for t in range(1, cfg.steps + 1):
-        t0 = time.perf_counter()
-        batch = sampler.next_batch() if sampler else None
-        batch_loss, grad = problem.loss_and_grad(x, batch)
-        if not math.isfinite(batch_loss):
-            fail(t, f"batch loss {batch_loss}")
-        try:
-            g_full = GradientEstimate(grad, step=t)
-        except ValueError as exc:
-            fail(t, str(exc))
-
-        grad_norms, alphas, hs, reverted = {}, {}, {}, {}
-        for group in groups:
-            vec_id, sl, vec, sched, adam = group
-            g = GradientEstimate(g_full.values[sl], step=t)
-            if cfg.optimizer == "sgd":
-                new_values = sgd_step(vec, g, cfg.alpha0)
-                norm, alpha, h, rev = g.norm2, cfg.alpha0, 0.0, False
-            elif cfg.optimizer == "adam":
-                new_values, group[4], u = adam_step(adam, vec, g, cfg.alpha0)
-                norm, alpha, h, rev = float(np.linalg.norm(u)), cfg.alpha0, 0.0, False
-            elif cfg.optimizer == "dbd":
-                out = dbd_step(sched, vec, g)
-                new_values = out.new_values
-                norm, alpha, h, rev = g.norm2, out.new_alpha, out.h_t, out.reverted
-            elif cfg.optimizer == "rdbd":
-                out = rdbd_step(sched, vec, g)
-                new_values = out.new_values
-                norm, alpha, h, rev = g.norm2, out.new_alpha, out.h_t, out.reverted
-            else:  # adam_rdbd
-                out = adam_rdbd_step(adam, sched, vec, g)
-                new_values = out.new_values
-                norm = float(np.linalg.norm(sched.prev_update))
-                alpha, h, rev = out.new_alpha, out.h_t, out.reverted
-            if not np.all(np.isfinite(new_values)):
-                fail(t, f"weights of group {vec_id!r}")
-            vec.update(new_values)
-            x[sl] = new_values
-            grad_norms[vec_id] = norm
-            alphas[vec_id] = alpha
-            hs[vec_id] = h
-            reverted[vec_id] = bool(rev)
-
-        full_loss = None
-        if t % cfg.eval_every == 0 or t == cfg.steps:
-            full_loss = problem.loss(x)
-            if not math.isfinite(full_loss):
-                fail(t, f"full loss {full_loss}")
-        records.append(TraceRecord(
-            step=t, loss=batch_loss, full_loss=full_loss,
-            grad_norms=grad_norms, alphas=alphas, hs=hs, reverted=reverted,
-            wall_ms=(time.perf_counter() - t0) * 1e3))
+            full_loss = None
+            if t % cfg.eval_every == 0 or t == cfg.steps:
+                full_loss = problem.loss(x)
+                if not math.isfinite(full_loss):
+                    fail(t, f"full loss {full_loss}")
+            records.append(TraceRecord(
+                step=t, loss=batch_loss, full_loss=full_loss,
+                grad_norms=dict(zip(ids, norms)),
+                alphas=dict(zip(ids, alphas)), hs=dict(zip(ids, hs)),
+                reverted=dict(zip(ids, reverted))))
 
     if cfg.out:
-        write_trace_csv(records, [g[0] for g in groups], cfg.out)
+        write_trace_csv(records, ids, cfg.out)
     return records
 
 

@@ -6,21 +6,67 @@ smaller steps). The revertible variant additionally watches the sign of
 that dot product: when it flips relative to the previous step, the previous
 rate increment is judged biased and undone, both on the rate and on the
 weight displacement it caused, before the current step proceeds.
+
+`FlatSchedule.step` is the one kernel for both rules, over every weight
+group of a flat vector; the direction it is fed is the gradient or an Adam
+direction. `dbd_step` and `rdbd_step` run it on a single group.
 """
 
 from __future__ import annotations
 
-import enum
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GradientEstimate, ParamVector, ScheduleState, StepOutcome, dot
+from .core import GradientEstimate, ParamVector, ScheduleState, StepOutcome
 
 
-class SchedulerKind(enum.Enum):
-    PLAIN = "plain"
-    DBD = "dbd"
-    RDBD = "rdbd"
+@dataclass
+class FlatSchedule:
+    """Scheduler state of every weight group of one flat weight vector.
+
+    Entry k of `alpha` and `prev_dot` belongs to the weights
+    `x[segments[k]]`; `prev_update` is the previous direction over the
+    whole vector.
+    """
+
+    segments: list
+    alpha: list
+    prev_dot: list
+    prev_update: np.ndarray
+    eta: float
+    alpha_min: float
+    alpha_max: float
+
+    def step(self, x, d, revert):
+        """One delta-bar-delta step of every group; x descends in place.
+
+        Per group, h = <d, prev_update> on its segment. With `revert`, a
+        sign flip (h * prev_dot < 0) first undoes the previous increment
+        eta*prev_dot on the rate and on the weights (+eta*prev_dot*prev).
+        The rate then moves by eta*h, clamps to [alpha_min, alpha_max], and
+        the segment descends along d at the new rate. d becomes the next
+        prev_update without a copy, so the caller must not modify it.
+        Returns the per-group lists (h, reverted).
+        """
+        hs, flags = [], []
+        for k, sl in enumerate(self.segments):
+            xk, dk, prev = x[sl], d[sl], self.prev_update[sl]
+            h = float(np.dot(dk, prev))
+            alpha = self.alpha[k]
+            reverted = revert and h * self.prev_dot[k] < 0.0
+            if reverted:
+                increment = self.eta * self.prev_dot[k]
+                xk += increment * prev
+                alpha -= increment
+            alpha = min(max(alpha + self.eta * h, self.alpha_min),
+                        self.alpha_max)
+            xk -= alpha * dk
+            self.alpha[k], self.prev_dot[k] = alpha, h
+            hs.append(h)
+            flags.append(reverted)
+        self.prev_update = d
+        return hs, flags
 
 
 def _check_dims(state: ScheduleState, x: ParamVector, g: GradientEstimate):
@@ -38,6 +84,22 @@ def plain_step(x: ParamVector, g: GradientEstimate, alpha: float) -> np.ndarray:
     return x.values - alpha * g.values
 
 
+def _one_group_step(state: ScheduleState, x: ParamVector, g: GradientEstimate,
+                    revert: bool) -> StepOutcome:
+    """FlatSchedule.step on a single group held in a ScheduleState."""
+    _check_dims(state, x, g)
+    flat = FlatSchedule([slice(None)], [state.alpha], [state.prev_dot],
+                        state.prev_update, state.eta, state.alpha_min,
+                        state.alpha_max)
+    new_values = x.values.copy()
+    (h_t,), (reverted,) = flat.step(new_values, g.values.copy(), revert)
+    state.alpha, state.prev_dot = flat.alpha[0], h_t
+    state.prev_update = flat.prev_update
+    state.step += 1
+    return StepOutcome(new_values=new_values, new_alpha=state.alpha,
+                       reverted=reverted, h_t=h_t)
+
+
 def dbd_step(state: ScheduleState, x: ParamVector, g: GradientEstimate) -> StepOutcome:
     """One delta-bar-delta step.
 
@@ -45,21 +107,10 @@ def dbd_step(state: ScheduleState, x: ParamVector, g: GradientEstimate) -> StepO
     weights descend at the new rate, and the state advances. Mutates
     `state` in place; the caller commits new_values to the vector.
     """
-    _check_dims(state, x, g)
-    h_t = dot(g.values, state.prev_update)
-    new_alpha = state.clamp(state.alpha + state.eta * h_t)
-    new_values = x.values - new_alpha * g.values
-
-    state.alpha = new_alpha
-    state.prev_update = g.values.copy()
-    state.prev_dot = h_t
-    state.step += 1
-    return StepOutcome(new_values=new_values, new_alpha=new_alpha,
-                       reverted=False, h_t=h_t)
+    return _one_group_step(state, x, g, revert=False)
 
 
-def rdbd_step(state: ScheduleState, x: ParamVector, g: GradientEstimate,
-              prev_x_snapshot=None) -> StepOutcome:
+def rdbd_step(state: ScheduleState, x: ParamVector, g: GradientEstimate) -> StepOutcome:
     """One revertible delta-bar-delta step.
 
     If the current dot product h_t disagrees in sign with the previous one
@@ -68,33 +119,8 @@ def rdbd_step(state: ScheduleState, x: ParamVector, g: GradientEstimate,
     by eta*h_{t-1}. The step then proceeds as dbd_step from the corrected
     point. g must be the update computed at the current (un-reverted)
     weights.
-
-    prev_x_snapshot, when given, is the weight vector as it stood right
-    after the previous step; in a sequential run it equals x.values and may
-    be omitted.
     """
-    _check_dims(state, x, g)
-    base = x.values if prev_x_snapshot is None else np.asarray(
-        prev_x_snapshot, dtype=np.float64)
-    if base.size != x.dim:
-        raise ValueError("prev_x_snapshot dimension mismatch")
-
-    h_t = dot(g.values, state.prev_update)
-    reverted = h_t * state.prev_dot < 0.0
-    alpha = state.alpha
-    if reverted:
-        base = base + state.eta * state.prev_dot * state.prev_update
-        alpha = alpha - state.eta * state.prev_dot
-
-    new_alpha = state.clamp(alpha + state.eta * h_t)
-    new_values = base - new_alpha * g.values
-
-    state.alpha = new_alpha
-    state.prev_update = g.values.copy()
-    state.prev_dot = h_t
-    state.step += 1
-    return StepOutcome(new_values=new_values, new_alpha=new_alpha,
-                       reverted=reverted, h_t=h_t)
+    return _one_group_step(state, x, g, revert=True)
 
 
 def revert_exactness_check(before, after_step_then_revert, eta, h_prev,

@@ -4,21 +4,22 @@ import math
 import numpy as np
 import pytest
 
-from rdbd.baselines import AdamState, adam_rdbd_step, adam_step, sgd_step
+from rdbd.baselines import AdamState, adam_rdbd_step, adam_step
 from rdbd.core import GradientEstimate, ParamVector, ScheduleState
+from rdbd.schedulers import plain_step
 
 
 def test_sgd_step_basic():
     x = ParamVector("x", [2.0])
-    assert list(sgd_step(x, GradientEstimate([4.0]), 0.25)) == [1.0]
-    assert list(sgd_step(x, GradientEstimate([4.0]), 0.0)) == [2.0]
+    assert list(plain_step(x, GradientEstimate([4.0]), 0.25)) == [1.0]
+    assert list(plain_step(x, GradientEstimate([4.0]), 0.0)) == [2.0]
 
 
 def test_sgd_one_step_to_optimum_on_scalar_quadratic():
     # f(x) = x^2/2, g = x: with alpha=1 the iterate lands on 0 immediately.
     x = ParamVector("x", [1.0])
     for _ in range(3):
-        x.update(sgd_step(x, GradientEstimate(x.values.copy()), 1.0))
+        x.update(plain_step(x, GradientEstimate(x.values.copy()), 1.0))
         assert x.values[0] == 0.0
 
 

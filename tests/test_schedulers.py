@@ -5,12 +5,8 @@ import numpy as np
 import pytest
 
 from rdbd.core import GradientEstimate, ParamVector, ScheduleState
-from rdbd.schedulers import (SchedulerKind, dbd_step, plain_step, rdbd_step,
+from rdbd.schedulers import (dbd_step, plain_step, rdbd_step,
                              revert_exactness_check)
-
-
-def test_scheduler_kind_is_closed():
-    assert {k.name for k in SchedulerKind} == {"PLAIN", "DBD", "RDBD"}
 
 
 def make_state(alpha=0.005, eta=0.01, prev_update=(0.0, 0.0), prev_dot=0.0,
@@ -173,21 +169,6 @@ def test_alpha_envelope_random_streams():
                 x.update(out.new_values)
                 bound = (t + 1) * st.eta * gmax ** 2
                 assert abs(st.alpha - 0.01) <= bound + 1e-10
-
-
-def test_rdbd_explicit_snapshot_matches_default():
-    # In a sequential run the snapshot equals the current weights, so
-    # passing it explicitly changes nothing.
-    st_a = make_state(prev_dot=2.0, prev_update=(1.0, 0.0))
-    st_b = make_state(prev_dot=2.0, prev_update=(1.0, 0.0))
-    x = ParamVector("x", [1.0, 1.0])
-    g = GradientEstimate([-3.0, 0.0])
-    out_a = rdbd_step(st_a, x, g)
-    out_b = rdbd_step(st_b, x, g, prev_x_snapshot=x.values.copy())
-    assert np.array_equal(out_a.new_values, out_b.new_values)
-    assert out_a.new_alpha == out_b.new_alpha
-    with pytest.raises(ValueError):
-        rdbd_step(make_state(), x, g, prev_x_snapshot=np.zeros(3))
 
 
 def test_revert_exactness_trivial():
