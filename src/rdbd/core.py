@@ -83,7 +83,9 @@ class GradientEstimate:
 @dataclass
 class ScheduleState:
     """Per-vector scheduler state: the current rate, the previous update
-    direction, and the previous update-agreement dot product.
+    direction, the previous update-agreement dot product, and the rate
+    increment the previous step applied (eta*prev_dot unless the clamp cut
+    it; None means eta*prev_dot).
 
     A fresh state starts with a zero previous update and zero dot product,
     so the first scheduled step leaves the rate unchanged.
@@ -96,8 +98,11 @@ class ScheduleState:
     alpha_min: float = 0.0
     alpha_max: float = math.inf
     step: int = 0
+    applied: float | None = None
 
     def __post_init__(self):
+        if self.applied is None:
+            self.applied = self.eta * self.prev_dot
         if self.eta < 0:
             raise ValueError("eta must be >= 0")
         if self.alpha_min > self.alpha_max:

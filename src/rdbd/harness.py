@@ -206,8 +206,8 @@ def run(config: RunConfig):
     direction, rule, _ = OPTIMIZER_TABLE[cfg.optimizer]
     adam = AdamState.fresh(x.size, cfg.beta1, cfg.beta2, cfg.eps_hat)
     sched = FlatSchedule(segments, [cfg.alpha0] * len(ids), [0.0] * len(ids),
-                         np.zeros(x.size), cfg.eta, cfg.alpha_min,
-                         cfg.alpha_max)
+                         [0.0] * len(ids), np.zeros(x.size), cfg.eta,
+                         cfg.alpha_min, cfg.alpha_max)
     fixed = [cfg.alpha0] * len(ids), [0.0] * len(ids), [False] * len(ids)
     records = []
 

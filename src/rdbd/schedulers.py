@@ -25,7 +25,7 @@ from .core import GradientEstimate, ParamVector, ScheduleState, StepOutcome
 class FlatSchedule:
     """Scheduler state of every weight group of one flat weight vector.
 
-    Entry k of `alpha` and `prev_dot` belongs to the weights
+    Entry k of `alpha`, `prev_dot` and `applied` belongs to the weights
     `x[segments[k]]`; `prev_update` is the previous direction over the
     whole vector.
     """
@@ -33,6 +33,7 @@ class FlatSchedule:
     segments: list
     alpha: list
     prev_dot: list
+    applied: list
     prev_update: np.ndarray
     eta: float
     alpha_min: float
@@ -42,11 +43,12 @@ class FlatSchedule:
         """One delta-bar-delta step of every group; x descends in place.
 
         Per group, h = <d, prev_update> on its segment. With `revert`, a
-        sign flip (h * prev_dot < 0) first undoes the previous increment
-        eta*prev_dot on the rate and on the weights (+eta*prev_dot*prev).
-        The rate then moves by eta*h, clamps to [alpha_min, alpha_max], and
-        the segment descends along d at the new rate. d becomes the next
-        prev_update without a copy, so the caller must not modify it.
+        sign flip (h * prev_dot < 0) first undoes the previous increment on
+        the rate and on the weights (+applied*prev). The rate then moves by
+        eta*h and clamps to [alpha_min, alpha_max]; `applied` keeps the
+        increment that survived the clamp (exactly eta*h when it did not
+        bind). The segment descends along d at the new rate. d becomes the
+        next prev_update without a copy, so the caller must not modify it.
         Returns the per-group lists (h, reverted).
         """
         hs, flags = [], []
@@ -56,25 +58,18 @@ class FlatSchedule:
             alpha = self.alpha[k]
             reverted = revert and h * self.prev_dot[k] < 0.0
             if reverted:
-                increment = self.eta * self.prev_dot[k]
-                xk += increment * prev
-                alpha -= increment
-            alpha = min(max(alpha + self.eta * h, self.alpha_min),
-                        self.alpha_max)
-            xk -= alpha * dk
-            self.alpha[k], self.prev_dot[k] = alpha, h
+                xk += self.applied[k] * prev
+                alpha -= self.applied[k]
+            raw = alpha + self.eta * h
+            new_alpha = min(max(raw, self.alpha_min), self.alpha_max)
+            self.applied[k] = (self.eta * h if new_alpha == raw
+                               else new_alpha - alpha)
+            xk -= new_alpha * dk
+            self.alpha[k], self.prev_dot[k] = new_alpha, h
             hs.append(h)
             flags.append(reverted)
         self.prev_update = d
         return hs, flags
-
-
-def _check_dims(state: ScheduleState, x: ParamVector, g: GradientEstimate):
-    if g.dim != x.dim:
-        raise ValueError(f"gradient dim {g.dim} != vector dim {x.dim}")
-    if state.prev_update.size != x.dim:
-        raise ValueError(
-            f"state prev_update dim {state.prev_update.size} != vector dim {x.dim}")
 
 
 def plain_step(x: ParamVector, g: GradientEstimate, alpha: float) -> np.ndarray:
@@ -87,14 +82,18 @@ def plain_step(x: ParamVector, g: GradientEstimate, alpha: float) -> np.ndarray:
 def _one_group_step(state: ScheduleState, x: ParamVector, g: GradientEstimate,
                     revert: bool) -> StepOutcome:
     """FlatSchedule.step on a single group held in a ScheduleState."""
-    _check_dims(state, x, g)
+    if g.dim != x.dim:
+        raise ValueError(f"gradient dim {g.dim} != vector dim {x.dim}")
+    if state.prev_update.size != x.dim:
+        raise ValueError(
+            f"state prev_update dim {state.prev_update.size} != vector dim {x.dim}")
     flat = FlatSchedule([slice(None)], [state.alpha], [state.prev_dot],
-                        state.prev_update, state.eta, state.alpha_min,
-                        state.alpha_max)
+                        [state.applied], state.prev_update, state.eta,
+                        state.alpha_min, state.alpha_max)
     new_values = x.values.copy()
     (h_t,), (reverted,) = flat.step(new_values, g.values.copy(), revert)
-    state.alpha, state.prev_dot = flat.alpha[0], h_t
-    state.prev_update = flat.prev_update
+    state.alpha, state.applied = flat.alpha[0], flat.applied[0]
+    state.prev_dot, state.prev_update = h_t, flat.prev_update
     state.step += 1
     return StepOutcome(new_values=new_values, new_alpha=state.alpha,
                        reverted=reverted, h_t=h_t)
@@ -114,24 +113,24 @@ def rdbd_step(state: ScheduleState, x: ParamVector, g: GradientEstimate) -> Step
     """One revertible delta-bar-delta step.
 
     If the current dot product h_t disagrees in sign with the previous one
-    (h_t * h_{t-1} < 0), the previous rate increment eta*h_{t-1} is undone:
-    the weights get the correction +eta*h_{t-1}*g_{t-1} and the rate drops
-    by eta*h_{t-1}. The step then proceeds as dbd_step from the corrected
-    point. g must be the update computed at the current (un-reverted)
-    weights.
+    (h_t * h_{t-1} < 0), the previous rate increment a = state.applied is
+    undone: the weights get the correction +a*g_{t-1} and the rate drops by
+    a. Unless a clamp cut it, a is eta*h_{t-1}. The step then proceeds as
+    dbd_step from the corrected point. g must be the update computed at
+    the current (un-reverted) weights.
     """
     return _one_group_step(state, x, g, revert=True)
 
 
 def revert_exactness_check(before, after_step_then_revert, eta, h_prev,
-                           g_prev, rel_tol=1e-12) -> bool:
+                           g_prev, rel_tol=1e-12, applied=None) -> bool:
     """Verify that a revert undid the previous rate increment exactly.
 
     `before` is the (x, alpha) pair recorded right after the step that
-    applied the eta*h_prev increment; `after_step_then_revert` is the pair
-    after the revert. True iff the rate dropped by exactly eta*h_prev
-    (restoring its pre-increment value) and the weights received exactly
-    +eta*h_prev*g_prev, both to rel_tol relative tolerance.
+    applied the increment a: eta*h_prev, or `applied` when a clamp cut it.
+    `after_step_then_revert` is the pair after the revert. True iff the
+    rate dropped by exactly a (restoring its pre-increment value) and the
+    weights received exactly +a*g_prev, both to rel_tol relative tolerance.
     """
     x_before, alpha_before = before
     x_after, alpha_after = after_step_then_revert
@@ -139,13 +138,14 @@ def revert_exactness_check(before, after_step_then_revert, eta, h_prev,
     x_after = np.asarray(x_after, dtype=np.float64)
     g_prev = np.asarray(g_prev, dtype=np.float64)
 
-    expected_alpha = alpha_before - eta * h_prev
+    increment = eta * h_prev if applied is None else applied
+    expected_alpha = alpha_before - increment
     alpha_scale = max(1.0, abs(alpha_before), abs(expected_alpha))
     if abs(alpha_after - expected_alpha) > rel_tol * alpha_scale:
         return False
 
     correction = x_after - x_before
-    expected = eta * h_prev * g_prev
+    expected = increment * g_prev
     scale = max(1.0, float(np.max(np.abs(x_before))),
                 float(np.max(np.abs(expected))))
     return bool(np.all(np.abs(correction - expected) <= rel_tol * scale))

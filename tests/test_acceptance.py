@@ -21,7 +21,7 @@ from rdbd.problems import (estimate_sigma, finite_difference_gradient,
                            logistic_problem, mlp_problem, quadratic_problem,
                            rosenbrock_problem)
 from rdbd.data import synthetic_blobs
-from rdbd.schedulers import dbd_step, rdbd_step
+from rdbd.schedulers import dbd_step, rdbd_step, revert_exactness_check
 from rdbd.theory import (alpha_envelope, dbd_hypergradient,
                          dbd_iteration_bound, descent_coefficient_bound,
                          rdbd_iteration_bound, rdbd_theoretical_hyperparams)
@@ -89,7 +89,9 @@ def test_criterion_02_alpha_envelope_on_all_presets():
 
 def test_criterion_03_revert_exactness_randomized():
     """1000 randomized (eta, h, g) triples: the revert restores the
-    pre-increment rate and applies exactly +eta*h*g_prev, 1e-12 relative."""
+    pre-increment rate and applies exactly +eta*h*g_prev, 1e-12 relative.
+    500 more random two-step streams in which a clamp cuts the increment:
+    the revert takes back exactly the increment that was applied."""
     rng = np.random.default_rng(99)
     worst = 0.0
     for trial in range(1000):
@@ -120,7 +122,40 @@ def test_criterion_03_revert_exactness_randomized():
         expected = x.values + eta * h_prev * g_prev
         xscale = np.maximum(1.0, np.abs(expected))
         worst = max(worst, float(np.max(np.abs(x_corrected - expected) / xscale)))
-    report(3, worst <= 1e-12, f"worst relative deviation {worst:.2e} <= 1e-12")
+
+    clamped = 0
+    for _ in range(500):
+        n = int(rng.integers(1, 6))
+        eta = 10.0 ** rng.uniform(-4, 0)
+        alpha0 = float(rng.uniform(0.1, 1.0))
+        prev, g1 = rng.normal(size=n), rng.normal(size=n)
+        h0 = float(rng.normal())
+        h1 = float(g1 @ prev)
+        if h1 * h0 < 0:
+            h0 = -h0                      # step 1 must not revert
+        # a bound halfway along the requested increment binds on step 1
+        bound = alpha0 + rng.uniform(0.1, 0.9) * eta * h1
+        lo, hi = (-math.inf, bound) if h1 > 0 else (bound, math.inf)
+        state = ScheduleState(alpha=alpha0, eta=eta, prev_update=prev,
+                              prev_dot=h0, alpha_min=lo, alpha_max=hi)
+        x0 = rng.normal(size=n)
+        out1 = rdbd_step(state, ParamVector("x", x0), GradientEstimate(g1))
+        assert not out1.reverted and out1.new_alpha == bound
+        g2 = -math.copysign(rng.uniform(0.5, 2.0), h1) * g1
+        out2 = rdbd_step(state, ParamVector("x", out1.new_values),
+                         GradientEstimate(g2))
+        assert out2.reverted
+        # undo step 2's own descent and (possibly clamped) increment
+        after_revert = (out2.new_values + out2.new_alpha * g2,
+                        out2.new_alpha - state.applied)
+        assert revert_exactness_check((out1.new_values, out1.new_alpha),
+                                      after_revert, eta, h1, g1,
+                                      applied=bound - alpha0)
+        worst = max(worst, abs(after_revert[1] - alpha0) / max(1.0, alpha0))
+        clamped += 1
+    report(3, worst <= 1e-12 and clamped == 500,
+           f"worst relative deviation {worst:.2e} <= 1e-12, "
+           f"{clamped} of them with a clamp that bound")
 
 
 def test_criterion_04_part2_equality_and_trajectory_match():

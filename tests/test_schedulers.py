@@ -92,6 +92,22 @@ def test_rdbd_revert_worked_example():
     assert np.allclose(out.new_values, [1.02, 1.0])
 
 
+def test_rdbd_revert_after_clamp_undoes_applied_increment():
+    # Step 2 asks for +2 on the rate but the cap lets only +0.5 through, so
+    # the revert at step 3 takes back 0.5 on the rate and 0.5*[2,0] on the
+    # weights, not the eta*h_prev = 2 the rule asked for.
+    st = ScheduleState.fresh(2, alpha=1.0, eta=1.0, alpha_max=1.5)
+    x = ParamVector("x", [0.0, 0.0])
+    for g in ([1.0, 0.0], [2.0, 0.0], [-1.0, 0.0]):
+        out = rdbd_step(st, x, GradientEstimate(g))
+        x.update(out.new_values)
+        if g[0] == 2.0:
+            assert st.alpha == 1.5 and st.applied == 0.5
+    assert out.reverted
+    assert list(x.values) == [-3.0, 0.0]
+    assert st.alpha == 0.0
+
+
 def test_rdbd_sign_agreement_stream():
     # Three aligned updates: alpha: 0.005 -> 0.005 -> 0.015 -> 0.025.
     st = make_state()
