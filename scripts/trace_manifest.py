@@ -28,15 +28,13 @@ from rdbd import harness  # noqa: E402
 from rdbd.harness import RunConfig  # noqa: E402
 from workloads import HERMETIC_PRESETS, MLP_784  # noqa: E402
 
-OPTIMIZERS = ("sgd", "adam", "dbd", "rdbd", "adam_rdbd")
-
 
 def configs():
     """(label, config) pairs, without a seed."""
     out = [(name, harness.preset(name)) for name in HERMETIC_PRESETS]
     out.append(("mlp-784", MLP_784))
     out += [(f"logistic-{opt}", RunConfig(problem="logistic", optimizer=opt))
-            for opt in OPTIMIZERS]
+            for opt in harness.OPTIMIZERS]
     out.append(("logistic-noise", RunConfig(problem="logistic", grad_noise=0.5,
                                             grad_noise_prob=0.3, steps=500)))
     demo = harness.preset("mlp-blobs-demo")

@@ -84,8 +84,7 @@ class GradientEstimate:
 class ScheduleState:
     """Per-vector scheduler state: the current rate, the previous update
     direction, the previous update-agreement dot product, and the rate
-    increment the previous step applied (eta*prev_dot unless the clamp cut
-    it; None means eta*prev_dot).
+    increment the previous step applied (None means eta*prev_dot).
 
     A fresh state starts with a zero previous update and zero dot product,
     so the first scheduled step leaves the rate unchanged.

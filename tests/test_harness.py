@@ -390,6 +390,44 @@ def test_diverging_sampled_run_raises_and_flushes(tmp_path, capsys, alpha0,
     assert "numeric failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("optimizer", ["sgd", "dbd", "rdbd"])
+@pytest.mark.parametrize("value, detail", [
+    # A finite gradient whose step overflows only the weights of b1.
+    (1e308, "weights of group 'b1'"),
+    (np.inf, "gradient values contains non-finite entries"),
+])
+def test_non_finite_step_names_the_failure_and_flushes(tmp_path, monkeypatch,
+                                                       optimizer, value,
+                                                       detail):
+    from rdbd import harness
+
+    build = harness.build_problem
+    calls = []
+
+    def build_with_bad_b1(config):
+        problem = build(config)
+        oracle = problem.loss_and_grad
+        b1 = dict(problem.segments())["b1"]
+
+        def loss_and_grad(x, batch):
+            loss, grad = oracle(x, batch)
+            calls.append(batch)
+            if len(calls) == 3:
+                grad[b1] = value
+            return loss, grad
+
+        monkeypatch.setattr(problem, "loss_and_grad", loss_and_grad)
+        return problem
+
+    monkeypatch.setattr(harness, "build_problem", build_with_bad_b1)
+    path = tmp_path / "t.csv"
+    cfg = dataclasses.replace(preset("mlp-blobs-demo"), optimizer=optimizer,
+                              alpha0=10.0, out=str(path))
+    with pytest.raises(NumericError, match=f"step 3: {detail}"):
+        run(cfg)
+    assert len(path.read_text().splitlines()) == 3   # header and steps 1-2
+
+
 def test_mlp_blobs_runs_share_one_read_only_dataset():
     from rdbd.harness import build_problem
 
