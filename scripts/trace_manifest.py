@@ -13,7 +13,6 @@ gradient noise, and `mlp-blobs-demo` on Adam directions, each at seeds
 0, 1 and 2.
 """
 
-import argparse
 import dataclasses
 import hashlib
 import sys
@@ -44,15 +43,11 @@ def configs():
     return out
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--seeds", type=int, default=3,
-                        help="run seeds 0 .. N-1 (default 3)")
-    args = parser.parse_args(argv)
+def main():
     with tempfile.TemporaryDirectory() as tmp:
         path = str(Path(tmp) / "trace.csv")
         for label, cfg in configs():
-            for seed in range(args.seeds):
+            for seed in range(3):
                 harness.run(dataclasses.replace(cfg, seed=seed, out=path))
                 digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
                 print(f"{label} seed={seed} {digest}", flush=True)

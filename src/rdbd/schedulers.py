@@ -123,14 +123,15 @@ def rdbd_step(state: ScheduleState, x: ParamVector, g: GradientEstimate) -> Step
 
 
 def revert_exactness_check(before, after_step_then_revert, eta, h_prev,
-                           g_prev, rel_tol=1e-12, applied=None) -> bool:
+                           g_prev, rel_tol=1e-12) -> bool:
     """Verify that a revert undid the previous rate increment exactly.
 
     `before` is the (x, alpha) pair recorded right after the step that
-    applied the increment a: eta*h_prev, or `applied` when a clamp cut it.
-    `after_step_then_revert` is the pair after the revert. True iff the
-    rate dropped by exactly a (restoring its pre-increment value) and the
-    weights received exactly +a*g_prev, both to rel_tol relative tolerance.
+    applied the increment a = eta*h_prev (when a clamp cut it, pass the
+    applied increment as h_prev with eta=1). `after_step_then_revert` is
+    the pair after the revert. True iff the rate dropped by exactly a
+    (restoring its pre-increment value) and the weights received exactly
+    +a*g_prev, both to rel_tol relative tolerance.
     """
     x_before, alpha_before = before
     x_after, alpha_after = after_step_then_revert
@@ -138,7 +139,7 @@ def revert_exactness_check(before, after_step_then_revert, eta, h_prev,
     x_after = np.asarray(x_after, dtype=np.float64)
     g_prev = np.asarray(g_prev, dtype=np.float64)
 
-    increment = eta * h_prev if applied is None else applied
+    increment = eta * h_prev
     expected_alpha = alpha_before - increment
     alpha_scale = max(1.0, abs(alpha_before), abs(expected_alpha))
     if abs(alpha_after - expected_alpha) > rel_tol * alpha_scale:

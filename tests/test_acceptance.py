@@ -148,9 +148,9 @@ def test_criterion_03_revert_exactness_randomized():
         # undo step 2's own descent and (possibly clamped) increment
         after_revert = (out2.new_values + out2.new_alpha * g2,
                         out2.new_alpha - state.applied)
+        # the clamped increment is passed as h_prev, with unit eta
         assert revert_exactness_check((out1.new_values, out1.new_alpha),
-                                      after_revert, eta, h1, g1,
-                                      applied=bound - alpha0)
+                                      after_revert, 1.0, bound - alpha0, g1)
         worst = max(worst, abs(after_revert[1] - alpha0) / max(1.0, alpha0))
         clamped += 1
     report(3, worst <= 1e-12 and clamped == 500,
