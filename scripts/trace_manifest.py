@@ -9,8 +9,10 @@ arithmetic shows exactly which runs moved. rdbd is imported from the
 
 The configs are the five hermetic presets, the benchmark's MNIST-shaped
 `mlp-784`, logistic regression with each optimizer, logistic with sparse
-gradient noise, and `mlp-blobs-demo` on Adam directions, each at seeds
-0, 1 and 2.
+gradient noise, `mlp-blobs-demo` on Adam directions, and
+`mlp-blobs-demo-capped` (`rdbd` with `alpha_max=0.01`), each at seeds 0, 1
+and 2. The capped runs revert increments that a clamp cut (hundreds of
+times per run), so they guard the applied-increment path of the revert.
 """
 
 import dataclasses
@@ -40,6 +42,8 @@ def configs():
     out += [(f"mlp-blobs-demo-{opt}", dataclasses.replace(demo, optimizer=opt,
                                                           eta=None))
             for opt in ("adam", "adam_rdbd")]
+    out.append(("mlp-blobs-demo-capped",
+                dataclasses.replace(demo, alpha_max=0.01)))
     return out
 
 

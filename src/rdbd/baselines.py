@@ -1,15 +1,12 @@
-"""The Adam baseline and the composition that lets the revertible scheduler
-drive Adam's global rate per vector. Plain SGD is `schedulers.plain_step`."""
+"""The Adam baseline: moment accumulators and the bias-corrected direction
+that the harness applies at a fixed rate (`adam`) or feeds to
+`schedulers.FlatSchedule` as the update direction (`adam_rdbd`)."""
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
-
-from .core import GradientEstimate, ParamVector, ScheduleState, StepOutcome
-from .schedulers import rdbd_step
 
 
 @dataclass
@@ -49,34 +46,3 @@ def adam_advance(state: AdamState, g) -> np.ndarray:
     v_hat = state.v / (1.0 - state.beta2 ** state.step)
     return m_hat / (np.sqrt(v_hat) + state.eps_hat)
 
-
-def adam_step(state: AdamState, x: ParamVector, g: GradientEstimate,
-              alpha: float):
-    """One Adam step at fixed rate alpha.
-
-    Returns (new_x, new_state, u_t) where u_t is the bias-corrected
-    direction, so callers can feed it to a scheduler as the weight update.
-    The input state is left unchanged.
-    """
-    if g.dim != x.dim:
-        raise ValueError(f"gradient dim {g.dim} != vector dim {x.dim}")
-    new_state = dataclasses.replace(state)
-    u = adam_advance(new_state, g.values)
-    return x.values - alpha * u, new_state, u
-
-
-def adam_rdbd_step(adam: AdamState, sched: ScheduleState, x: ParamVector,
-                   g: GradientEstimate) -> StepOutcome:
-    """Adam direction, rate scheduled by the revertible rule.
-
-    The bias-corrected direction u_t plays the role of the weight update:
-    it feeds both the agreement dot product and the descent step, so the
-    scheduler tunes Adam's global rate for this vector. The Adam moments
-    are advanced in place; sched advances as in rdbd_step. Callers should
-    keep sched.alpha_max finite: with near-unit-norm directions the rate
-    otherwise ratchets upward on any long agreement streak.
-    """
-    if g.dim != x.dim:
-        raise ValueError(f"gradient dim {g.dim} != vector dim {x.dim}")
-    u = adam_advance(adam, g.values)
-    return rdbd_step(sched, x, GradientEstimate(u, step=g.step))

@@ -21,8 +21,8 @@ import numpy as np
 
 from .baselines import AdamState, adam_advance
 from .data import BatchSampler, load_mnist, mnist_subset, synthetic_blobs
-from .problems import (LogisticProblem, MlpProblem, QuadraticProblem,
-                       RosenbrockProblem, with_gradient_noise)
+from .problems import (LogisticProblem, MlpProblem, NoisyGradientProblem,
+                       QuadraticProblem, RosenbrockProblem)
 from .schedulers import FlatSchedule
 
 # optimizer -> (direction, rate rule, default eta). The direction is the
@@ -99,6 +99,8 @@ class RunConfig:
                    "mlp-mnist": cfg.subset_n}.get(cfg.problem, math.inf)
         for ok, message in (
                 (cfg.steps >= 1, "steps must be >= 1"),
+                (cfg.seed >= 0, "seed must be >= 0"),
+                (cfg.problem_seed >= 0, "problem_seed must be >= 0"),
                 (cfg.batch_size >= 1, "batch_size must be >= 1"),
                 (cfg.eval_every >= 1, "eval_every must be >= 1"),
                 (math.isfinite(cfg.alpha0), "alpha0 must be finite"),
@@ -106,6 +108,11 @@ class RunConfig:
                 (cfg.alpha0 > 0, "alpha0 must be > 0"),
                 (cfg.eta >= 0, "eta must be >= 0"),
                 (cfg.alpha_min <= cfg.alpha_max, "alpha_min must be <= alpha_max"),
+                (0 <= cfg.beta1 < 1, "beta1 must lie in [0, 1)"),
+                (0 <= cfg.beta2 < 1, "beta2 must lie in [0, 1)"),
+                (0 < cfg.eps_hat < math.inf, "eps_hat must be finite and > 0"),
+                (math.isfinite(cfg.separation), "separation must be finite"),
+                (0 <= cfg.grad_noise < math.inf, "grad_noise must be finite and >= 0"),
                 (0 <= cfg.grad_noise_prob <= 1, "grad_noise_prob must lie in [0, 1]"),
                 (cfg.dim >= 1, "dim must be >= 1"),
                 (all(s >= 1 for s in cfg.layer_sizes), "every layer width must be >= 1"),
@@ -180,9 +187,9 @@ def build_problem(config: RunConfig):
     if cfg.grad_noise > 0.0:
         # Noise stream is seed-derived, so optimizers compared at one seed
         # see identical perturbations.
-        problem = with_gradient_noise(problem, cfg.grad_noise,
-                                      seed=cfg.problem_seed + 1,
-                                      prob=cfg.grad_noise_prob)
+        problem = NoisyGradientProblem(problem, cfg.grad_noise,
+                                       seed=cfg.problem_seed + 1,
+                                       prob=cfg.grad_noise_prob)
     return problem
 
 
@@ -395,8 +402,6 @@ def emit_plot_data(traces, out_path, series=("loss", "alpha")):
     """
     if not traces:
         raise ConfigError("emit_plot_data needs at least one trace")
-    if isinstance(traces, dict):
-        traces = list(traces.items())
     lines = ["run_id,step,series,value"]
     count = 0
 

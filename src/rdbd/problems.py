@@ -111,10 +111,6 @@ class QuadraticProblem(Problem):
         return self.A @ np.asarray(x, float) - self.b
 
 
-def quadratic_problem(A, b=None) -> QuadraticProblem:
-    return QuadraticProblem(A, b)
-
-
 class RosenbrockProblem(Problem):
     """f(x, y) = (1-x)^2 + 100(y - x^2)^2; minimum 0 at (1, 1)."""
 
@@ -136,10 +132,6 @@ class RosenbrockProblem(Problem):
 
     def initial_point(self, rng=None):
         return np.array([-1.2, 1.0])
-
-
-def rosenbrock_problem() -> RosenbrockProblem:
-    return RosenbrockProblem()
 
 
 class LogisticProblem(_SampledProblem):
@@ -181,10 +173,6 @@ class LogisticProblem(_SampledProblem):
         return rng.uniform(-bound, bound, self.dim)
 
 
-def logistic_problem(n_samples, dim, seed, batch_size=16, separation=4.0) -> LogisticProblem:
-    return LogisticProblem(n_samples, dim, seed, batch_size, separation)
-
-
 class MlpProblem(_SampledProblem):
     """Fully connected ReLU network, softmax outputs, mean cross-entropy.
 
@@ -193,13 +181,10 @@ class MlpProblem(_SampledProblem):
     by hand (no autodiff).
     """
 
-    def __init__(self, layer_sizes, dataset: Dataset, activation="relu",
-                 batch_size=16):
+    def __init__(self, layer_sizes, dataset: Dataset, batch_size=16):
         layer_sizes = tuple(int(s) for s in layer_sizes)
         if len(layer_sizes) < 2:
             raise ValueError("need at least one weight matrix")
-        if activation != "relu":
-            raise ValueError(f"unsupported activation {activation!r}")
         if layer_sizes[0] != dataset.dim:
             raise ValueError(
                 f"input width {layer_sizes[0]} != feature dim {dataset.dim}")
@@ -279,10 +264,6 @@ class MlpProblem(_SampledProblem):
         return np.concatenate(parts)
 
 
-def mlp_problem(layer_sizes, dataset, activation="relu", batch_size=16) -> MlpProblem:
-    return MlpProblem(layer_sizes, dataset, activation, batch_size)
-
-
 class NoisyGradientProblem(Problem):
     """Wrapper injecting zero-mean bounded noise into loss_and_grad gradients.
 
@@ -321,10 +302,6 @@ class NoisyGradientProblem(Problem):
 
     def initial_point(self, rng=None):
         return self.inner.initial_point(rng)
-
-
-def with_gradient_noise(problem: Problem, scale, seed=0, prob=1.0) -> NoisyGradientProblem:
-    return NoisyGradientProblem(problem, scale, seed, prob)
 
 
 def finite_difference_gradient(problem: Problem, x, step) -> np.ndarray:

@@ -9,7 +9,7 @@ weight displacement it caused, before the current step proceeds.
 
 `FlatSchedule.step` is the one kernel for both rules, over every weight
 group of a flat vector; the direction it is fed is the gradient or an Adam
-direction. `dbd_step` and `rdbd_step` run it on a single group.
+direction. A single group is `FlatSchedule([slice(None)], ...)`.
 """
 
 from __future__ import annotations
@@ -18,8 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GradientEstimate, ParamVector, ScheduleState, StepOutcome
-
 
 @dataclass
 class FlatSchedule:
@@ -27,7 +25,8 @@ class FlatSchedule:
 
     Entry k of `alpha`, `prev_dot` and `applied` belongs to the weights
     `x[segments[k]]`; `prev_update` is the previous direction over the
-    whole vector.
+    whole vector. Construction checks that eta >= 0 and alpha_min <=
+    alpha_max.
     """
 
     segments: list
@@ -39,6 +38,12 @@ class FlatSchedule:
     alpha_min: float
     alpha_max: float
 
+    def __post_init__(self):
+        if not self.eta >= 0:
+            raise ValueError("eta must be >= 0")
+        if not self.alpha_min <= self.alpha_max:
+            raise ValueError("alpha_min must be <= alpha_max")
+
     def step(self, x, d, revert):
         """One delta-bar-delta step of every group; x descends in place.
 
@@ -47,10 +52,15 @@ class FlatSchedule:
         the rate and on the weights (+applied*prev). The rate then moves by
         eta*h and clamps to [alpha_min, alpha_max]; `applied` keeps the
         increment that survived the clamp (exactly eta*h when it did not
-        bind). The segment descends along d at the new rate. d becomes the
-        next prev_update without a copy, so the caller must not modify it.
-        Returns the per-group lists (h, reverted).
+        bind). The segment descends along d at the new rate. d must be
+        computed at the current, un-reverted weights. It becomes the next
+        prev_update without a copy, so the caller must not modify it.
+        Returns the per-group lists (h, reverted). Raises ValueError
+        unless x, d and prev_update have one shape.
         """
+        if not x.shape == d.shape == self.prev_update.shape:
+            raise ValueError(f"shapes differ: x {x.shape}, d {d.shape}, "
+                             f"prev_update {self.prev_update.shape}")
         hs, flags = [], []
         for k, sl in enumerate(self.segments):
             xk, dk, prev = x[sl], d[sl], self.prev_update[sl]
@@ -70,56 +80,6 @@ class FlatSchedule:
             flags.append(reverted)
         self.prev_update = d
         return hs, flags
-
-
-def plain_step(x: ParamVector, g: GradientEstimate, alpha: float) -> np.ndarray:
-    """Unscheduled descent step x - alpha * g."""
-    if g.dim != x.dim:
-        raise ValueError(f"gradient dim {g.dim} != vector dim {x.dim}")
-    return x.values - alpha * g.values
-
-
-def _one_group_step(state: ScheduleState, x: ParamVector, g: GradientEstimate,
-                    revert: bool) -> StepOutcome:
-    """FlatSchedule.step on a single group held in a ScheduleState."""
-    if g.dim != x.dim:
-        raise ValueError(f"gradient dim {g.dim} != vector dim {x.dim}")
-    if state.prev_update.size != x.dim:
-        raise ValueError(
-            f"state prev_update dim {state.prev_update.size} != vector dim {x.dim}")
-    flat = FlatSchedule([slice(None)], [state.alpha], [state.prev_dot],
-                        [state.applied], state.prev_update, state.eta,
-                        state.alpha_min, state.alpha_max)
-    new_values = x.values.copy()
-    (h_t,), (reverted,) = flat.step(new_values, g.values.copy(), revert)
-    state.alpha, state.applied = flat.alpha[0], flat.applied[0]
-    state.prev_dot, state.prev_update = h_t, flat.prev_update
-    state.step += 1
-    return StepOutcome(new_values=new_values, new_alpha=state.alpha,
-                       reverted=reverted, h_t=h_t)
-
-
-def dbd_step(state: ScheduleState, x: ParamVector, g: GradientEstimate) -> StepOutcome:
-    """One delta-bar-delta step.
-
-    h_t = <g_t, g_{t-1}>; the rate moves by eta * h_t (then clamps), the
-    weights descend at the new rate, and the state advances. Mutates
-    `state` in place; the caller commits new_values to the vector.
-    """
-    return _one_group_step(state, x, g, revert=False)
-
-
-def rdbd_step(state: ScheduleState, x: ParamVector, g: GradientEstimate) -> StepOutcome:
-    """One revertible delta-bar-delta step.
-
-    If the current dot product h_t disagrees in sign with the previous one
-    (h_t * h_{t-1} < 0), the previous rate increment a = state.applied is
-    undone: the weights get the correction +a*g_{t-1} and the rate drops by
-    a. Unless a clamp cut it, a is eta*h_{t-1}. The step then proceeds as
-    dbd_step from the corrected point. g must be the update computed at
-    the current (un-reverted) weights.
-    """
-    return _one_group_step(state, x, g, revert=True)
 
 
 def revert_exactness_check(before, after_step_then_revert, eta, h_prev,

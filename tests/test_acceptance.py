@@ -12,19 +12,25 @@ import math
 import numpy as np
 import pytest
 
-from rdbd.core import (GradientEstimate, ParamVector, ScheduleState,
-                       TheoryParams)
 from rdbd.data import load_mnist, parse_idx, serialize_idx
 from rdbd.harness import (PRESETS, RunConfig, check_alpha_envelope,
                           check_revert_flags, preset, run)
-from rdbd.problems import (estimate_sigma, finite_difference_gradient,
-                           logistic_problem, mlp_problem, quadratic_problem,
-                           rosenbrock_problem)
+from rdbd.problems import (LogisticProblem, MlpProblem, QuadraticProblem,
+                           RosenbrockProblem, estimate_sigma,
+                           finite_difference_gradient)
 from rdbd.data import synthetic_blobs
-from rdbd.schedulers import dbd_step, rdbd_step, revert_exactness_check
-from rdbd.theory import (alpha_envelope, dbd_hypergradient,
+from rdbd.schedulers import FlatSchedule, revert_exactness_check
+from rdbd.theory import (TheoryParams, alpha_envelope, dbd_hypergradient,
                          dbd_iteration_bound, descent_coefficient_bound,
                          rdbd_iteration_bound, rdbd_theoretical_hyperparams)
+
+
+def one_group(alpha, eta, prev_update=(0.0, 0.0), prev_dot=0.0,
+              alpha_min=-math.inf, alpha_max=math.inf):
+    """A one-group schedule whose previous step applied eta*prev_dot."""
+    return FlatSchedule([slice(None)], [alpha], [prev_dot], [eta * prev_dot],
+                        np.array(prev_update, float), eta, alpha_min,
+                        alpha_max)
 
 
 def report(criterion, ok, detail):
@@ -36,7 +42,7 @@ def report(criterion, ok, detail):
 def test_criterion_01_full_batch_dbd_iteration_bound():
     """Full-batch scheduled descent meets its closed-form iteration bound
     with zero slack on the count."""
-    prob = quadratic_problem(np.diag([1.0, 2.0]))
+    prob = QuadraticProblem(np.diag([1.0, 2.0]))
     L = prob.known_constants["L"]
     x0 = np.array([1.0, math.sqrt(0.5)])         # f(x0) - f* = 1 exactly
     assert abs(prob.loss(x0) - 1.0) < 1e-15
@@ -48,15 +54,15 @@ def test_criterion_01_full_batch_dbd_iteration_bound():
     sigma = estimate_sigma(prob, 500, radius=math.sqrt(2.0) * 1.05,
                            rng=np.random.default_rng(11))
     eta = gamma / (T * sigma ** 2 * L)
-    x = ParamVector("x", x0)
-    state = ScheduleState.fresh(2, 1.0 / L, eta, alpha_min=-math.inf)
+    x = x0.copy()
+    sched = one_group(1.0 / L, eta)
     min_norm = math.inf
     for t in range(1, T + 1):
-        g = GradientEstimate(prob.full_gradient(x.values), step=t)
-        assert g.norm2 <= sigma          # the measured bound really bounds
-        min_norm = min(min_norm, g.norm2)
-        out = dbd_step(state, x, g)
-        x.update(out.new_values)
+        g = prob.full_gradient(x)
+        norm = float(np.linalg.norm(g))
+        assert norm <= sigma             # the measured bound really bounds
+        min_norm = min(min_norm, norm)
+        sched.step(x, g, revert=False)
     report(1, min_norm <= eps,
            f"min grad norm {min_norm:.3e} <= {eps} within {T} iterations")
 
@@ -103,23 +109,24 @@ def test_criterion_03_revert_exactness_randomized():
         alpha_before_increment = float(rng.normal())
 
         # state as it stands after the step that applied the increment
-        state = ScheduleState(alpha=alpha_before_increment + eta * h_prev,
-                              eta=eta, prev_update=g_prev.copy(),
-                              prev_dot=h_prev, alpha_min=-math.inf)
-        x = ParamVector("x", rng.normal(size=n))
+        sched = one_group(alpha_before_increment + eta * h_prev, eta,
+                          prev_update=g_prev, prev_dot=h_prev)
+        x0 = rng.normal(size=n)
+        x = x0.copy()
         # choose the next update so the product is negative (fires) ...
         g_now = -math.copysign(1.0, h_prev) * g_prev if h_prev else g_prev
-        out = rdbd_step(state, x, GradientEstimate(g_now))
+        (h_t,), (reverted,) = sched.step(x, g_now, revert=True)
         if h_prev == 0.0:
-            assert not out.reverted    # zero product can never fire
+            assert not reverted        # zero product can never fire
             continue
-        assert out.reverted
+        assert reverted
         # undo this step's own descent and increment to isolate the revert
-        alpha_restored = out.new_alpha - eta * out.h_t
-        x_corrected = out.new_values + out.new_alpha * g_now
+        new_alpha = sched.alpha[0]
+        alpha_restored = new_alpha - eta * h_t
+        x_corrected = x + new_alpha * g_now
         scale = max(1.0, abs(alpha_before_increment))
         worst = max(worst, abs(alpha_restored - alpha_before_increment) / scale)
-        expected = x.values + eta * h_prev * g_prev
+        expected = x0 + eta * h_prev * g_prev
         xscale = np.maximum(1.0, np.abs(expected))
         worst = max(worst, float(np.max(np.abs(x_corrected - expected) / xscale)))
 
@@ -136,21 +143,21 @@ def test_criterion_03_revert_exactness_randomized():
         # a bound halfway along the requested increment binds on step 1
         bound = alpha0 + rng.uniform(0.1, 0.9) * eta * h1
         lo, hi = (-math.inf, bound) if h1 > 0 else (bound, math.inf)
-        state = ScheduleState(alpha=alpha0, eta=eta, prev_update=prev,
-                              prev_dot=h0, alpha_min=lo, alpha_max=hi)
-        x0 = rng.normal(size=n)
-        out1 = rdbd_step(state, ParamVector("x", x0), GradientEstimate(g1))
-        assert not out1.reverted and out1.new_alpha == bound
+        sched = one_group(alpha0, eta, prev_update=prev, prev_dot=h0,
+                          alpha_min=lo, alpha_max=hi)
+        x = rng.normal(size=n)
+        _, (reverted,) = sched.step(x, g1, revert=True)
+        assert not reverted and sched.alpha[0] == bound
+        after_step = (x.copy(), sched.alpha[0])
         g2 = -math.copysign(rng.uniform(0.5, 2.0), h1) * g1
-        out2 = rdbd_step(state, ParamVector("x", out1.new_values),
-                         GradientEstimate(g2))
-        assert out2.reverted
+        _, (reverted,) = sched.step(x, g2, revert=True)
+        assert reverted
         # undo step 2's own descent and (possibly clamped) increment
-        after_revert = (out2.new_values + out2.new_alpha * g2,
-                        out2.new_alpha - state.applied)
+        after_revert = (x + sched.alpha[0] * g2,
+                        sched.alpha[0] - sched.applied[0])
         # the clamped increment is passed as h_prev, with unit eta
-        assert revert_exactness_check((out1.new_values, out1.new_alpha),
-                                      after_revert, 1.0, bound - alpha0, g1)
+        assert revert_exactness_check(after_step, after_revert, 1.0,
+                                      bound - alpha0, g1)
         worst = max(worst, abs(after_revert[1] - alpha0) / max(1.0, alpha0))
         clamped += 1
     report(3, worst <= 1e-12 and clamped == 500,
@@ -167,40 +174,40 @@ def test_criterion_04_part2_equality_and_trajectory_match():
     for _ in range(10):
         scalars = rng.uniform(0.5, 2.0, size=30) * np.where(
             rng.uniform(size=30) < 0.4, -1.0, 1.0)
-        st = ScheduleState.fresh(2, 0.005, 0.01, alpha_min=-math.inf)
-        x = ParamVector("x", [0.0, 0.0])
-        for t, s in enumerate(scalars):
-            g = GradientEstimate([s, 0.3 * s], step=t + 1)
-            h_t = float(g.values @ st.prev_update)
-            if h_t * st.prev_dot >= 0:
-                out_d = dbd_step(copy.deepcopy(st), ParamVector("x", x.values), g)
-                out_r = rdbd_step(st, x, g)
-                assert not out_r.reverted
-                assert abs(out_r.new_alpha - out_d.new_alpha) <= 1e-12 * max(
-                    1.0, abs(out_d.new_alpha))
-                assert np.all(np.abs(out_r.new_values - out_d.new_values)
-                              <= 1e-12 * np.maximum(1.0, np.abs(out_d.new_values)))
+        st = one_group(0.005, 0.01)
+        x = np.zeros(2)
+        for s in scalars:
+            g = np.array([s, 0.3 * s])
+            h_t = float(g @ st.prev_update)
+            if h_t * st.prev_dot[0] >= 0:
+                st_d, x_d = copy.deepcopy(st), x.copy()
+                st_d.step(x_d, g, revert=False)
+                _, (reverted,) = st.step(x, g, revert=True)
+                assert not reverted
+                assert abs(st.alpha[0] - st_d.alpha[0]) <= 1e-12 * max(
+                    1.0, abs(st_d.alpha[0]))
+                assert np.all(np.abs(x - x_d)
+                              <= 1e-12 * np.maximum(1.0, np.abs(x_d)))
                 checked_steps += 1
             else:
-                out_r = rdbd_step(st, x, g)
-                assert out_r.reverted
-            x.update(out_r.new_values)
+                _, (reverted,) = st.step(x, g, revert=True)
+                assert reverted
     # (b) all-nonnegative products: full trajectories match
     for _ in range(10):
         scalars = rng.uniform(0.1, 2.0, size=40)     # same sign throughout
-        st_d = ScheduleState.fresh(2, 0.005, 0.01, alpha_min=-math.inf)
-        st_r = ScheduleState.fresh(2, 0.005, 0.01, alpha_min=-math.inf)
-        x_d = ParamVector("x", [0.0, 0.0])
-        x_r = ParamVector("x", [0.0, 0.0])
-        for t, s in enumerate(scalars):
-            g = GradientEstimate([s, -0.7 * s], step=t + 1)
-            x_d.update(dbd_step(st_d, x_d, g).new_values)
-            out = rdbd_step(st_r, x_r, g)
-            assert not out.reverted
-            x_r.update(out.new_values)
-            assert np.all(np.abs(x_r.values - x_d.values)
-                          <= 1e-12 * np.maximum(1.0, np.abs(x_d.values)))
-        assert abs(st_r.alpha - st_d.alpha) <= 1e-12 * max(1.0, abs(st_d.alpha))
+        st_d = one_group(0.005, 0.01)
+        st_r = one_group(0.005, 0.01)
+        x_d = np.zeros(2)
+        x_r = np.zeros(2)
+        for s in scalars:
+            g = np.array([s, -0.7 * s])
+            st_d.step(x_d, g, revert=False)
+            _, (reverted,) = st_r.step(x_r, g, revert=True)
+            assert not reverted
+            assert np.all(np.abs(x_r - x_d)
+                          <= 1e-12 * np.maximum(1.0, np.abs(x_d)))
+        assert abs(st_r.alpha[0] - st_d.alpha[0]) <= 1e-12 * max(
+            1.0, abs(st_d.alpha[0]))
     report(4, checked_steps > 50,
            f"{checked_steps} non-reverting steps matched the plain rule; "
            f"nonnegative streams gave identical trajectories")
@@ -209,21 +216,20 @@ def test_criterion_04_part2_equality_and_trajectory_match():
 def test_criterion_05_per_step_steeper_descent_full_batch():
     """On a full-batch quadratic with eta <= 2/(L sigma^2), every step whose
     increment survives descends at least as much as the plain step."""
-    prob = quadratic_problem(np.diag([1.0, 2.0]), np.array([1.0, -0.5]))
+    prob = QuadraticProblem(np.diag([1.0, 2.0]), np.array([1.0, -0.5]))
     L = prob.known_constants["L"]
     sigma = 6.0
     eta = 1.0 / (L * sigma ** 2)              # within the admissible range
-    x = ParamVector("x", np.array([2.0, 1.5]))
-    state = ScheduleState.fresh(2, 0.2, eta, alpha_min=-math.inf)
+    x = np.array([2.0, 1.5])
+    sched = one_group(0.2, eta)
     hist = []
     for t in range(1, 61):
-        g = GradientEstimate(prob.full_gradient(x.values), step=t)
-        assert g.norm2 <= sigma
-        alpha_before = state.alpha
-        out = rdbd_step(state, x, g)
-        hist.append((x.values.copy(), g.values.copy(), alpha_before,
-                     out.new_alpha, out.h_t, out.reverted))
-        x.update(out.new_values)
+        g = prob.full_gradient(x)
+        assert np.linalg.norm(g) <= sigma
+        alpha_before, x_t = sched.alpha[0], x.copy()
+        (h_t,), (reverted,) = sched.step(x, g, revert=True)
+        hist.append((x_t, g.copy(), alpha_before, sched.alpha[0], h_t,
+                     reverted))
     checked, worst = 0, -math.inf
     for t in range(len(hist) - 1):
         x_t, g_t, a_before, a_after, h_t, rev = hist[t]
@@ -249,8 +255,8 @@ def test_criterion_06_hypergradient_matches_rate_derivative():
 
     rng = np.random.default_rng(3)
     worst = 0.0
-    cases = ((quadratic_problem(np.diag([1.0, 4.0]), np.array([0.3, -1.0])), 2.0, 0.3),
-             (rosenbrock_problem(), 1.5, 0.02))
+    cases = ((QuadraticProblem(np.diag([1.0, 4.0]), np.array([0.3, -1.0])), 2.0, 0.3),
+             (RosenbrockProblem(), 1.5, 0.02))
     for prob, box, a_max in cases:
         for _ in range(50):
             point = rng.uniform(-box, box, 2)
@@ -300,16 +306,16 @@ def test_criterion_08_gradient_oracles_match_finite_differences():
     1e-6 relative for the smooth analytic problems, 1e-4 for the network."""
     rng = np.random.default_rng(31)
     smooth = [
-        ("quadratic", quadratic_problem(np.diag([0.5, 2.0, 4.0]),
-                                        np.array([1.0, 0.0, -1.0])),
+        ("quadratic", QuadraticProblem(np.diag([0.5, 2.0, 4.0]),
+                                       np.array([1.0, 0.0, -1.0])),
          lambda: rng.uniform(-3, 3, 3), 1e-6, 1e-6),
-        ("rosenbrock", rosenbrock_problem(),
+        ("rosenbrock", RosenbrockProblem(),
          lambda: rng.uniform(-2, 2, 2), 1e-6, 1e-6),
-        ("logistic", logistic_problem(128, 6, seed=5),
+        ("logistic", LogisticProblem(128, 6, seed=5),
          lambda: rng.normal(size=6) * 0.5, 1e-6, 1e-6),
     ]
-    mlp = mlp_problem((6, 8, 3), synthetic_blobs(24, 6, 3, seed=9),
-                      batch_size=8)
+    mlp = MlpProblem((6, 8, 3), synthetic_blobs(24, 6, 3, seed=9),
+                     batch_size=8)
     checked = 0
     for name, prob, draw, fd_step, tol in smooth:
         for _ in range(20):

@@ -316,27 +316,37 @@ def test_cli_sweep(tmp_path, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("argv, config_text", [
-    (["--problem", "logistic", "--batch-size", "5000"], None),
-    (["--problem", "mlp-blobs", "--batch-size", "3000"], None),
-    (["--preset", "mnist-default", "--batch-size", "4096"], None),
-    (["--alpha0", "-1", "--optimizer", "sgd"], None),
-    (["--alpha0", "0", "--optimizer", "sgd"], None),
-    ([], "problem = quadratic\ndim = 0\n"),
-    ([], "problem = logistic\ndim = 0\n"),
-    ([], "problem = mlp-blobs\nlayer_sizes = 10,0,3\n"),
-    ([], "problem = mlp-blobs\nlayer_sizes = 10\n"),
-    ([], "problem = mlp-blobs\nn_samples = 2\nbatch_size = 1\n"
-         "layer_sizes = 4,3\n"),
-    ([], "problem = logistic\nn_samples = 10\nbatch_size = 4\n"),
-    ([], "problem = logistic\ngrad_noise = 0.1\ngrad_noise_prob = 2\n"),
+    (["run", "--problem", "logistic", "--batch-size", "5000"], None),
+    (["run", "--problem", "mlp-blobs", "--batch-size", "3000"], None),
+    (["run", "--preset", "mnist-default", "--batch-size", "4096"], None),
+    (["run", "--alpha0", "-1", "--optimizer", "sgd"], None),
+    (["run", "--alpha0", "0", "--optimizer", "sgd"], None),
+    (["run"], "problem = quadratic\ndim = 0\n"),
+    (["run"], "problem = logistic\ndim = 0\n"),
+    (["run"], "problem = mlp-blobs\nlayer_sizes = 10,0,3\n"),
+    (["run"], "problem = mlp-blobs\nlayer_sizes = 10\n"),
+    (["run"], "problem = mlp-blobs\nn_samples = 2\nbatch_size = 1\n"
+              "layer_sizes = 4,3\n"),
+    (["run"], "problem = logistic\nn_samples = 10\nbatch_size = 4\n"),
+    (["run"], "problem = logistic\ngrad_noise = 0.1\ngrad_noise_prob = 2\n"),
+    (["run", "--seed", "-1"], None),
+    (["compare", "--seed", "-4"], None),
+    (["run"], "problem_seed = -3\n"),
+    (["run"], "beta1 = 1.0\n"),
+    (["run"], "beta2 = -0.1\n"),
+    (["run"], "eps_hat = 0\n"),
+    (["run"], "optimizer = adam\neps_hat = nan\n"),
+    (["run"], "separation = nan\n"),
+    (["run"], "grad_noise = nan\n"),
 ])
 def test_cli_bad_input_exits_with_config_error(tmp_path, capsys, argv,
                                                 config_text):
+    command, *flags = argv
     if config_text is not None:
         path = tmp_path / "bad.cfg"
         path.write_text(config_text)
-        argv = ["--config", str(path)] + argv
-    assert main(["run", "--steps", "5"] + argv) == 2
+        flags = ["--config", str(path)] + flags
+    assert main([command, "--steps", "5"] + flags) == 2
     assert capsys.readouterr().err.startswith("config error:")
 
 
@@ -445,17 +455,17 @@ def test_mlp_blobs_runs_share_one_read_only_dataset():
 
 
 def _per_group_reference(cfg):
-    """The rows of `run(cfg)`, stepping each weight group on its own.
+    """The rows of `run(cfg)`, with the rule written out per weight group.
 
-    Every group keeps its own ScheduleState and AdamState and steps through
-    the public one-group functions, so the result pins down the segment
-    offsets, the rate per group and the revert mask of the flat kernel.
+    Every group keeps its own rate, previous direction and dot product,
+    applied increment and AdamState, and none of the kernel's code runs, so
+    the result pins down the segment offsets, the rate per group, the
+    revert mask and the increment a revert takes back. Also returns how
+    many reverts took back an increment that a clamp had cut.
     """
-    from rdbd.baselines import AdamState, adam_rdbd_step, adam_step
-    from rdbd.core import GradientEstimate, ParamVector, ScheduleState
+    from rdbd.baselines import AdamState, adam_advance
     from rdbd.data import BatchSampler
     from rdbd.harness import build_problem
-    from rdbd.schedulers import dbd_step, plain_step, rdbd_step
 
     cfg = cfg.resolved()
     problem = build_problem(cfg)
@@ -463,47 +473,58 @@ def _per_group_reference(cfg):
     x = problem.initial_point(np.random.default_rng(init_ss))
     sampler = BatchSampler(problem.n_samples, cfg.batch_size, batch_ss)
     groups = []
-    for vec_id, sl in problem.segments():
+    for _, sl in problem.segments():
         n = sl.stop - sl.start
-        groups.append([vec_id, sl,
-                       ScheduleState.fresh(n, cfg.alpha0, cfg.eta,
-                                           cfg.alpha_min, cfg.alpha_max),
-                       AdamState.fresh(n, cfg.beta1, cfg.beta2, cfg.eps_hat)])
+        groups.append(dict(sl=sl, alpha=cfg.alpha0, prev=np.zeros(n),
+                           prev_dot=0.0, applied=0.0, clamped=False,
+                           adam=AdamState.fresh(n, cfg.beta1, cfg.beta2,
+                                                cfg.eps_hat)))
+    clamp_reverts = 0
     rows = []
     for t in range(1, cfg.steps + 1):
         loss, grad = problem.loss_and_grad(x, sampler.next_batch())
         row = [loss]
         for group in groups:
-            vec_id, sl, sched, adam = group
-            vec = ParamVector(vec_id, x[sl])
-            g = GradientEstimate(grad[sl], step=t)
-            alpha, h, reverted, d = cfg.alpha0, 0.0, False, g.values
-            if cfg.optimizer == "sgd":
-                new = plain_step(vec, g, cfg.alpha0)
-            elif cfg.optimizer == "adam":
-                new, group[3], d = adam_step(adam, vec, g, cfg.alpha0)
+            sl = group["sl"]
+            d = grad[sl]
+            if cfg.optimizer in ("adam", "adam_rdbd"):
+                d = adam_advance(group["adam"], d)
+            alpha, h, reverted = cfg.alpha0, 0.0, False
+            if cfg.optimizer in ("sgd", "adam"):
+                x[sl] -= alpha * d
             else:
-                if cfg.optimizer == "adam_rdbd":
-                    out = adam_rdbd_step(adam, sched, vec, g)
-                    d = sched.prev_update
-                else:
-                    step = dbd_step if cfg.optimizer == "dbd" else rdbd_step
-                    out = step(sched, vec, g)
-                new, alpha, h, reverted = (out.new_values, out.new_alpha,
-                                           out.h_t, out.reverted)
-            x[sl] = new
+                h = float(np.dot(d, group["prev"]))
+                alpha = group["alpha"]
+                reverted = (cfg.optimizer != "dbd"
+                            and h * group["prev_dot"] < 0.0)
+                if reverted:
+                    x[sl] += group["applied"] * group["prev"]
+                    alpha -= group["applied"]
+                    clamp_reverts += group["clamped"]
+                raw = alpha + cfg.eta * h
+                new = min(max(raw, cfg.alpha_min), cfg.alpha_max)
+                group["clamped"] = new != raw
+                group["applied"] = (new - alpha if group["clamped"]
+                                    else cfg.eta * h)
+                x[sl] -= new * d
+                alpha = new
+                group.update(alpha=new, prev=d.copy(), prev_dot=h)
             row += [float(np.linalg.norm(d)), alpha, h, reverted]
         if t % cfg.eval_every == 0 or t == cfg.steps:
             row.append(problem.loss(x))
         rows.append([v.hex() if isinstance(v, float) else v for v in row])
-    return rows
+    return rows, clamp_reverts
 
 
-@pytest.mark.parametrize("optimizer", ["sgd", "adam", "dbd", "rdbd",
-                                       "adam_rdbd"])
-def test_flat_kernel_matches_per_group_reference(optimizer):
+@pytest.mark.parametrize("optimizer, alpha_max", [
+    ("sgd", None), ("adam", None), ("dbd", None), ("rdbd", None),
+    ("adam_rdbd", None),
+    # A cap that binds often, so reverts take back clamped increments.
+    ("rdbd", 0.01),
+], ids=["sgd", "adam", "dbd", "rdbd", "adam_rdbd", "rdbd-capped"])
+def test_flat_kernel_matches_per_group_reference(optimizer, alpha_max):
     cfg = dataclasses.replace(preset("mlp-blobs-demo"), optimizer=optimizer,
-                              eta=None, steps=60)
+                              eta=None, alpha_max=alpha_max, steps=60)
     records = run(cfg)
     assert len(records[0].alphas) == 6
     rows = []
@@ -515,7 +536,10 @@ def test_flat_kernel_matches_per_group_reference(optimizer):
         if rec.full_loss is not None:
             row.append(rec.full_loss)
         rows.append([v.hex() if isinstance(v, float) else v for v in row])
-    assert rows == _per_group_reference(cfg)
+    reference, clamp_reverts = _per_group_reference(cfg)
+    assert rows == reference
     if optimizer in ("rdbd", "adam_rdbd"):
         # Some step reverts in one group but not in another.
         assert any(len(set(rec.reverted.values())) > 1 for rec in records)
+    if alpha_max is not None:
+        assert clamp_reverts == 11

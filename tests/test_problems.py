@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from rdbd.data import BatchSampler, synthetic_blobs
-from rdbd.problems import (estimate_sigma, finite_difference_gradient,
-                           logistic_problem, mlp_problem, quadratic_problem,
-                           rosenbrock_problem, with_gradient_noise)
+from rdbd.problems import (LogisticProblem, MlpProblem, NoisyGradientProblem,
+                           QuadraticProblem, RosenbrockProblem, estimate_sigma,
+                           finite_difference_gradient)
 
 
 def test_quadratic_identity():
-    prob = quadratic_problem(np.eye(2))
+    prob = QuadraticProblem(np.eye(2))
     x = np.array([3.0, 4.0])
     assert prob.loss(x) == 12.5
     assert np.array_equal(prob.full_gradient(x), x)
@@ -19,24 +19,24 @@ def test_quadratic_identity():
 
 
 def test_quadratic_constants():
-    prob = quadratic_problem(np.diag([1.0, 4.0]))
+    prob = QuadraticProblem(np.diag([1.0, 4.0]))
     assert prob.known_constants["L"] == 4.0
-    prob2 = quadratic_problem(np.diag([1.0, 4.0]), np.array([1.0, 4.0]))
+    prob2 = QuadraticProblem(np.diag([1.0, 4.0]), np.array([1.0, 4.0]))
     assert np.allclose(prob2.known_constants["minimizer"], [1.0, 1.0])
     assert abs(prob2.known_constants["f_star"] + 2.5) < 1e-14
 
 
 def test_quadratic_rejects_bad_matrices():
     with pytest.raises(ValueError, match="symmetric"):
-        quadratic_problem(np.array([[1.0, 2.0], [0.0, 1.0]]))
+        QuadraticProblem(np.array([[1.0, 2.0], [0.0, 1.0]]))
     with pytest.raises(ValueError, match="square"):
-        quadratic_problem(np.ones((2, 3)))
+        QuadraticProblem(np.ones((2, 3)))
     with pytest.raises(ValueError, match="semidefinite"):
-        quadratic_problem(np.diag([1.0, -2.0]))
+        QuadraticProblem(np.diag([1.0, -2.0]))
 
 
 def test_rosenbrock_values():
-    prob = rosenbrock_problem()
+    prob = RosenbrockProblem()
     assert prob.loss([1.0, 1.0]) == 0.0
     assert np.array_equal(prob.full_gradient([1.0, 1.0]), [0.0, 0.0])
     assert prob.loss([0.0, 0.0]) == 1.0
@@ -44,7 +44,7 @@ def test_rosenbrock_values():
 
 
 def test_rosenbrock_gradient_matches_fd():
-    prob = rosenbrock_problem()
+    prob = RosenbrockProblem()
     x = np.array([-1.2, 1.0])
     fd = finite_difference_gradient(prob, x, 1e-6)
     analytic = prob.full_gradient(x)
@@ -52,7 +52,7 @@ def test_rosenbrock_gradient_matches_fd():
 
 
 def test_fd_gradient_property_random_points():
-    prob = rosenbrock_problem()
+    prob = RosenbrockProblem()
     rng = np.random.default_rng(8)
     for _ in range(10):
         x = rng.uniform(-2.0, 2.0, 2)
@@ -63,31 +63,31 @@ def test_fd_gradient_property_random_points():
 
 
 def test_fd_gradient_basics():
-    quad = quadratic_problem(np.eye(2))
+    quad = QuadraticProblem(np.eye(2))
     fd = finite_difference_gradient(quad, np.array([1.0, 0.0]), 1e-6)
     assert np.all(np.abs(fd - [1.0, 0.0]) <= 1e-8)
-    flat = quadratic_problem(np.zeros((2, 2)))
+    flat = QuadraticProblem(np.zeros((2, 2)))
     assert np.all(finite_difference_gradient(flat, np.ones(2), 1e-6) == 0.0)
     with pytest.raises(ValueError):
         finite_difference_gradient(quad, np.zeros(2), 0.0)
 
 
 def test_logistic_zero_weights_loss_is_ln2():
-    prob = logistic_problem(256, 8, seed=3)
+    prob = LogisticProblem(256, 8, seed=3)
     assert abs(prob.loss(np.zeros(8)) - math.log(2.0)) < 1e-12
 
 
 def test_logistic_validation():
     with pytest.raises(ValueError):
-        logistic_problem(4, 8, seed=0)
+        LogisticProblem(4, 8, seed=0)
     with pytest.raises(ValueError):
-        logistic_problem(64, 8, seed=0, batch_size=0)
+        LogisticProblem(64, 8, seed=0, batch_size=0)
     with pytest.raises(ValueError):
-        logistic_problem(64, 8, seed=0, batch_size=65)
+        LogisticProblem(64, 8, seed=0, batch_size=65)
 
 
 def test_logistic_full_gradient_is_mean_of_per_sample():
-    prob = logistic_problem(64, 6, seed=1)
+    prob = LogisticProblem(64, 6, seed=1)
     rng = np.random.default_rng(0)
     w = rng.normal(size=6)
     singles = [prob.loss_and_grad(w, [i])[1] for i in range(64)]
@@ -97,8 +97,8 @@ def test_logistic_full_gradient_is_mean_of_per_sample():
 
 def test_unbiasedness_over_epoch_partition():
     # Mean of equal-size batch gradients over one epoch = full gradient.
-    for prob in (logistic_problem(128, 6, seed=2),
-                 mlp_problem((4, 5, 3), synthetic_blobs(32, 4, 3, seed=6), batch_size=8)):
+    for prob in (LogisticProblem(128, 6, seed=2),
+                 MlpProblem((4, 5, 3), synthetic_blobs(32, 4, 3, seed=6), batch_size=8)):
         rng = np.random.default_rng(1)
         x = prob.initial_point(rng)
         sampler = BatchSampler(prob.n_samples, 8, seed=4)
@@ -112,7 +112,7 @@ def test_unbiasedness_over_epoch_partition():
 def test_far_separated_blobs_train_to_near_zero_loss():
     # Mean gap of ten cluster widths: full-batch descent at rate 0.5 drives
     # the cross-entropy under 0.1 well inside 500 steps.
-    prob = logistic_problem(512, 8, seed=3, separation=10.0)
+    prob = LogisticProblem(512, 8, seed=3, separation=10.0)
     w = np.zeros(8)
     for _ in range(500):
         w = w - 0.5 * prob.full_gradient(w)
@@ -121,7 +121,7 @@ def test_far_separated_blobs_train_to_near_zero_loss():
 
 def test_logistic_sgd_run_decreases_loss():
     # Frozen reference trajectory: 2000 steps, rate 0.1, batch 16, seed 7.
-    prob = logistic_problem(2048, 20, seed=7)
+    prob = LogisticProblem(2048, 20, seed=7)
     w = np.zeros(20)
     initial = prob.loss(w)
     sampler = BatchSampler(2048, 16, seed=7)
@@ -135,8 +135,8 @@ def test_logistic_sgd_run_decreases_loss():
 
 def test_lipschitz_constant_bounds_gradient_differences():
     rng = np.random.default_rng(9)
-    for prob, scale in ((quadratic_problem(np.diag([0.5, 2.0, 5.0])), 4.0),
-                        (logistic_problem(128, 5, seed=8), 3.0)):
+    for prob, scale in ((QuadraticProblem(np.diag([0.5, 2.0, 5.0])), 4.0),
+                        (LogisticProblem(128, 5, seed=8), 3.0)):
         L = prob.known_constants["L"]
         for _ in range(100):
             x = rng.normal(size=prob.dim) * scale
@@ -148,18 +148,18 @@ def test_lipschitz_constant_bounds_gradient_differences():
 def test_mlp_uniform_logits_loss():
     # Zero weights give identical logits, so loss is ln(num_classes).
     ds = synthetic_blobs(12, 4, 3, seed=1)
-    prob = mlp_problem((4, 6, 3), ds, batch_size=4)
+    prob = MlpProblem((4, 6, 3), ds, batch_size=4)
     assert abs(prob.loss(np.zeros(prob.dim)) - math.log(3.0)) < 1e-12
     # smallest case: a single linear layer on one sample
     one = synthetic_blobs(2, 4, 2, seed=1)
-    single = mlp_problem((4, 2), one, batch_size=1)
+    single = MlpProblem((4, 2), one, batch_size=1)
     assert abs(single.loss_and_grad(np.zeros(single.dim), np.array([0]))[0]
                - math.log(2.0)) < 1e-12
 
 
 def test_mlp_gradient_matches_fd_small_batch():
     ds = synthetic_blobs(3, 5, 3, seed=4)
-    prob = mlp_problem((5, 4, 3), ds, batch_size=3)
+    prob = MlpProblem((5, 4, 3), ds, batch_size=3)
     x = prob.initial_point(np.random.default_rng(12))
     analytic = prob.full_gradient(x)
     fd = finite_difference_gradient(prob, x, 1e-5)
@@ -169,7 +169,7 @@ def test_mlp_gradient_matches_fd_small_batch():
 def test_mlp_dead_relu_zeroes_first_layer_gradient():
     ds = synthetic_blobs(8, 3, 2, seed=2)
     ds.features[:] = np.abs(ds.features)   # nonnegative inputs
-    prob = mlp_problem((3, 4, 2), ds, batch_size=4)
+    prob = MlpProblem((3, 4, 2), ds, batch_size=4)
     x = np.zeros(prob.dim)
     segs = dict(prob.segments())
     x[segs["b1"]] = -1.0                   # all first-layer pre-activations < 0
@@ -180,38 +180,36 @@ def test_mlp_dead_relu_zeroes_first_layer_gradient():
 
 def test_mlp_layout_and_validation():
     ds = synthetic_blobs(10, 4, 2, seed=0)
-    prob = mlp_problem((4, 3, 2), ds, batch_size=5)
+    prob = MlpProblem((4, 3, 2), ds, batch_size=5)
     assert [name for name, _ in prob.param_layout] == ["W1", "b1", "W2", "b2"]
     assert prob.dim == 4 * 3 + 3 + 3 * 2 + 2
     with pytest.raises(ValueError):
-        mlp_problem((5, 3, 2), ds, batch_size=5)
+        MlpProblem((5, 3, 2), ds, batch_size=5)
     with pytest.raises(ValueError):
-        mlp_problem((4, 3, 3), ds, batch_size=5)
-    with pytest.raises(ValueError):
-        mlp_problem((4, 3, 2), ds, activation="tanh", batch_size=5)
+        MlpProblem((4, 3, 3), ds, batch_size=5)
 
 
 def test_estimate_sigma_identity_quadratic():
-    prob = quadratic_problem(np.eye(2))
+    prob = QuadraticProblem(np.eye(2))
     sigma = estimate_sigma(prob, 500, radius=5.0, rng=np.random.default_rng(3))
     assert abs(sigma - 5.5) < 0.2
 
 
 def test_estimate_sigma_zero_problem():
-    prob = quadratic_problem(np.zeros((3, 3)))
+    prob = QuadraticProblem(np.zeros((3, 3)))
     assert estimate_sigma(prob, 50) == 0.0
 
 
 def test_estimate_sigma_monotone_in_radius():
-    prob = quadratic_problem(np.eye(3))
+    prob = QuadraticProblem(np.eye(3))
     values = [estimate_sigma(prob, 200, radius=r, rng=np.random.default_rng(5))
               for r in (1.0, 2.0, 4.0)]
     assert values[0] <= values[1] <= values[2]
 
 
 def test_noise_wrapper_unbiased_and_bounded():
-    prob = quadratic_problem(np.eye(3))
-    noisy = with_gradient_noise(prob, scale=0.5, seed=11)
+    prob = QuadraticProblem(np.eye(3))
+    noisy = NoisyGradientProblem(prob, scale=0.5, seed=11)
     x = np.array([1.0, -2.0, 0.5])
     clean = prob.full_gradient(x)
     draws = np.array([noisy.loss_and_grad(x, None)[1] for _ in range(4000)])
@@ -224,10 +222,10 @@ def test_noise_wrapper_unbiased_and_bounded():
 
 
 def test_noise_wrapper_probability_gate_and_determinism():
-    prob = quadratic_problem(np.eye(2))
+    prob = QuadraticProblem(np.eye(2))
     x = np.ones(2)
-    a = with_gradient_noise(prob, scale=1.0, seed=3, prob=0.25)
-    b = with_gradient_noise(prob, scale=1.0, seed=3, prob=0.25)
+    a = NoisyGradientProblem(prob, scale=1.0, seed=3, prob=0.25)
+    b = NoisyGradientProblem(prob, scale=1.0, seed=3, prob=0.25)
     clean = prob.full_gradient(x)
     touched = 0
     for _ in range(400):
@@ -237,17 +235,17 @@ def test_noise_wrapper_probability_gate_and_determinism():
         touched += not np.array_equal(ga, clean)
     assert 40 <= touched <= 180
     with pytest.raises(ValueError):
-        with_gradient_noise(prob, scale=-1.0)
+        NoisyGradientProblem(prob, scale=-1.0)
     with pytest.raises(ValueError):
-        with_gradient_noise(prob, scale=1.0, prob=1.5)
+        NoisyGradientProblem(prob, scale=1.0, prob=1.5)
 
 
 def test_forward_only_loss_matches_loss_and_grad_bit_for_bit():
     # loss() reads the dataset in place and skips the backward pass; the
     # value must equal the one-pass oracle over every index exactly.
     blobs = synthetic_blobs(96, 6, 3, seed=4)
-    for prob in (logistic_problem(96, 6, seed=5),
-                 mlp_problem((6, 7, 3), blobs, batch_size=8)):
+    for prob in (LogisticProblem(96, 6, seed=5),
+                 MlpProblem((6, 7, 3), blobs, batch_size=8)):
         x = prob.initial_point(np.random.default_rng(2))
         loss, grad = prob.loss_and_grad(x, np.arange(prob.n_samples))
         assert prob.loss(x) == loss
@@ -255,8 +253,8 @@ def test_forward_only_loss_matches_loss_and_grad_bit_for_bit():
 
 
 def test_deterministic_loss_and_grad_is_loss_and_full_gradient():
-    for prob, x in ((quadratic_problem(np.diag([1.0, 3.0])), np.array([2.0, -1.0])),
-                    (rosenbrock_problem(), np.array([-1.2, 1.0]))):
+    for prob, x in ((QuadraticProblem(np.diag([1.0, 3.0])), np.array([2.0, -1.0])),
+                    (RosenbrockProblem(), np.array([-1.2, 1.0]))):
         loss, grad = prob.loss_and_grad(x, None)
         assert loss == prob.loss(x)
         assert np.array_equal(grad, prob.full_gradient(x))
@@ -265,8 +263,8 @@ def test_deterministic_loss_and_grad_is_loss_and_full_gradient():
 def test_noise_wrapper_loss_and_grad_draws_once_per_call():
     # One gate draw per call, then one perturbation vector when the gate
     # opens: a reference generator on the same seed replays the sequence.
-    inner = logistic_problem(64, 4, seed=2)
-    noisy = with_gradient_noise(inner, scale=0.3, seed=9, prob=0.5)
+    inner = LogisticProblem(64, 4, seed=2)
+    noisy = NoisyGradientProblem(inner, scale=0.3, seed=9, prob=0.5)
     ref = np.random.default_rng(9)
     x = np.array([0.5, -0.25, 1.0, 0.0])
     sampler = BatchSampler(64, 8, seed=1)
@@ -283,8 +281,8 @@ def test_noise_wrapper_loss_and_grad_draws_once_per_call():
 
 
 def test_noise_wrapper_loss_draws_nothing():
-    noisy = with_gradient_noise(logistic_problem(64, 4, seed=2), scale=0.3,
-                                seed=9)
+    noisy = NoisyGradientProblem(LogisticProblem(64, 4, seed=2), scale=0.3,
+                                 seed=9)
     before = noisy._noise_rng.bit_generator.state
     noisy.loss(np.zeros(4))
     noisy.full_gradient(np.zeros(4))

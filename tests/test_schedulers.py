@@ -4,151 +4,145 @@ import math
 import numpy as np
 import pytest
 
-from rdbd.core import GradientEstimate, ParamVector, ScheduleState
-from rdbd.schedulers import (dbd_step, plain_step, rdbd_step,
-                             revert_exactness_check)
+from rdbd.schedulers import FlatSchedule, revert_exactness_check
 
 
-def make_state(alpha=0.005, eta=0.01, prev_update=(0.0, 0.0), prev_dot=0.0,
+def make_sched(alpha=0.005, eta=0.01, prev_update=(0.0, 0.0), prev_dot=0.0,
                alpha_min=-math.inf, alpha_max=math.inf):
-    return ScheduleState(alpha=alpha, eta=eta,
-                         prev_update=np.asarray(prev_update, float),
-                         prev_dot=prev_dot, alpha_min=alpha_min,
-                         alpha_max=alpha_max)
+    """A one-group schedule whose previous step applied eta*prev_dot."""
+    return FlatSchedule([slice(None)], [alpha], [prev_dot], [eta * prev_dot],
+                        np.asarray(prev_update, float), eta, alpha_min,
+                        alpha_max)
 
 
-def test_plain_step():
-    x = ParamVector("x", [1.0, 1.0])
-    g = GradientEstimate([1.0, 0.0])
-    assert list(plain_step(x, g, 0.5)) == [0.5, 1.0]
-    assert list(plain_step(x, g, 0.0)) == [1.0, 1.0]
-    assert list(plain_step(x, GradientEstimate([0.0, 0.0]), 0.7)) == [1.0, 1.0]
+def one_step(sched, x, g, revert):
+    """Step a copy of x; returns (new_x, new_alpha, h, reverted)."""
+    new_x = np.array(x, float)
+    (h,), (reverted,) = sched.step(new_x, np.array(g, float), revert)
+    return new_x, sched.alpha[0], h, reverted
+
+
+def test_flat_schedule_validation():
     with pytest.raises(ValueError):
-        plain_step(x, GradientEstimate([1.0]), 0.5)
+        make_sched(alpha=0.1, eta=-1e-3)
+    with pytest.raises(ValueError):
+        make_sched(alpha=0.1, eta=0.0, alpha_min=1.0, alpha_max=0.5)
 
 
 def test_dbd_first_step_rate_unchanged():
     # Zero previous update forces h=0, so the starting rate stays put.
-    st = make_state()
-    x = ParamVector("x", [1.0, 2.0])
-    g = GradientEstimate([1.0, 1.0], step=1)
-    out = dbd_step(st, x, g)
-    assert out.h_t == 0.0
-    assert out.new_alpha == 0.005
-    assert np.allclose(out.new_values, [1.0 - 0.005, 2.0 - 0.005])
-    assert not out.reverted
-    assert st.step == 1 and st.prev_dot == 0.0
-    assert np.all(st.prev_update == g.values)
+    sched = make_sched()
+    g = np.array([1.0, 1.0])
+    new_x, new_alpha, h, reverted = one_step(sched, [1.0, 2.0], g, False)
+    assert h == 0.0
+    assert new_alpha == 0.005
+    assert np.allclose(new_x, [1.0 - 0.005, 2.0 - 0.005])
+    assert not reverted
+    assert sched.prev_dot == [0.0]
+    assert np.all(sched.prev_update == g)
 
 
 def test_dbd_rate_increment():
-    st = make_state(prev_update=(2.0, 0.0))
-    out = dbd_step(st, ParamVector("x", [0.0, 0.0]), GradientEstimate([1.0, 0.0]))
-    assert out.h_t == 2.0
-    assert abs(out.new_alpha - 0.025) < 1e-15
+    sched = make_sched(prev_update=(2.0, 0.0))
+    _, new_alpha, h, _ = one_step(sched, [0.0, 0.0], [1.0, 0.0], False)
+    assert h == 2.0
+    assert abs(new_alpha - 0.025) < 1e-15
 
 
 def test_dbd_clamp_floor():
-    st = make_state(prev_update=(-2.0, 0.0), alpha_min=0.0)
-    x = ParamVector("x", [1.0, 1.0])
-    out = dbd_step(st, x, GradientEstimate([1.0, 0.0]))
+    sched = make_sched(prev_update=(-2.0, 0.0), alpha_min=0.0)
+    x = [1.0, 1.0]
+    new_x, new_alpha, _, _ = one_step(sched, x, [1.0, 0.0], False)
     # raw alpha would be 0.005 + 0.01*(-2) = -0.015
-    assert out.new_alpha == 0.0
-    assert np.allclose(out.new_values, x.values)
+    assert new_alpha == 0.0
+    assert np.allclose(new_x, x)
 
 
 def test_dbd_errors():
-    st = make_state()
     with pytest.raises(ValueError):
-        dbd_step(st, ParamVector("x", [1.0, 1.0]), GradientEstimate([1.0]))
+        make_sched().step(np.ones(2), np.ones(1), revert=False)
     with pytest.raises(ValueError):
-        GradientEstimate([np.nan, 1.0])
+        make_sched(prev_update=(0.0,)).step(np.ones(2), np.ones(2),
+                                             revert=False)
 
 
 def test_rdbd_zero_prev_dot_matches_dbd():
     # h_t * 0 is never < 0, so the first two steps cannot revert.
-    for g_vals in ([1.0, 0.5], [-3.0, 2.0]):
-        st_a = make_state()
-        st_b = make_state()
-        x = ParamVector("x", [0.3, -0.7])
-        g = GradientEstimate(g_vals)
-        out_a = dbd_step(st_a, x, g)
-        out_b = rdbd_step(st_b, x, g)
-        assert not out_b.reverted
-        assert np.array_equal(out_a.new_values, out_b.new_values)
-        assert out_a.new_alpha == out_b.new_alpha
+    for g in ([1.0, 0.5], [-3.0, 2.0]):
+        x = [0.3, -0.7]
+        x_a, alpha_a, _, _ = one_step(make_sched(), x, g, False)
+        x_b, alpha_b, _, reverted = one_step(make_sched(), x, g, True)
+        assert not reverted
+        assert np.array_equal(x_a, x_b)
+        assert alpha_a == alpha_b
 
 
 def test_rdbd_revert_worked_example():
     # prev_dot=+2 then h=-3: product negative, revert fires.
-    st = make_state(prev_dot=2.0, prev_update=(1.0, 0.0), alpha_min=0.0)
-    x = ParamVector("x", [1.0, 1.0])
-    out = rdbd_step(st, x, GradientEstimate([-3.0, 0.0]))
-    assert out.reverted
-    assert out.h_t == -3.0
+    sched = make_sched(prev_dot=2.0, prev_update=(1.0, 0.0), alpha_min=0.0)
+    new_x, new_alpha, h, reverted = one_step(sched, [1.0, 1.0], [-3.0, 0.0],
+                                             True)
+    assert reverted
+    assert h == -3.0
     # alpha: 0.005 - 0.01*2 = -0.015, then -0.015 + 0.01*(-3) = -0.045 -> clamp 0
-    assert out.new_alpha == 0.0
+    assert new_alpha == 0.0
     # weights get +0.01*2*[1,0] correction, then descend at alpha=0
-    assert np.allclose(out.new_values, [1.02, 1.0])
+    assert np.allclose(new_x, [1.02, 1.0])
 
 
 def test_rdbd_revert_after_clamp_undoes_applied_increment():
     # Step 2 asks for +2 on the rate but the cap lets only +0.5 through, so
     # the revert at step 3 takes back 0.5 on the rate and 0.5*[2,0] on the
     # weights, not the eta*h_prev = 2 the rule asked for.
-    st = ScheduleState.fresh(2, alpha=1.0, eta=1.0, alpha_max=1.5)
-    x = ParamVector("x", [0.0, 0.0])
+    sched = make_sched(alpha=1.0, eta=1.0, alpha_min=0.0, alpha_max=1.5)
+    x = np.zeros(2)
     for g in ([1.0, 0.0], [2.0, 0.0], [-1.0, 0.0]):
-        out = rdbd_step(st, x, GradientEstimate(g))
-        x.update(out.new_values)
+        _, (reverted,) = sched.step(x, np.array(g), revert=True)
         if g[0] == 2.0:
-            assert st.alpha == 1.5 and st.applied == 0.5
-    assert out.reverted
-    assert list(x.values) == [-3.0, 0.0]
-    assert st.alpha == 0.0
+            assert sched.alpha == [1.5] and sched.applied == [0.5]
+    assert reverted
+    assert list(x) == [-3.0, 0.0]
+    assert sched.alpha == [0.0]
 
 
 def test_rdbd_sign_agreement_stream():
     # Three aligned updates: alpha: 0.005 -> 0.005 -> 0.015 -> 0.025.
-    st = make_state()
-    x = ParamVector("x", [1.0, 1.0])
+    sched = make_sched()
+    x = np.array([1.0, 1.0])
     for t in range(3):
-        out = rdbd_step(st, x, GradientEstimate([1.0, 0.0], step=t + 1))
-        x.update(out.new_values)
-        assert not out.reverted
-    assert abs(st.alpha - 0.025) < 1e-15
+        _, (reverted,) = sched.step(x, np.array([1.0, 0.0]), revert=True)
+        assert not reverted
+    assert abs(sched.alpha[0] - 0.025) < 1e-15
 
 
 def test_rdbd_nonreverting_step_equals_dbd_from_same_state():
     rng = np.random.default_rng(7)
     for _ in range(300):
         n = rng.integers(1, 6)
-        st = ScheduleState(alpha=rng.normal(), eta=abs(rng.normal()),
+        sched = make_sched(alpha=rng.normal(), eta=abs(rng.normal()),
                            prev_update=rng.normal(size=n),
-                           prev_dot=rng.normal(), alpha_min=-math.inf)
-        g = GradientEstimate(rng.normal(size=n))
-        if float(g.values @ st.prev_update) * st.prev_dot < 0:
+                           prev_dot=rng.normal())
+        g = rng.normal(size=n)
+        if float(g @ sched.prev_update) * sched.prev_dot[0] < 0:
             continue
-        x = ParamVector("x", rng.normal(size=n))
-        out_r = rdbd_step(copy.deepcopy(st), x, g)
-        out_d = dbd_step(copy.deepcopy(st), x, g)
-        assert not out_r.reverted
-        assert np.array_equal(out_r.new_values, out_d.new_values)
-        assert out_r.new_alpha == out_d.new_alpha
+        x = rng.normal(size=n)
+        x_r, alpha_r, _, reverted = one_step(copy.deepcopy(sched), x, g, True)
+        x_d, alpha_d, _, _ = one_step(copy.deepcopy(sched), x, g, False)
+        assert not reverted
+        assert np.array_equal(x_r, x_d)
+        assert alpha_r == alpha_d
 
 
-def _run_stream(step_fn, scalars, alpha0=0.005, eta=0.01):
+def _run_stream(revert, scalars, alpha0=0.005, eta=0.01):
     """Drive a fixed 2-D gradient stream; returns (alphas, xs, reverts)."""
-    st = make_state(alpha=alpha0, eta=eta)
-    x = ParamVector("x", [0.0, 0.0])
+    sched = make_sched(alpha=alpha0, eta=eta)
+    x = np.zeros(2)
     alphas, xs, revs = [], [], []
-    for t, s in enumerate(scalars):
-        g = GradientEstimate([s, 0.5 * s], step=t + 1)
-        out = step_fn(st, x, g)
-        x.update(out.new_values)
-        alphas.append(out.new_alpha)
-        xs.append(out.new_values.copy())
-        revs.append(out.reverted)
+    for s in scalars:
+        _, (reverted,) = sched.step(x, np.array([s, 0.5 * s]), revert)
+        alphas.append(sched.alpha[0])
+        xs.append(x.copy())
+        revs.append(reverted)
     return alphas, xs, revs
 
 
@@ -156,8 +150,8 @@ def test_trajectory_equality_when_products_nonnegative():
     # Same-sign scalars keep every h*h_prev >= 0: trajectories coincide.
     rng = np.random.default_rng(5)
     scalars = rng.uniform(0.1, 2.0, size=40)
-    a_d, x_d, _ = _run_stream(dbd_step, scalars)
-    a_r, x_r, revs = _run_stream(rdbd_step, scalars)
+    a_d, x_d, _ = _run_stream(False, scalars)
+    a_r, x_r, revs = _run_stream(True, scalars)
     assert not any(revs)
     for ad, ar in zip(a_d, a_r):
         assert abs(ad - ar) <= 1e-12 * max(1.0, abs(ad))
@@ -167,24 +161,24 @@ def test_trajectory_equality_when_products_nonnegative():
 
 def test_alternating_stream_reverts_fire():
     scalars = [1.0, 2.0, -1.0, 3.0, -2.0, 2.5, -1.5, 1.0]
-    _, _, revs = _run_stream(rdbd_step, scalars)
+    _, _, revs = _run_stream(True, scalars)
     assert any(revs)
 
 
 def test_alpha_envelope_random_streams():
     rng = np.random.default_rng(11)
-    for step_fn in (dbd_step, rdbd_step):
+    for revert in (False, True):
         for _ in range(20):
-            st = make_state(alpha=0.01, eta=0.02, prev_update=(0.0, 0.0, 0.0))
-            x = ParamVector("x", [0.0, 0.0, 0.0])
+            sched = make_sched(alpha=0.01, eta=0.02,
+                               prev_update=(0.0, 0.0, 0.0))
+            x = np.zeros(3)
             gmax = 0.0
             for t in range(50):
-                g = GradientEstimate(rng.normal(size=3))
-                gmax = max(gmax, g.norm2)
-                out = step_fn(st, x, g)
-                x.update(out.new_values)
-                bound = (t + 1) * st.eta * gmax ** 2
-                assert abs(st.alpha - 0.01) <= bound + 1e-10
+                g = rng.normal(size=3)
+                gmax = max(gmax, float(np.linalg.norm(g)))
+                sched.step(x, g, revert)
+                bound = (t + 1) * sched.eta * gmax ** 2
+                assert abs(sched.alpha[0] - 0.01) <= bound + 1e-10
 
 
 def test_revert_exactness_trivial():
@@ -218,8 +212,8 @@ def test_revert_exactness_randomized():
 
 def test_determinism_identical_streams():
     scalars = list(np.random.default_rng(3).normal(size=30))
-    first = _run_stream(rdbd_step, scalars)
-    second = _run_stream(rdbd_step, scalars)
+    first = _run_stream(True, scalars)
+    second = _run_stream(True, scalars)
     assert first[0] == second[0]
     assert all(np.array_equal(a, b) for a, b in zip(first[1], second[1]))
     assert first[2] == second[2]

@@ -3,13 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from rdbd.core import TheoryParams
-from rdbd.problems import logistic_problem, quadratic_problem
-from rdbd.theory import (alpha_envelope, dbd_hypergradient,
-                         dbd_iteration_bound, descent_coefficient_bound,
+from rdbd.problems import LogisticProblem, QuadraticProblem
+from rdbd.theory import (TheoryParams, alpha_envelope, dbd_hypergradient,
+                         dbd_iteration_bound, descent_coefficient_bound, dot,
                          measure_tau, rdbd_iteration_bound,
                          rdbd_theoretical_hyperparams,
-                         steeper_descent_conditions)
+                         steeper_descent_conditions, validate_theory_params)
 
 
 def close(a, b, rel=1e-14):
@@ -122,7 +121,7 @@ def test_dbd_hypergradient_values():
 
 def test_dbd_hypergradient_matches_rate_derivative():
     # d/d alpha of f(x - alpha grad f(x)) at alpha=0.1, x=[1,1], A=diag(1,4).
-    prob = quadratic_problem(np.diag([1.0, 4.0]))
+    prob = QuadraticProblem(np.diag([1.0, 4.0]))
     x = np.array([1.0, 1.0])
     alpha = 0.1
     g = prob.full_gradient(x)
@@ -143,8 +142,8 @@ def test_measure_tau():
 def test_smoothness_inequality_on_known_L_problems():
     # f(x) <= f(y) + <grad f(y), x - y> + L/2 ||x-y||^2 on random pairs.
     rng = np.random.default_rng(17)
-    quad = quadratic_problem(np.diag([1.0, 3.0, 0.5]), np.array([1.0, 0.0, -2.0]))
-    logi = logistic_problem(256, 6, seed=5)
+    quad = QuadraticProblem(np.diag([1.0, 3.0, 0.5]), np.array([1.0, 0.0, -2.0]))
+    logi = LogisticProblem(256, 6, seed=5)
     for prob, scale in ((quad, 3.0), (logi, 2.0)):
         L = prob.known_constants["L"]
         for _ in range(100):
@@ -154,3 +153,45 @@ def test_smoothness_inequality_on_known_L_problems():
                    - float(prob.full_gradient(y) @ (x - y))
                    - 0.5 * L * float((x - y) @ (x - y)))
             assert gap <= 1e-10
+
+
+def test_dot_basic():
+    assert dot([1, 2, 3], [1, 2, 3]) == 14
+    assert dot([1, 0], [0, 1]) == 0
+    assert dot([3.5, -2.0, 7.0], np.zeros(3)) == 0.0
+
+
+def test_dot_dimension_mismatch():
+    with pytest.raises(ValueError):
+        dot([1, 2], [1, 2, 3])
+
+
+def test_dot_symmetric_bilinear():
+    rng = np.random.default_rng(42)
+    for _ in range(200):
+        n = rng.integers(1, 12)
+        a = rng.normal(size=n)
+        b = rng.normal(size=n)
+        c = rng.normal(size=n)
+        s, t = rng.normal(size=2)
+        scale = max(1.0, abs(dot(a, b)))
+        assert abs(dot(a, b) - dot(b, a)) <= 1e-12 * scale
+        lhs = dot(s * a + t * c, b)
+        rhs = s * dot(a, b) + t * dot(c, b)
+        assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
+
+
+def test_validate_theory_params():
+    assert validate_theory_params(TheoryParams(gamma=0.5)) == []
+    assert "gamma must be < 1" in validate_theory_params(TheoryParams(gamma=1.0))
+    assert "epsilon must be > 0" in validate_theory_params(TheoryParams(epsilon=0.0))
+    bad = validate_theory_params(TheoryParams(lipschitz_L=-1.0, sigma=0.0,
+                                              gamma=-0.2, f_gap=-1.0))
+    assert "lipschitz_L must be > 0" in bad
+    assert "sigma must be > 0" in bad
+    assert "gamma must be >= 0" in bad
+    assert "f_gap must be >= 0" in bad
+    assert "tau must be > 0" in validate_theory_params(TheoryParams(tau=0.0))
+    assert "mu must be > 0" in validate_theory_params(TheoryParams(mu=0.0))
+    assert any("finite" in v for v in
+               validate_theory_params(TheoryParams(f_gap=np.inf)))
