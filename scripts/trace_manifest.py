@@ -1,4 +1,5 @@
-"""Print the sha256 of the trace CSV of a fixed list of seeded runs.
+"""Print the sha256 of the trace CSV of a fixed list of seeded runs, and of
+the files two CLI commands write.
 
     python3 scripts/trace_manifest.py > manifest.txt
 
@@ -13,10 +14,19 @@ gradient noise, `mlp-blobs-demo` on Adam directions, and
 `mlp-blobs-demo-capped` (`rdbd` with `alpha_max=0.01`), each at seeds 0, 1
 and 2. The capped runs revert increments that a clamp cut (hundreds of
 times per run), so they guard the applied-increment path of the revert.
+
+The last seven lines guard the CLI write path: the six files of
+`rdbd sweep --preset lr-robustness-logistic --seed 0 --out <dir>`, and the
+`comparison.csv` of `rdbd compare --problem logistic --optimizers
+sgd,adam,dbd,rdbd,adam_rdbd --seeds 2 --steps 300 --out <dir>/`. Their
+label is `<command>/<file name>`, at seed 0.
 """
 
+import contextlib
 import dataclasses
 import hashlib
+import io
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -25,7 +35,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
-from rdbd import harness  # noqa: E402
+from rdbd import cli, harness  # noqa: E402
 from rdbd.harness import RunConfig  # noqa: E402
 from workloads import HERMETIC_PRESETS, MLP_784  # noqa: E402
 
@@ -47,14 +57,35 @@ def configs():
     return out
 
 
+CLI_COMMANDS = (
+    ("sweep", ["sweep", "--preset", "lr-robustness-logistic", "--seed", "0",
+               "--out"]),
+    ("compare", ["compare", "--problem", "logistic", "--optimizers",
+                 "sgd,adam,dbd,rdbd,adam_rdbd", "--seeds", "2", "--steps",
+                 "300", "--out"]),
+)
+
+
+def digest(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
 def main():
     with tempfile.TemporaryDirectory() as tmp:
         path = str(Path(tmp) / "trace.csv")
         for label, cfg in configs():
             for seed in range(3):
                 harness.run(dataclasses.replace(cfg, seed=seed, out=path))
-                digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
-                print(f"{label} seed={seed} {digest}", flush=True)
+                print(f"{label} seed={seed} {digest(path)}", flush=True)
+        for command, argv in CLI_COMMANDS:
+            out_dir = Path(tmp) / command
+            with contextlib.redirect_stdout(io.StringIO()):
+                status = cli.main(argv + [str(out_dir) + os.sep])
+            if status != 0:
+                raise SystemExit(f"rdbd {command} exited with {status}")
+            for name in sorted(os.listdir(out_dir)):
+                print(f"{command}/{name} seed=0 {digest(out_dir / name)}",
+                      flush=True)
     return 0
 
 

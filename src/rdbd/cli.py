@@ -19,21 +19,33 @@ import argparse
 import dataclasses
 import os
 import sys
+import typing
 
-from .harness import (ConfigError, MissingDataError, NumericError, PRESETS,
+from .harness import (METRICS, ConfigError, MissingDataError, NumericError,
                       RunConfig, SWEEPS, compare, emit_plot_data, preset,
-                      render_comparison, run, sweep_configs, write_trace_csv,
-                      write_comparison_csv)
+                      render_comparison, run, sweep_configs)
 
-_FIELD_PARSERS = {
-    "problem": str, "optimizer": str, "mnist_dir": str, "out": str,
-    "alpha0": float, "eta": float, "alpha_min": float, "alpha_max": float,
-    "beta1": float, "beta2": float, "eps_hat": float, "separation": float,
-    "grad_noise": float, "grad_noise_prob": float,
-    "batch_size": int, "steps": int, "seed": int, "eval_every": int,
-    "n_samples": int, "dim": int, "problem_seed": int, "subset_n": int,
-    "layer_sizes": lambda s: tuple(int(v) for v in s.replace("x", ",").split(",")),
-}
+
+def _parse_sizes(text):
+    return tuple(int(v) for v in text.replace("x", ",").split(","))
+
+
+def _field_parser(hint):
+    """The parser of one RunConfig annotation: `T | None` parses as `T`."""
+    if hint is tuple:
+        return _parse_sizes
+    types = [t for t in typing.get_args(hint) if t is not type(None)]
+    return types[0] if types else hint
+
+
+_FIELD_PARSERS = {name: _field_parser(hint)
+                  for name, hint in typing.get_type_hints(RunConfig).items()}
+
+# RunConfig fields that `run` and `compare` also take as flags.
+_RUN_FLAGS = ("problem", "optimizer", "alpha0", "eta", "batch_size", "steps",
+              "seed", "alpha_min", "alpha_max", "eval_every", "mnist_dir",
+              "out")
+_FLAG_HELP = {"out": "output path (trace CSV or directory)"}
 
 
 def parse_config_file(path: str) -> RunConfig:
@@ -58,40 +70,38 @@ def parse_config_file(path: str) -> RunConfig:
     return RunConfig(**values)
 
 
+def _overrides(args, names) -> dict:
+    """The flags among `names` that were given on the command line."""
+    return {name: getattr(args, name) for name in names
+            if getattr(args, name) is not None}
+
+
 def _base_config(args) -> RunConfig:
-    if getattr(args, "preset", None) and getattr(args, "config", None):
+    if args.preset and args.config:
         raise ConfigError("--preset and --config are mutually exclusive")
-    if getattr(args, "preset", None):
+    if args.preset:
         cfg = preset(args.preset)
-    elif getattr(args, "config", None):
+    elif args.config:
         cfg = parse_config_file(args.config)
     else:
         cfg = RunConfig()
-    overrides = {}
-    for name in ("problem", "optimizer", "alpha0", "eta", "batch_size",
-                 "steps", "seed", "alpha_min", "alpha_max", "eval_every",
-                 "mnist_dir", "out"):
-        value = getattr(args, name, None)
-        if value is not None:
-            overrides[name] = value
-    return dataclasses.replace(cfg, **overrides)
+    return dataclasses.replace(cfg, **_overrides(args, _RUN_FLAGS))
 
 
-def _add_common_flags(p):
-    p.add_argument("--preset", help="start from a named preset")
-    p.add_argument("--config", help="start from a key=value config file")
-    p.add_argument("--problem")
-    p.add_argument("--optimizer")
-    p.add_argument("--alpha0", type=float)
-    p.add_argument("--eta", type=float)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--alpha-min", dest="alpha_min", type=float)
-    p.add_argument("--alpha-max", dest="alpha_max", type=float)
-    p.add_argument("--eval-every", dest="eval_every", type=int)
-    p.add_argument("--mnist-dir", dest="mnist_dir")
-    p.add_argument("--out", help="output path (trace CSV or directory)")
+def _out_file(path, name):
+    """`path`, or the file `name` inside it when it names a directory: an
+    existing one, or any path that ends in a separator."""
+    if path and (os.path.isdir(path) or path.endswith(os.sep)):
+        return os.path.join(path, name)
+    return path
+
+
+def _add_field_flags(p, names):
+    for name in names:
+        kind = _FIELD_PARSERS[name]
+        p.add_argument("--" + name.replace("_", "-"), dest=name,
+                       type=None if kind is str else kind,
+                       help=_FLAG_HELP.get(name))
 
 
 def build_parser():
@@ -101,32 +111,31 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="execute one configured run")
-    _add_common_flags(p_run)
-
     p_cmp = sub.add_parser("compare", help="compare optimizers over seeds")
-    _add_common_flags(p_cmp)
+    for p in (p_run, p_cmp):
+        p.add_argument("--preset", help="start from a named preset")
+        p.add_argument("--config", help="start from a key=value config file")
+        _add_field_flags(p, _RUN_FLAGS)
     p_cmp.add_argument("--optimizers", default="sgd,rdbd",
                        help="comma-separated optimizer list; --eta and "
                             "--alpha-max apply only to the base optimizer, "
                             "others use their defaults")
     p_cmp.add_argument("--seeds", type=int, default=5,
                        help="number of seeds (base seed upward)")
-    p_cmp.add_argument("--metric", default="final_loss",
-                       choices=["final_loss", "steps_to_threshold",
-                                "min_grad_norm"])
+    p_cmp.add_argument("--metric", default="final_loss", choices=METRICS)
     p_cmp.add_argument("--threshold", type=float, default=0.5)
 
     p_sweep = sub.add_parser("sweep", help="run a named parameter sweep")
     p_sweep.add_argument("--preset", required=True,
                          help=f"sweep name: {', '.join(sorted(SWEEPS))}")
-    p_sweep.add_argument("--seed", type=int)
-    p_sweep.add_argument("--mnist-dir", dest="mnist_dir")
+    _add_field_flags(p_sweep, ("seed", "mnist_dir"))
     p_sweep.add_argument("--out", help="output directory")
     return parser
 
 
 def _cmd_run(args) -> int:
     cfg = _base_config(args)
+    cfg = dataclasses.replace(cfg, out=_out_file(cfg.out, "trace.csv"))
     records = run(cfg)
     reverts = sum(any(rec.reverted.values()) for rec in records)
     final = records[-1].full_loss
@@ -143,17 +152,14 @@ def _cmd_compare(args) -> int:
     optimizers = [o.strip() for o in args.optimizers.split(",") if o.strip()]
     if not optimizers:
         raise ConfigError("--optimizers must name at least one optimizer")
-    base_seed = base.seed
     configs = []
     for opt in optimizers:
         for s in range(args.seeds):
             configs.append(dataclasses.replace(
-                base, optimizer=opt, seed=base_seed + s, out=None,
+                base, optimizer=opt, seed=base.seed + s, out=None,
                 eta=None if opt != base.optimizer else base.eta,
                 alpha_max=None if opt != base.optimizer else base.alpha_max))
-    out = base.out
-    if out and (os.path.isdir(out) or out.endswith(os.sep)):
-        out = os.path.join(out, "comparison.csv")
+    out = _out_file(base.out, "comparison.csv")
     rows, winner = compare(configs, metric=args.metric,
                            threshold=args.threshold, out=out)
     print(render_comparison(rows))
@@ -164,19 +170,13 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    pairs = sweep_configs(args.preset)
     out_dir = args.out or "."
+    overrides = _overrides(args, ("seed", "mnist_dir"))
     traces = []
-    for label, cfg in pairs:
-        if args.seed is not None:
-            cfg = dataclasses.replace(cfg, seed=args.seed)
-        if args.mnist_dir is not None:
-            cfg = dataclasses.replace(cfg, mnist_dir=args.mnist_dir)
-        records = run(cfg)
-        traces.append((label, records))
-        ids = list(records[0].grad_norms)
+    for label, cfg in sweep_configs(args.preset):
         path = os.path.join(out_dir, f"{args.preset}__{label.replace('=', '_')}.csv")
-        write_trace_csv(records, ids, path)
+        records = run(dataclasses.replace(cfg, out=path, **overrides))
+        traces.append((label, records))
         print(f"{label}: final loss {records[-1].full_loss:.6g} -> {path}")
     plot_path = os.path.join(out_dir, f"{args.preset}__plot.csv")
     rows = emit_plot_data(traces, plot_path, series=("loss", "full_loss", "alpha"))
@@ -184,17 +184,13 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+_COMMANDS = {"run": _cmd_run, "compare": _cmd_compare, "sweep": _cmd_sweep}
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "compare":
-            return _cmd_compare(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        parser.error(f"unknown command {args.command!r}")
+        return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -204,7 +200,6 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 4
-    return 0
 
 
 if __name__ == "__main__":

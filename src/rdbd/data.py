@@ -13,12 +13,6 @@ import numpy as np
 IMAGES_MAGIC = 0x00000803
 LABELS_MAGIC = 0x00000801
 
-# Standard file names, with and without .gz.
-_MNIST_FILES = {
-    "train": ("train-images-idx3-ubyte", "train-labels-idx1-ubyte"),
-    "test": ("t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte"),
-}
-
 
 class Dataset:
     """Feature matrix plus integer labels in [0, num_classes)."""
@@ -104,7 +98,6 @@ class BatchSampler:
             raise ValueError(f"batch_size must be in [1, {n}], got {batch_size}")
         self.n = int(n)
         self.batch_size = int(batch_size)
-        self.rng_seed = seed
         self._rng = np.random.default_rng(seed)
         self.order = self._rng.permutation(self.n)
         self._pos = 0
@@ -200,31 +193,23 @@ def _find_file(directory, stem):
     return None
 
 
-def find_mnist_files(mnist_dir=None, kind="train"):
-    """Locate the IDX pair under mnist_dir (or $MNIST_DIR); None if absent."""
-    directory = mnist_dir or os.environ.get("MNIST_DIR")
-    if not directory or not os.path.isdir(directory):
-        return None
-    image_stem, label_stem = _MNIST_FILES[kind]
-    images = _find_file(directory, image_stem)
-    labels = _find_file(directory, label_stem)
-    if images is None or labels is None:
-        return None
-    return {"images": images, "labels": labels}
-
-
-def load_mnist(mnist_dir=None, kind="train"):
-    """Load MNIST as a Dataset with pixels scaled to [0,1] by /255.
+def load_mnist(mnist_dir=None):
+    """Load the MNIST training set under mnist_dir (or $MNIST_DIR) as a
+    Dataset with pixels scaled to [0,1] by /255.
 
     Returns None when the files cannot be found, so callers can skip
     real-data tiers instead of failing.
     """
-    paths = find_mnist_files(mnist_dir, kind)
-    if paths is None:
+    directory = mnist_dir or os.environ.get("MNIST_DIR")
+    if not directory:
         return None
-    with open(paths["images"], "rb") as f:
+    images_path = _find_file(directory, "train-images-idx3-ubyte")
+    labels_path = _find_file(directory, "train-labels-idx1-ubyte")
+    if images_path is None or labels_path is None:
+        return None
+    with open(images_path, "rb") as f:
         images = parse_idx(f.read())
-    with open(paths["labels"], "rb") as f:
+    with open(labels_path, "rb") as f:
         labels = parse_idx(f.read())
     if images.shape[0] != labels.shape[0]:
         raise ValueError("image/label counts disagree")

@@ -170,20 +170,19 @@ def build_problem(config: RunConfig):
         problem = RosenbrockProblem()
     elif cfg.problem == "logistic":
         problem = LogisticProblem(cfg.n_samples, cfg.dim, cfg.problem_seed,
-                                  batch_size=cfg.batch_size,
                                   separation=cfg.separation)
     elif cfg.problem == "mlp-blobs":
         dataset = _shared_blobs(cfg.n_samples, cfg.layer_sizes[0],
                                 cfg.layer_sizes[-1], cfg.problem_seed,
                                 cfg.separation)
-        problem = MlpProblem(cfg.layer_sizes, dataset, batch_size=cfg.batch_size)
+        problem = MlpProblem(cfg.layer_sizes, dataset)
     elif cfg.problem == "mlp-mnist":
         full = load_mnist(cfg.mnist_dir)
         if full is None:
             raise MissingDataError(
                 "MNIST IDX files not found; pass --mnist-dir or set MNIST_DIR")
         subset = mnist_subset(full, cfg.subset_n, cfg.problem_seed)
-        problem = MlpProblem(cfg.layer_sizes, subset, batch_size=cfg.batch_size)
+        problem = MlpProblem(cfg.layer_sizes, subset)
     if cfg.grad_noise > 0.0:
         # Noise stream is seed-derived, so optimizers compared at one seed
         # see identical perturbations.
@@ -195,6 +194,9 @@ def build_problem(config: RunConfig):
 
 def run(config: RunConfig):
     """Execute one seeded run; returns the list of TraceRecords.
+
+    With `out` set, the trace CSV is written there, and a run that raises
+    NumericError writes the steps before the failure first.
 
     Deterministic for a given (config, seed): the master seed splits into
     independent init and batch-order streams, so optimizer comparisons at
@@ -333,6 +335,8 @@ def compare(configs, metric="final_loss", threshold=0.5, out=None):
     """
     if not configs:
         raise ConfigError("compare needs at least one config")
+    if not math.isfinite(threshold):
+        raise ConfigError(f"threshold must be finite, got {threshold}")
     resolved = [c.resolved() for c in configs]
     signatures = {c.problem_signature() for c in resolved}
     if len(signatures) > 1:
@@ -368,17 +372,6 @@ def write_comparison_csv(rows, path):
         values = ";".join(_fmt(v) for v in r.values)
         lines.append(f"{r.optimizer},{r.metric},{_fmt(r.median)},"
                      f"{_fmt(r.iqr)},{r.n_seeds},{values}")
-    _write_lines(path, lines)
-    return path
-
-
-def write_bound_reports(reports, path):
-    """Serialize BoundReport rows (name, both values, verdict, margin)."""
-    lines = ["name,theoretical_value,empirical_value,satisfied,margin,applicable"]
-    for r in reports:
-        lines.append(f"{r.name},{_fmt(r.theoretical_value)},"
-                     f"{_fmt(r.empirical_value)},{int(r.satisfied)},"
-                     f"{_fmt(r.margin)},{int(r.applicable)}")
     _write_lines(path, lines)
     return path
 

@@ -21,9 +21,8 @@ class Problem:
     n_samples == 0 and ignore batch: (loss(x), full_gradient(x)).
     """
 
-    def __init__(self, name, dim, param_layout=None, known_constants=None,
+    def __init__(self, dim, param_layout=None, known_constants=None,
                  n_samples=0):
-        self.name = name
         self.dim = int(dim)
         self.param_layout = list(param_layout or [("x", self.dim)])
         self.known_constants = dict(known_constants or {})
@@ -55,17 +54,15 @@ class _SampledProblem(Problem):
     """Dataset-backed problem: losses and gradients are per-sample means.
 
     Subclasses implement _batch_loss_grad(x, idx, need_grad=True) over the
-    rows idx, or over every row, read in place, when idx is None. Without
-    need_grad it skips the backward pass and returns (loss, None).
+    rows idx of self.dataset (all of them, read in place, when idx is None).
+    Without need_grad it skips the backward pass and returns (loss, None).
     """
 
-    def __init__(self, name, dim, n_samples, batch_size,
-                 param_layout=None, known_constants=None):
-        if batch_size < 1 or batch_size > n_samples:
-            raise ValueError(
-                f"batch size must be in [1, {n_samples}], got {batch_size}")
-        super().__init__(name, dim, param_layout, known_constants,
-                         n_samples=n_samples)
+    def __init__(self, dataset: Dataset, dim, param_layout=None,
+                 known_constants=None):
+        super().__init__(dim, param_layout, known_constants,
+                         n_samples=len(dataset))
+        self.dataset = dataset
 
     def loss(self, x):
         return self._batch_loss_grad(np.asarray(x, float), None, need_grad=False)[0]
@@ -99,7 +96,7 @@ class QuadraticProblem(Problem):
             minimizer = np.linalg.solve(A, b)
             constants["minimizer"] = minimizer
             constants["f_star"] = float(0.5 * minimizer @ A @ minimizer - b @ minimizer)
-        super().__init__("quadratic", dim, known_constants=constants)
+        super().__init__(dim, known_constants=constants)
         self.A = A
         self.b = b
 
@@ -115,9 +112,8 @@ class RosenbrockProblem(Problem):
     """f(x, y) = (1-x)^2 + 100(y - x^2)^2; minimum 0 at (1, 1)."""
 
     def __init__(self):
-        super().__init__("rosenbrock", 2,
-                         known_constants={"f_star": 0.0,
-                                          "minimizer": np.array([1.0, 1.0])})
+        super().__init__(2, known_constants={"f_star": 0.0,
+                                             "minimizer": np.array([1.0, 1.0])})
 
     def loss(self, p):
         x, y = np.asarray(p, float)
@@ -137,16 +133,14 @@ class RosenbrockProblem(Problem):
 class LogisticProblem(_SampledProblem):
     """Binary cross-entropy with a sigmoid link on synthetic clusters."""
 
-    def __init__(self, n_samples, dim, seed, batch_size=16, separation=4.0):
+    def __init__(self, n_samples, dim, seed, separation=4.0):
         if n_samples < dim:
             raise ValueError("need n_samples >= dim")
         dataset = synthetic_blobs(n_samples, dim, 2, seed, separation)
         X = dataset.features
         # sigmoid' <= 1/4 makes lambda_max(X'X)/(4n) a Lipschitz constant.
         L = float(np.linalg.eigvalsh(X.T @ X)[-1] / (4.0 * n_samples))
-        super().__init__("logistic", dim, n_samples, batch_size,
-                         known_constants={"L": L})
-        self.dataset = dataset
+        super().__init__(dataset, dim, known_constants={"L": L})
 
     def _batch_loss_grad(self, w, idx, need_grad=True):
         X, y = self.dataset.features, self.dataset.labels
@@ -181,7 +175,7 @@ class MlpProblem(_SampledProblem):
     by hand (no autodiff).
     """
 
-    def __init__(self, layer_sizes, dataset: Dataset, batch_size=16):
+    def __init__(self, layer_sizes, dataset: Dataset):
         layer_sizes = tuple(int(s) for s in layer_sizes)
         if len(layer_sizes) < 2:
             raise ValueError("need at least one weight matrix")
@@ -197,23 +191,15 @@ class MlpProblem(_SampledProblem):
             layout.append((f"W{i}", layer_sizes[i - 1] * layer_sizes[i]))
             layout.append((f"b{i}", layer_sizes[i]))
         dim = sum(size for _, size in layout)
-        super().__init__("mlp", dim, len(dataset), batch_size,
-                         param_layout=layout)
+        super().__init__(dataset, dim, param_layout=layout)
         self.layer_sizes = layer_sizes
-        self.dataset = dataset
         self._onehot = np.eye(dataset.num_classes)[dataset.labels]
 
     def _unpack(self, x):
-        params = []
-        offset = 0
-        for i in range(1, len(self.layer_sizes)):
-            n_in, n_out = self.layer_sizes[i - 1], self.layer_sizes[i]
-            W = x[offset:offset + n_in * n_out].reshape(n_in, n_out)
-            offset += n_in * n_out
-            b = x[offset:offset + n_out]
-            offset += n_out
-            params.append((W, b))
-        return params
+        views = [x[sl] for _, sl in self.segments()]
+        shapes = zip(self.layer_sizes, self.layer_sizes[1:])
+        return [(W.reshape(shape), b)
+                for W, b, shape in zip(views[::2], views[1::2], shapes)]
 
     def _batch_loss_grad(self, x, idx, need_grad=True):
         params = self._unpack(x)
@@ -281,8 +267,8 @@ class NoisyGradientProblem(Problem):
             raise ValueError("noise scale must be >= 0")
         if not 0.0 <= prob <= 1.0:
             raise ValueError("noise probability must lie in [0, 1]")
-        super().__init__(inner.name + "+noise", inner.dim, inner.param_layout,
-                         inner.known_constants, n_samples=inner.n_samples)
+        super().__init__(inner.dim, inner.param_layout, inner.known_constants,
+                         n_samples=inner.n_samples)
         self.inner = inner
         self.scale = float(scale)
         self.prob = float(prob)

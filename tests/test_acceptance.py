@@ -314,8 +314,7 @@ def test_criterion_08_gradient_oracles_match_finite_differences():
         ("logistic", LogisticProblem(128, 6, seed=5),
          lambda: rng.normal(size=6) * 0.5, 1e-6, 1e-6),
     ]
-    mlp = MlpProblem((6, 8, 3), synthetic_blobs(24, 6, 3, seed=9),
-                     batch_size=8)
+    mlp = MlpProblem((6, 8, 3), synthetic_blobs(24, 6, 3, seed=9))
     checked = 0
     for name, prob, draw, fd_step, tol in smooth:
         for _ in range(20):

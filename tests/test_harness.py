@@ -7,7 +7,7 @@ import pytest
 
 from rdbd.cli import main, parse_config_file
 from rdbd.harness import (ConfigError, MissingDataError, NumericError,
-                          RunConfig, SWEEPS, check_alpha_envelope,
+                          PRESETS, RunConfig, SWEEPS, check_alpha_envelope,
                           check_revert_flags, compare, emit_plot_data,
                           metric_value, preset, run, sweep_configs,
                           write_trace_csv)
@@ -211,21 +211,6 @@ def test_mnist_pipeline_with_synthetic_idx_files(tmp_path, monkeypatch):
     assert records[-1].full_loss is not None
 
 
-def test_write_bound_reports(tmp_path):
-    from rdbd.harness import write_bound_reports
-    from rdbd.theory import descent_coefficient_bound
-
-    reports = [descent_coefficient_bound(0.5, 1.0, 0.5),
-               descent_coefficient_bound(3.0, 1.0, 0.5)]
-    path = tmp_path / "bounds.csv"
-    write_bound_reports(reports, str(path))
-    lines = path.read_text().splitlines()
-    assert lines[0].startswith("name,theoretical_value")
-    assert len(lines) == 3
-    assert lines[1].split(",")[0] == "descent_coefficient"
-    assert lines[2].split(",")[5] == "0"   # second report inapplicable
-
-
 def test_mnist_problem_reports_missing_data(tmp_path, monkeypatch):
     monkeypatch.delenv("MNIST_DIR", raising=False)
     cfg = dataclasses.replace(preset("mnist-default"), steps=5,
@@ -259,6 +244,26 @@ def test_config_file_parsing(tmp_path):
         parse_config_file(str(bad_line))
 
 
+def test_config_file_sets_every_field(tmp_path):
+    expected = RunConfig(
+        problem="mlp-blobs", optimizer="adam_rdbd", alpha0=0.25, eta=1e-3,
+        batch_size=4, steps=7, seed=3, alpha_min=0.125, alpha_max=2.5,
+        eval_every=2, beta1=0.5, beta2=0.75, eps_hat=1e-6, n_samples=64,
+        dim=5, problem_seed=9, separation=2.5, grad_noise=0.5,
+        grad_noise_prob=0.25, layer_sizes=(6, 5, 3), subset_n=32,
+        mnist_dir="data/mnist", out="runs/t.csv")
+    fields = dataclasses.fields(RunConfig)
+    assert all(getattr(expected, f.name) != f.default for f in fields)
+    lines = [f"{f.name.replace('_', '-')} = {getattr(expected, f.name)}"
+             for f in fields if f.name != "layer_sizes"]
+    path = tmp_path / "all.cfg"
+    path.write_text("\n".join(lines + ["layer_sizes = 6x5x3"]) + "\n")
+    cfg = parse_config_file(str(path))
+    assert cfg == expected
+    for f in fields:
+        assert type(getattr(cfg, f.name)) is type(getattr(expected, f.name))
+
+
 def test_cli_run_ok(tmp_path, capsys):
     out = tmp_path / "trace.csv"
     code = main(["run", "--problem", "logistic", "--optimizer", "rdbd",
@@ -288,6 +293,20 @@ def test_cli_run_with_config_file(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_run_out_directory_writes_trace_csv(tmp_path, capsys):
+    argv = ["run", "--problem", "logistic", "--steps", "60", "--seed", "3",
+            "--out"]
+    assert main(argv + [str(tmp_path / "file.csv")]) == 0
+    assert main(argv + [str(tmp_path / "new") + os.sep]) == 0
+    (tmp_path / "existing").mkdir()
+    assert main(argv + [str(tmp_path / "existing")]) == 0
+    expected = (tmp_path / "file.csv").read_bytes()
+    assert (tmp_path / "new" / "trace.csv").read_bytes() == expected
+    assert (tmp_path / "existing" / "trace.csv").read_bytes() == expected
+    assert f"trace written to {tmp_path / 'new' / 'trace.csv'}" in \
+        capsys.readouterr().out
+
+
 def test_cli_compare(tmp_path, capsys):
     code = main(["compare", "--problem", "logistic", "--steps", "80",
                  "--optimizers", "sgd,rdbd", "--seeds", "2",
@@ -315,6 +334,22 @@ def test_cli_sweep(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_cli_sweep_failure_flushes_partial_trace(tmp_path, monkeypatch,
+                                                capsys):
+    monkeypatch.setitem(
+        PRESETS, "rosenbrock-sgd",
+        RunConfig(problem="rosenbrock", optimizer="sgd", steps=200,
+                  batch_size=1))
+    monkeypatch.setitem(SWEEPS, "tiny-diverge",
+                        ("rosenbrock-sgd", "alpha0", [1.0]))
+    code = main(["sweep", "--preset", "tiny-diverge", "--out", str(tmp_path)])
+    assert code == 4
+    assert "step 5: batch loss inf" in capsys.readouterr().err
+    lines = (tmp_path / "tiny-diverge__alpha0_1.0.csv").read_text().splitlines()
+    assert lines[0] == "step,loss,full_loss,grad_norm,alpha,h,reverted"
+    assert [int(line.split(",")[0]) for line in lines[1:]] == [1, 2, 3, 4]
+
+
 @pytest.mark.parametrize("argv, config_text", [
     (["run", "--problem", "logistic", "--batch-size", "5000"], None),
     (["run", "--problem", "mlp-blobs", "--batch-size", "3000"], None),
@@ -338,6 +373,7 @@ def test_cli_sweep(tmp_path, monkeypatch, capsys):
     (["run"], "optimizer = adam\neps_hat = nan\n"),
     (["run"], "separation = nan\n"),
     (["run"], "grad_noise = nan\n"),
+    (["compare", "--metric", "steps_to_threshold", "--threshold", "nan"], None),
 ])
 def test_cli_bad_input_exits_with_config_error(tmp_path, capsys, argv,
                                                 config_text):

@@ -80,10 +80,6 @@ def test_logistic_zero_weights_loss_is_ln2():
 def test_logistic_validation():
     with pytest.raises(ValueError):
         LogisticProblem(4, 8, seed=0)
-    with pytest.raises(ValueError):
-        LogisticProblem(64, 8, seed=0, batch_size=0)
-    with pytest.raises(ValueError):
-        LogisticProblem(64, 8, seed=0, batch_size=65)
 
 
 def test_logistic_full_gradient_is_mean_of_per_sample():
@@ -98,7 +94,7 @@ def test_logistic_full_gradient_is_mean_of_per_sample():
 def test_unbiasedness_over_epoch_partition():
     # Mean of equal-size batch gradients over one epoch = full gradient.
     for prob in (LogisticProblem(128, 6, seed=2),
-                 MlpProblem((4, 5, 3), synthetic_blobs(32, 4, 3, seed=6), batch_size=8)):
+                 MlpProblem((4, 5, 3), synthetic_blobs(32, 4, 3, seed=6))):
         rng = np.random.default_rng(1)
         x = prob.initial_point(rng)
         sampler = BatchSampler(prob.n_samples, 8, seed=4)
@@ -148,18 +144,18 @@ def test_lipschitz_constant_bounds_gradient_differences():
 def test_mlp_uniform_logits_loss():
     # Zero weights give identical logits, so loss is ln(num_classes).
     ds = synthetic_blobs(12, 4, 3, seed=1)
-    prob = MlpProblem((4, 6, 3), ds, batch_size=4)
+    prob = MlpProblem((4, 6, 3), ds)
     assert abs(prob.loss(np.zeros(prob.dim)) - math.log(3.0)) < 1e-12
     # smallest case: a single linear layer on one sample
     one = synthetic_blobs(2, 4, 2, seed=1)
-    single = MlpProblem((4, 2), one, batch_size=1)
+    single = MlpProblem((4, 2), one)
     assert abs(single.loss_and_grad(np.zeros(single.dim), np.array([0]))[0]
                - math.log(2.0)) < 1e-12
 
 
 def test_mlp_gradient_matches_fd_small_batch():
     ds = synthetic_blobs(3, 5, 3, seed=4)
-    prob = MlpProblem((5, 4, 3), ds, batch_size=3)
+    prob = MlpProblem((5, 4, 3), ds)
     x = prob.initial_point(np.random.default_rng(12))
     analytic = prob.full_gradient(x)
     fd = finite_difference_gradient(prob, x, 1e-5)
@@ -169,7 +165,7 @@ def test_mlp_gradient_matches_fd_small_batch():
 def test_mlp_dead_relu_zeroes_first_layer_gradient():
     ds = synthetic_blobs(8, 3, 2, seed=2)
     ds.features[:] = np.abs(ds.features)   # nonnegative inputs
-    prob = MlpProblem((3, 4, 2), ds, batch_size=4)
+    prob = MlpProblem((3, 4, 2), ds)
     x = np.zeros(prob.dim)
     segs = dict(prob.segments())
     x[segs["b1"]] = -1.0                   # all first-layer pre-activations < 0
@@ -180,13 +176,13 @@ def test_mlp_dead_relu_zeroes_first_layer_gradient():
 
 def test_mlp_layout_and_validation():
     ds = synthetic_blobs(10, 4, 2, seed=0)
-    prob = MlpProblem((4, 3, 2), ds, batch_size=5)
+    prob = MlpProblem((4, 3, 2), ds)
     assert [name for name, _ in prob.param_layout] == ["W1", "b1", "W2", "b2"]
     assert prob.dim == 4 * 3 + 3 + 3 * 2 + 2
     with pytest.raises(ValueError):
-        MlpProblem((5, 3, 2), ds, batch_size=5)
+        MlpProblem((5, 3, 2), ds)
     with pytest.raises(ValueError):
-        MlpProblem((4, 3, 3), ds, batch_size=5)
+        MlpProblem((4, 3, 3), ds)
 
 
 def test_estimate_sigma_identity_quadratic():
@@ -245,7 +241,7 @@ def test_forward_only_loss_matches_loss_and_grad_bit_for_bit():
     # value must equal the one-pass oracle over every index exactly.
     blobs = synthetic_blobs(96, 6, 3, seed=4)
     for prob in (LogisticProblem(96, 6, seed=5),
-                 MlpProblem((6, 7, 3), blobs, batch_size=8)):
+                 MlpProblem((6, 7, 3), blobs)):
         x = prob.initial_point(np.random.default_rng(2))
         loss, grad = prob.loss_and_grad(x, np.arange(prob.n_samples))
         assert prob.loss(x) == loss
