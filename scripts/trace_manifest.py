@@ -10,7 +10,8 @@ arithmetic shows exactly which runs moved. rdbd is imported from the
 
 The configs are the five hermetic presets, the benchmark's MNIST-shaped
 `mlp-784`, logistic regression with each optimizer, logistic with sparse
-gradient noise, `mlp-blobs-demo` on Adam directions, and
+gradient noise, `quadratic-dbd` with the same noise (the noise wrapper
+over a deterministic problem), `mlp-blobs-demo` on Adam directions, and
 `mlp-blobs-demo-capped` (`rdbd` with `alpha_max=0.01`), each at seeds 0, 1
 and 2. The capped runs revert increments that a clamp cut (hundreds of
 times per run), so they guard the applied-increment path of the revert.
@@ -48,6 +49,8 @@ def configs():
             for opt in harness.OPTIMIZERS]
     out.append(("logistic-noise", RunConfig(problem="logistic", grad_noise=0.5,
                                             grad_noise_prob=0.3, steps=500)))
+    out.append(("quadratic-noise", dataclasses.replace(
+        harness.preset("quadratic-dbd"), grad_noise=0.5, grad_noise_prob=0.3)))
     demo = harness.preset("mlp-blobs-demo")
     out += [(f"mlp-blobs-demo-{opt}", dataclasses.replace(demo, optimizer=opt,
                                                           eta=None))

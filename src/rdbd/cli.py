@@ -22,8 +22,8 @@ import sys
 import typing
 
 from .harness import (METRICS, ConfigError, MissingDataError, NumericError,
-                      RunConfig, SWEEPS, compare, emit_plot_data, preset,
-                      render_comparison, run, sweep_configs)
+                      RunConfig, SWEEPS, _out_file, compare, emit_plot_data,
+                      preset, render_comparison, run, sweep_configs)
 
 
 def _parse_sizes(text):
@@ -88,14 +88,6 @@ def _base_config(args) -> RunConfig:
     return dataclasses.replace(cfg, **_overrides(args, _RUN_FLAGS))
 
 
-def _out_file(path, name):
-    """`path`, or the file `name` inside it when it names a directory: an
-    existing one, or any path that ends in a separator."""
-    if path and (os.path.isdir(path) or path.endswith(os.sep)):
-        return os.path.join(path, name)
-    return path
-
-
 def _add_field_flags(p, names):
     for name in names:
         kind = _FIELD_PARSERS[name]
@@ -135,7 +127,6 @@ def build_parser():
 
 def _cmd_run(args) -> int:
     cfg = _base_config(args)
-    cfg = dataclasses.replace(cfg, out=_out_file(cfg.out, "trace.csv"))
     records = run(cfg)
     reverts = sum(any(rec.reverted.values()) for rec in records)
     final = records[-1].full_loss
@@ -143,7 +134,7 @@ def _cmd_run(args) -> int:
           f"{len(records)} steps, final loss {final:.6g}, "
           f"{reverts} steps with a revert")
     if cfg.out:
-        print(f"trace written to {cfg.out}")
+        print(f"trace written to {_out_file(cfg.out, 'trace.csv')}")
     return 0
 
 
@@ -159,13 +150,12 @@ def _cmd_compare(args) -> int:
                 base, optimizer=opt, seed=base.seed + s, out=None,
                 eta=None if opt != base.optimizer else base.eta,
                 alpha_max=None if opt != base.optimizer else base.alpha_max))
-    out = _out_file(base.out, "comparison.csv")
     rows, winner = compare(configs, metric=args.metric,
-                           threshold=args.threshold, out=out)
+                           threshold=args.threshold, out=base.out)
     print(render_comparison(rows))
     print(f"winner by {args.metric}: {winner}")
-    if out:
-        print(f"comparison written to {out}")
+    if base.out:
+        print(f"comparison written to {_out_file(base.out, 'comparison.csv')}")
     return 0
 
 

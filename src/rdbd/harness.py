@@ -169,8 +169,8 @@ def build_problem(config: RunConfig):
     elif cfg.problem == "rosenbrock":
         problem = RosenbrockProblem()
     elif cfg.problem == "logistic":
-        problem = LogisticProblem(cfg.n_samples, cfg.dim, cfg.problem_seed,
-                                  separation=cfg.separation)
+        problem = LogisticProblem(_shared_blobs(
+            cfg.n_samples, cfg.dim, 2, cfg.problem_seed, cfg.separation))
     elif cfg.problem == "mlp-blobs":
         dataset = _shared_blobs(cfg.n_samples, cfg.layer_sizes[0],
                                 cfg.layer_sizes[-1], cfg.problem_seed,
@@ -181,8 +181,11 @@ def build_problem(config: RunConfig):
         if full is None:
             raise MissingDataError(
                 "MNIST IDX files not found; pass --mnist-dir or set MNIST_DIR")
-        subset = mnist_subset(full, cfg.subset_n, cfg.problem_seed)
-        problem = MlpProblem(cfg.layer_sizes, subset)
+        try:
+            subset = mnist_subset(full, cfg.subset_n, cfg.problem_seed)
+            problem = MlpProblem(cfg.layer_sizes, subset)
+        except ValueError as exc:
+            raise ConfigError(f"mlp-mnist: {exc}") from exc
     if cfg.grad_noise > 0.0:
         # Noise stream is seed-derived, so optimizers compared at one seed
         # see identical perturbations.
@@ -195,8 +198,9 @@ def build_problem(config: RunConfig):
 def run(config: RunConfig):
     """Execute one seeded run; returns the list of TraceRecords.
 
-    With `out` set, the trace CSV is written there, and a run that raises
-    NumericError writes the steps before the failure first.
+    With `out` set (a file, or a directory for `trace.csv`), the trace CSV
+    is written there, and a run that raises NumericError writes the steps
+    before the failure first; an unwritable `out` fails before step 1.
 
     Deterministic for a given (config, seed): the master seed splits into
     independent init and batch-order streams, so optimizer comparisons at
@@ -204,6 +208,7 @@ def run(config: RunConfig):
     """
     cfg = config.resolved()
     problem = build_problem(cfg)
+    out = _out_file(cfg.out, "trace.csv")
     init_ss, batch_ss = np.random.SeedSequence(cfg.seed).spawn(2)
     x = problem.initial_point(np.random.default_rng(init_ss)).astype(np.float64)
 
@@ -211,7 +216,7 @@ def run(config: RunConfig):
     if problem.n_samples:
         sampler = BatchSampler(problem.n_samples, cfg.batch_size, batch_ss)
 
-    ids, segments = zip(*problem.segments())
+    ids, segments = zip(*problem.segments)
     direction, rule, _ = OPTIMIZER_TABLE[cfg.optimizer]
     adam = AdamState.fresh(x.size, cfg.beta1, cfg.beta2, cfg.eps_hat)
     sched = FlatSchedule(segments, [cfg.alpha0] * len(ids), [0.0] * len(ids),
@@ -221,8 +226,8 @@ def run(config: RunConfig):
     records = []
 
     def fail(step, detail):
-        if cfg.out:
-            write_trace_csv(records, ids, cfg.out)
+        if out:
+            write_trace_csv(records, ids, out)
         raise NumericError(f"non-finite values at step {step}: {detail}")
 
     # Divergence is detected by the explicit finiteness checks below, so the
@@ -260,8 +265,8 @@ def run(config: RunConfig):
                 alphas=dict(zip(ids, alphas)), hs=dict(zip(ids, hs)),
                 reverted=dict(zip(ids, reverted))))
 
-    if cfg.out:
-        write_trace_csv(records, ids, cfg.out)
+    if out:
+        write_trace_csv(records, ids, out)
     return records
 
 
@@ -277,6 +282,22 @@ def trace_columns(vector_ids):
         cols += [f"grad_norm{tail}", f"alpha{tail}", f"h{tail}",
                  f"reverted{tail}"]
     return cols
+
+
+def _out_file(path, name):
+    """`path`, or the file `name` inside it when it names a directory (an
+    existing one, or any path that ends in a separator), made writable
+    before any work: ConfigError if its directory or file cannot be made."""
+    if not path:
+        return path
+    if os.path.isdir(path) or path.endswith(os.sep):
+        path = os.path.join(path, name)
+    try:
+        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+        open(path, "a").close()
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+    return path
 
 
 def _write_lines(path, lines):
@@ -331,7 +352,8 @@ def compare(configs, metric="final_loss", threshold=0.5, out=None):
 
     All configs must share the problem signature, and every optimizer must
     cover the same seed set, so differences come from the optimizer alone.
-    Returns (rows, winner) with rows ordered by median (lower is better).
+    Returns (rows, winner) with rows ordered by median (lower is better);
+    with `out` set, writes the rows there (to `comparison.csv` in a directory).
     """
     if not configs:
         raise ConfigError("compare needs at least one config")
@@ -348,6 +370,7 @@ def compare(configs, metric="final_loss", threshold=0.5, out=None):
                  for opt, cfgs in by_opt.items()}
     if len(set(seed_sets.values())) > 1:
         raise ConfigError(f"optimizers must share one seed set, got {seed_sets}")
+    out = _out_file(out, "comparison.csv")
 
     rows = []
     for opt, cfgs in by_opt.items():

@@ -1,77 +1,56 @@
 """Loss/gradient oracles with known constants, so bound formulas have
 something checkable to run against: closed-form quadratics, the classic
-banana valley, mini-batch logistic regression on synthetic clusters, and a
-small ReLU network with a hand-derived backward pass."""
+banana valley, mini-batch logistic regression over a two-class dataset,
+and a small ReLU network with a hand-derived backward pass."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .data import Dataset, synthetic_blobs
+from .data import Dataset
 
 
 class Problem:
     """Base oracle: a loss over a flat parameter vector of length dim.
 
-    param_layout partitions the flat vector into named segments (one per
-    schedulable weight group); single-group problems use [("x", dim)].
-    loss_and_grad(x, batch) is the one oracle call per step: the loss and
-    gradient over an index batch from a single pass. loss(x) is the
-    whole-dataset loss, forward pass only. Deterministic problems report
-    n_samples == 0 and ignore batch: (loss(x), full_gradient(x)).
+    `segments` holds one (id, slice) pair per schedulable weight group, cut
+    from `layout`'s (id, size) pairs; by default one group, ("x", dim).
+    `n_samples` is the length of `dataset`, 0 for deterministic problems.
+
+    Subclasses implement the one oracle, _loss_grad(x, batch,
+    need_grad=True): the per-sample mean loss and gradient over the dataset
+    rows `batch` from a single pass, or over every row, read in place, when
+    batch is None; deterministic problems ignore batch. Without need_grad it
+    skips the backward pass and returns (loss, None). loss_and_grad(x,
+    batch) is the one oracle call per step, loss(x) the forward-only
+    whole-dataset loss and full_gradient(x) its gradient.
     """
 
-    def __init__(self, dim, param_layout=None, known_constants=None,
-                 n_samples=0):
+    def __init__(self, dim, layout=None, known_constants=None, dataset=None):
         self.dim = int(dim)
-        self.param_layout = list(param_layout or [("x", self.dim)])
+        self.segments = []
+        offset = 0
+        for name, size in layout or [("x", self.dim)]:
+            self.segments.append((name, slice(offset, offset + size)))
+            offset += size
         self.known_constants = dict(known_constants or {})
-        self.n_samples = int(n_samples)
+        self.dataset = dataset
+        self.n_samples = 0 if dataset is None else len(dataset)
+
+    def _loss_grad(self, x, batch, need_grad=True):
+        raise NotImplementedError
 
     def loss(self, x) -> float:
-        raise NotImplementedError
+        return self._loss_grad(np.asarray(x, float), None, need_grad=False)[0]
 
     def full_gradient(self, x) -> np.ndarray:
-        raise NotImplementedError
+        return self._loss_grad(np.asarray(x, float), None)[1]
 
     def loss_and_grad(self, x, batch) -> tuple[float, np.ndarray]:
-        return self.loss(x), self.full_gradient(x)
+        return self._loss_grad(np.asarray(x, float), batch)
 
-    def initial_point(self, rng=None) -> np.ndarray:
+    def initial_point(self, rng) -> np.ndarray:
         return np.ones(self.dim)
-
-    def segments(self):
-        """(id, slice) pairs carving the flat vector per param_layout."""
-        out = []
-        offset = 0
-        for name, size in self.param_layout:
-            out.append((name, slice(offset, offset + size)))
-            offset += size
-        return out
-
-
-class _SampledProblem(Problem):
-    """Dataset-backed problem: losses and gradients are per-sample means.
-
-    Subclasses implement _batch_loss_grad(x, idx, need_grad=True) over the
-    rows idx of self.dataset (all of them, read in place, when idx is None).
-    Without need_grad it skips the backward pass and returns (loss, None).
-    """
-
-    def __init__(self, dataset: Dataset, dim, param_layout=None,
-                 known_constants=None):
-        super().__init__(dim, param_layout, known_constants,
-                         n_samples=len(dataset))
-        self.dataset = dataset
-
-    def loss(self, x):
-        return self._batch_loss_grad(np.asarray(x, float), None, need_grad=False)[0]
-
-    def full_gradient(self, x):
-        return self._batch_loss_grad(np.asarray(x, float), None)[1]
-
-    def loss_and_grad(self, x, batch):
-        return self._batch_loss_grad(np.asarray(x, float), np.asarray(batch))
 
 
 class QuadraticProblem(Problem):
@@ -100,12 +79,9 @@ class QuadraticProblem(Problem):
         self.A = A
         self.b = b
 
-    def loss(self, x):
-        x = np.asarray(x, float)
-        return float(0.5 * x @ self.A @ x - self.b @ x)
-
-    def full_gradient(self, x):
-        return self.A @ np.asarray(x, float) - self.b
+    def _loss_grad(self, x, batch, need_grad=True):
+        loss = float(0.5 * x @ self.A @ x - self.b @ x)
+        return loss, (self.A @ x - self.b if need_grad else None)
 
 
 class RosenbrockProblem(Problem):
@@ -115,37 +91,38 @@ class RosenbrockProblem(Problem):
         super().__init__(2, known_constants={"f_star": 0.0,
                                              "minimizer": np.array([1.0, 1.0])})
 
-    def loss(self, p):
-        x, y = np.asarray(p, float)
-        return float((1.0 - x) ** 2 + 100.0 * (y - x ** 2) ** 2)
-
-    def full_gradient(self, p):
-        x, y = np.asarray(p, float)
-        return np.array([
+    def _loss_grad(self, p, batch, need_grad=True):
+        x, y = p
+        loss = float((1.0 - x) ** 2 + 100.0 * (y - x ** 2) ** 2)
+        if not need_grad:
+            return loss, None
+        return loss, np.array([
             -2.0 * (1.0 - x) - 400.0 * x * (y - x ** 2),
             200.0 * (y - x ** 2),
         ])
 
-    def initial_point(self, rng=None):
+    def initial_point(self, rng):
         return np.array([-1.2, 1.0])
 
 
-class LogisticProblem(_SampledProblem):
-    """Binary cross-entropy with a sigmoid link on synthetic clusters."""
+class LogisticProblem(Problem):
+    """Binary cross-entropy with a sigmoid link over a two-class dataset."""
 
-    def __init__(self, n_samples, dim, seed, separation=4.0):
-        if n_samples < dim:
-            raise ValueError("need n_samples >= dim")
-        dataset = synthetic_blobs(n_samples, dim, 2, seed, separation)
+    def __init__(self, dataset: Dataset):
         X = dataset.features
+        n, dim = X.shape
+        if dataset.num_classes != 2:
+            raise ValueError(f"need two classes, got {dataset.num_classes}")
+        if n < dim:
+            raise ValueError("need n_samples >= dim")
         # sigmoid' <= 1/4 makes lambda_max(X'X)/(4n) a Lipschitz constant.
-        L = float(np.linalg.eigvalsh(X.T @ X)[-1] / (4.0 * n_samples))
-        super().__init__(dataset, dim, known_constants={"L": L})
+        L = float(np.linalg.eigvalsh(X.T @ X)[-1] / (4.0 * n))
+        super().__init__(dim, known_constants={"L": L}, dataset=dataset)
 
-    def _batch_loss_grad(self, w, idx, need_grad=True):
+    def _loss_grad(self, w, batch, need_grad=True):
         X, y = self.dataset.features, self.dataset.labels
-        if idx is not None:
-            X, y = X[idx], y[idx]
+        if batch is not None:
+            X, y = X[batch], y[batch]
         y = y.astype(np.float64)
         z = X @ w
         loss = float(np.mean(np.logaddexp(0.0, z) - y * z))
@@ -160,14 +137,12 @@ class LogisticProblem(_SampledProblem):
         grad = X.T @ (p - y) / y.size
         return loss, grad
 
-    def initial_point(self, rng=None):
-        if rng is None:
-            return np.zeros(self.dim)
+    def initial_point(self, rng):
         bound = 1.0 / np.sqrt(self.dim)
         return rng.uniform(-bound, bound, self.dim)
 
 
-class MlpProblem(_SampledProblem):
+class MlpProblem(Problem):
     """Fully connected ReLU network, softmax outputs, mean cross-entropy.
 
     One parameter segment per weight matrix and per bias vector, so every
@@ -190,22 +165,22 @@ class MlpProblem(_SampledProblem):
         for i in range(1, len(layer_sizes)):
             layout.append((f"W{i}", layer_sizes[i - 1] * layer_sizes[i]))
             layout.append((f"b{i}", layer_sizes[i]))
-        dim = sum(size for _, size in layout)
-        super().__init__(dataset, dim, param_layout=layout)
+        super().__init__(sum(size for _, size in layout), layout,
+                         dataset=dataset)
         self.layer_sizes = layer_sizes
         self._onehot = np.eye(dataset.num_classes)[dataset.labels]
 
     def _unpack(self, x):
-        views = [x[sl] for _, sl in self.segments()]
+        views = [x[sl] for _, sl in self.segments]
         shapes = zip(self.layer_sizes, self.layer_sizes[1:])
         return [(W.reshape(shape), b)
                 for W, b, shape in zip(views[::2], views[1::2], shapes)]
 
-    def _batch_loss_grad(self, x, idx, need_grad=True):
+    def _loss_grad(self, x, batch, need_grad=True):
         params = self._unpack(x)
         X, Y = self.dataset.features, self._onehot
-        if idx is not None:
-            X, Y = X[idx], Y[idx]
+        if batch is not None:
+            X, Y = X[batch], Y[batch]
 
         activations = [X]
         pre = []
@@ -235,12 +210,10 @@ class MlpProblem(_SampledProblem):
                 delta = (delta @ W.T) * (pre[j - 1] > 0.0)
         grads.reverse()
 
-        flat = np.concatenate([np.concatenate([gW.ravel(), gb])
-                               for gW, gb in grads])
-        return loss, flat
+        return loss, np.concatenate([g for gW, gb in grads
+                                     for g in (gW.ravel(), gb)])
 
-    def initial_point(self, rng=None):
-        rng = rng or np.random.default_rng(0)
+    def initial_point(self, rng):
         parts = []
         for i in range(1, len(self.layer_sizes)):
             n_in, n_out = self.layer_sizes[i - 1], self.layer_sizes[i]
@@ -267,26 +240,24 @@ class NoisyGradientProblem(Problem):
             raise ValueError("noise scale must be >= 0")
         if not 0.0 <= prob <= 1.0:
             raise ValueError("noise probability must lie in [0, 1]")
-        super().__init__(inner.dim, inner.param_layout, inner.known_constants,
-                         n_samples=inner.n_samples)
+        super().__init__(inner.dim, known_constants=inner.known_constants,
+                         dataset=inner.dataset)
+        self.segments = inner.segments
         self.inner = inner
         self.scale = float(scale)
         self.prob = float(prob)
         self._noise_rng = np.random.default_rng(seed)
 
-    def loss(self, x):
-        return self.inner.loss(x)
-
-    def full_gradient(self, x):
-        return self.inner.full_gradient(x)
+    def _loss_grad(self, x, batch, need_grad=True):
+        return self.inner._loss_grad(x, batch, need_grad)
 
     def loss_and_grad(self, x, batch):
-        loss, grad = self.inner.loss_and_grad(x, batch)
+        loss, grad = super().loss_and_grad(x, batch)
         if self._noise_rng.uniform() < self.prob:
             grad = grad + self._noise_rng.uniform(-self.scale, self.scale, self.dim)
         return loss, grad
 
-    def initial_point(self, rng=None):
+    def initial_point(self, rng):
         return self.inner.initial_point(rng)
 
 
@@ -305,15 +276,14 @@ def finite_difference_gradient(problem: Problem, x, step) -> np.ndarray:
     return grad
 
 
-def estimate_sigma(problem: Problem, region_samples, radius=1.0, center=None,
-                   rng=None, batch_size=None) -> float:
-    """Empirical update-norm bound: 1.1 times the largest gradient norm
-    seen over points sampled uniformly from a ball (and, for sampled
-    problems, over random mini-batches at those points)."""
+def estimate_sigma(problem: Problem, region_samples, radius=1.0,
+                   rng=None) -> float:
+    """Empirical update-norm bound: 1.1 times the largest full-gradient
+    norm seen over points sampled uniformly from the ball of `radius`
+    about the origin."""
     if region_samples < 1:
         raise ValueError("need at least one sample")
     rng = rng or np.random.default_rng(0)
-    center = np.zeros(problem.dim) if center is None else np.asarray(center, float)
     largest = 0.0
     for _ in range(int(region_samples)):
         direction = rng.normal(size=problem.dim)
@@ -321,10 +291,6 @@ def estimate_sigma(problem: Problem, region_samples, radius=1.0, center=None,
         if norm == 0.0:
             continue
         r = radius * rng.uniform() ** (1.0 / problem.dim)
-        point = center + direction / norm * r
+        point = direction / norm * r
         largest = max(largest, float(np.linalg.norm(problem.full_gradient(point))))
-        if batch_size and problem.n_samples:
-            batch = rng.choice(problem.n_samples, size=batch_size, replace=False)
-            _, g = problem.loss_and_grad(point, batch)
-            largest = max(largest, float(np.linalg.norm(g)))
     return 1.1 * largest

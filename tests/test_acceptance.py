@@ -311,7 +311,7 @@ def test_criterion_08_gradient_oracles_match_finite_differences():
          lambda: rng.uniform(-3, 3, 3), 1e-6, 1e-6),
         ("rosenbrock", RosenbrockProblem(),
          lambda: rng.uniform(-2, 2, 2), 1e-6, 1e-6),
-        ("logistic", LogisticProblem(128, 6, seed=5),
+        ("logistic", LogisticProblem(synthetic_blobs(128, 6, 2, seed=5)),
          lambda: rng.normal(size=6) * 0.5, 1e-6, 1e-6),
     ]
     mlp = MlpProblem((6, 8, 3), synthetic_blobs(24, 6, 3, seed=9))

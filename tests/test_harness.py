@@ -211,6 +211,33 @@ def test_mnist_pipeline_with_synthetic_idx_files(tmp_path, monkeypatch):
     assert records[-1].full_loss is not None
 
 
+@pytest.mark.parametrize("settings", [
+    "subset_n = 81\n",                         # above the file's 80 rows
+    "subset_n = 9\nbatch_size = 4\n",          # below the 10 classes
+    "subset_n = 40\nlayer_sizes = 100,32,10\n",
+    "subset_n = 40\nlayer_sizes = 784,32,9\n",
+])
+def test_bad_mnist_settings_exit_with_config_error(tmp_path, monkeypatch,
+                                                   capsys, settings):
+    import gzip
+
+    from rdbd.data import serialize_idx
+
+    monkeypatch.delenv("MNIST_DIR", raising=False)
+    rng = np.random.default_rng(6)
+    n = 80
+    images = rng.integers(0, 256, size=(n, 28, 28), dtype=np.uint8)
+    labels = (np.arange(n) % 10).astype(np.uint8)
+    (tmp_path / "train-images-idx3-ubyte.gz").write_bytes(
+        gzip.compress(serialize_idx(images)))
+    (tmp_path / "train-labels-idx1-ubyte").write_bytes(serialize_idx(labels))
+    path = tmp_path / "bad.cfg"
+    path.write_text("problem = mlp-mnist\n" + settings)
+    assert main(["run", "--config", str(path), "--steps", "5",
+                 "--mnist-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: mlp-mnist:")
+
+
 def test_mnist_problem_reports_missing_data(tmp_path, monkeypatch):
     monkeypatch.delenv("MNIST_DIR", raising=False)
     cfg = dataclasses.replace(preset("mnist-default"), steps=5,
@@ -305,6 +332,48 @@ def test_cli_run_out_directory_writes_trace_csv(tmp_path, capsys):
     assert (tmp_path / "existing" / "trace.csv").read_bytes() == expected
     assert f"trace written to {tmp_path / 'new' / 'trace.csv'}" in \
         capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--problem", "rosenbrock", "--steps", "5", "--out", "{file}/x.csv"],
+    ["sweep", "--preset", "lr-robustness-logistic", "--out", "{file}"],
+    ["compare", "--problem", "rosenbrock", "--steps", "5", "--seeds", "1",
+     "--out", "{file}/c.csv"],
+])
+def test_cli_unwritable_out_exits_with_config_error_before_any_step(
+        tmp_path, monkeypatch, capsys, argv):
+    from rdbd import harness
+
+    build = harness.build_problem
+    calls = []
+
+    def counting_build(config):
+        problem = build(config)
+        oracle = problem.loss_and_grad
+
+        def loss_and_grad(x, batch):
+            calls.append(batch)
+            return oracle(x, batch)
+
+        monkeypatch.setattr(problem, "loss_and_grad", loss_and_grad)
+        return problem
+
+    monkeypatch.setattr(harness, "build_problem", counting_build)
+    file = tmp_path / "file"
+    file.write_text("kept\n")
+    assert main([arg.format(file=file) for arg in argv]) == 2
+    assert capsys.readouterr().err.startswith("config error: cannot write")
+    assert calls == []
+    assert file.read_text() == "kept\n"
+
+
+def test_run_and_compare_out_directory_name_their_file(tmp_path):
+    run(dataclasses.replace(QUICK, out=str(tmp_path / "file.csv")))
+    run(dataclasses.replace(QUICK, out=str(tmp_path)))
+    assert (tmp_path / "trace.csv").read_bytes() == \
+        (tmp_path / "file.csv").read_bytes()
+    compare([QUICK], out=str(tmp_path))
+    assert (tmp_path / "comparison.csv").read_text().startswith("optimizer,")
 
 
 def test_cli_compare(tmp_path, capsys):
@@ -453,7 +522,7 @@ def test_non_finite_step_names_the_failure_and_flushes(tmp_path, monkeypatch,
     def build_with_bad_b1(config):
         problem = build(config)
         oracle = problem.loss_and_grad
-        b1 = dict(problem.segments())["b1"]
+        b1 = dict(problem.segments)["b1"]
 
         def loss_and_grad(x, batch):
             loss, grad = oracle(x, batch)
@@ -474,10 +543,11 @@ def test_non_finite_step_names_the_failure_and_flushes(tmp_path, monkeypatch,
     assert len(path.read_text().splitlines()) == 3   # header and steps 1-2
 
 
-def test_mlp_blobs_runs_share_one_read_only_dataset():
+@pytest.mark.parametrize("name", ["mlp-blobs-demo", "logistic-default"])
+def test_mlp_blobs_runs_share_one_read_only_dataset(name):
     from rdbd.harness import build_problem
 
-    cfg = preset("mlp-blobs-demo")
+    cfg = preset(name)
     first = build_problem(cfg)
     again = build_problem(dataclasses.replace(cfg, seed=cfg.seed + 1))
     assert again.dataset is first.dataset
@@ -509,7 +579,7 @@ def _per_group_reference(cfg):
     x = problem.initial_point(np.random.default_rng(init_ss))
     sampler = BatchSampler(problem.n_samples, cfg.batch_size, batch_ss)
     groups = []
-    for _, sl in problem.segments():
+    for _, sl in problem.segments:
         n = sl.stop - sl.start
         groups.append(dict(sl=sl, alpha=cfg.alpha0, prev=np.zeros(n),
                            prev_dot=0.0, applied=0.0, clamped=False,

@@ -73,17 +73,19 @@ def test_fd_gradient_basics():
 
 
 def test_logistic_zero_weights_loss_is_ln2():
-    prob = LogisticProblem(256, 8, seed=3)
+    prob = LogisticProblem(synthetic_blobs(256, 8, 2, seed=3))
     assert abs(prob.loss(np.zeros(8)) - math.log(2.0)) < 1e-12
 
 
 def test_logistic_validation():
     with pytest.raises(ValueError):
-        LogisticProblem(4, 8, seed=0)
+        LogisticProblem(synthetic_blobs(4, 8, 2, seed=0))
+    with pytest.raises(ValueError):
+        LogisticProblem(synthetic_blobs(64, 4, 3, seed=0))
 
 
 def test_logistic_full_gradient_is_mean_of_per_sample():
-    prob = LogisticProblem(64, 6, seed=1)
+    prob = LogisticProblem(synthetic_blobs(64, 6, 2, seed=1))
     rng = np.random.default_rng(0)
     w = rng.normal(size=6)
     singles = [prob.loss_and_grad(w, [i])[1] for i in range(64)]
@@ -93,7 +95,7 @@ def test_logistic_full_gradient_is_mean_of_per_sample():
 
 def test_unbiasedness_over_epoch_partition():
     # Mean of equal-size batch gradients over one epoch = full gradient.
-    for prob in (LogisticProblem(128, 6, seed=2),
+    for prob in (LogisticProblem(synthetic_blobs(128, 6, 2, seed=2)),
                  MlpProblem((4, 5, 3), synthetic_blobs(32, 4, 3, seed=6))):
         rng = np.random.default_rng(1)
         x = prob.initial_point(rng)
@@ -108,7 +110,8 @@ def test_unbiasedness_over_epoch_partition():
 def test_far_separated_blobs_train_to_near_zero_loss():
     # Mean gap of ten cluster widths: full-batch descent at rate 0.5 drives
     # the cross-entropy under 0.1 well inside 500 steps.
-    prob = LogisticProblem(512, 8, seed=3, separation=10.0)
+    prob = LogisticProblem(synthetic_blobs(512, 8, 2, seed=3,
+                                           separation=10.0))
     w = np.zeros(8)
     for _ in range(500):
         w = w - 0.5 * prob.full_gradient(w)
@@ -117,7 +120,7 @@ def test_far_separated_blobs_train_to_near_zero_loss():
 
 def test_logistic_sgd_run_decreases_loss():
     # Frozen reference trajectory: 2000 steps, rate 0.1, batch 16, seed 7.
-    prob = LogisticProblem(2048, 20, seed=7)
+    prob = LogisticProblem(synthetic_blobs(2048, 20, 2, seed=7))
     w = np.zeros(20)
     initial = prob.loss(w)
     sampler = BatchSampler(2048, 16, seed=7)
@@ -132,7 +135,8 @@ def test_logistic_sgd_run_decreases_loss():
 def test_lipschitz_constant_bounds_gradient_differences():
     rng = np.random.default_rng(9)
     for prob, scale in ((QuadraticProblem(np.diag([0.5, 2.0, 5.0])), 4.0),
-                        (LogisticProblem(128, 5, seed=8), 3.0)):
+                        (LogisticProblem(synthetic_blobs(128, 5, 2, seed=8)),
+                         3.0)):
         L = prob.known_constants["L"]
         for _ in range(100):
             x = rng.normal(size=prob.dim) * scale
@@ -167,7 +171,7 @@ def test_mlp_dead_relu_zeroes_first_layer_gradient():
     ds.features[:] = np.abs(ds.features)   # nonnegative inputs
     prob = MlpProblem((3, 4, 2), ds)
     x = np.zeros(prob.dim)
-    segs = dict(prob.segments())
+    segs = dict(prob.segments)
     x[segs["b1"]] = -1.0                   # all first-layer pre-activations < 0
     grad = prob.full_gradient(x)
     assert np.all(grad[segs["W1"]] == 0.0)
@@ -177,7 +181,7 @@ def test_mlp_dead_relu_zeroes_first_layer_gradient():
 def test_mlp_layout_and_validation():
     ds = synthetic_blobs(10, 4, 2, seed=0)
     prob = MlpProblem((4, 3, 2), ds)
-    assert [name for name, _ in prob.param_layout] == ["W1", "b1", "W2", "b2"]
+    assert [name for name, _ in prob.segments] == ["W1", "b1", "W2", "b2"]
     assert prob.dim == 4 * 3 + 3 + 3 * 2 + 2
     with pytest.raises(ValueError):
         MlpProblem((5, 3, 2), ds)
@@ -240,7 +244,7 @@ def test_forward_only_loss_matches_loss_and_grad_bit_for_bit():
     # loss() reads the dataset in place and skips the backward pass; the
     # value must equal the one-pass oracle over every index exactly.
     blobs = synthetic_blobs(96, 6, 3, seed=4)
-    for prob in (LogisticProblem(96, 6, seed=5),
+    for prob in (LogisticProblem(synthetic_blobs(96, 6, 2, seed=5)),
                  MlpProblem((6, 7, 3), blobs)):
         x = prob.initial_point(np.random.default_rng(2))
         loss, grad = prob.loss_and_grad(x, np.arange(prob.n_samples))
@@ -259,7 +263,7 @@ def test_deterministic_loss_and_grad_is_loss_and_full_gradient():
 def test_noise_wrapper_loss_and_grad_draws_once_per_call():
     # One gate draw per call, then one perturbation vector when the gate
     # opens: a reference generator on the same seed replays the sequence.
-    inner = LogisticProblem(64, 4, seed=2)
+    inner = LogisticProblem(synthetic_blobs(64, 4, 2, seed=2))
     noisy = NoisyGradientProblem(inner, scale=0.3, seed=9, prob=0.5)
     ref = np.random.default_rng(9)
     x = np.array([0.5, -0.25, 1.0, 0.0])
@@ -277,8 +281,8 @@ def test_noise_wrapper_loss_and_grad_draws_once_per_call():
 
 
 def test_noise_wrapper_loss_draws_nothing():
-    noisy = NoisyGradientProblem(LogisticProblem(64, 4, seed=2), scale=0.3,
-                                 seed=9)
+    noisy = NoisyGradientProblem(
+        LogisticProblem(synthetic_blobs(64, 4, 2, seed=2)), scale=0.3, seed=9)
     before = noisy._noise_rng.bit_generator.state
     noisy.loss(np.zeros(4))
     noisy.full_gradient(np.zeros(4))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from rdbd.data import synthetic_blobs
 from rdbd.problems import LogisticProblem, QuadraticProblem
 from rdbd.theory import (TheoryParams, alpha_envelope, dbd_hypergradient,
                          dbd_iteration_bound, descent_coefficient_bound, dot,
@@ -143,7 +144,7 @@ def test_smoothness_inequality_on_known_L_problems():
     # f(x) <= f(y) + <grad f(y), x - y> + L/2 ||x-y||^2 on random pairs.
     rng = np.random.default_rng(17)
     quad = QuadraticProblem(np.diag([1.0, 3.0, 0.5]), np.array([1.0, 0.0, -2.0]))
-    logi = LogisticProblem(256, 6, seed=5)
+    logi = LogisticProblem(synthetic_blobs(256, 6, 2, seed=5))
     for prob, scale in ((quad, 3.0), (logi, 2.0)):
         L = prob.known_constants["L"]
         for _ in range(100):
