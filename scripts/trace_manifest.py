@@ -10,8 +10,9 @@ arithmetic shows exactly which runs moved. rdbd is imported from the
 
 The configs are the five hermetic presets, the benchmark's MNIST-shaped
 `mlp-784`, logistic regression with each optimizer, logistic with sparse
-gradient noise, `quadratic-dbd` with the same noise (the noise wrapper
-over a deterministic problem), `mlp-blobs-demo` on Adam directions, and
+gradient noise, `quadratic-dbd` with the same noise (noise over a
+deterministic problem), `mlp-blobs-demo` with the same noise (noise over a
+six-group vector), `mlp-blobs-demo` on Adam directions, and
 `mlp-blobs-demo-capped` (`rdbd` with `alpha_max=0.01`), each at seeds 0, 1
 and 2. The capped runs revert increments that a clamp cut (hundreds of
 times per run), so they guard the applied-increment path of the revert.
@@ -52,6 +53,8 @@ def configs():
     out.append(("quadratic-noise", dataclasses.replace(
         harness.preset("quadratic-dbd"), grad_noise=0.5, grad_noise_prob=0.3)))
     demo = harness.preset("mlp-blobs-demo")
+    out.append(("mlp-blobs-demo-noise", dataclasses.replace(
+        demo, grad_noise=0.5, grad_noise_prob=0.3)))
     out += [(f"mlp-blobs-demo-{opt}", dataclasses.replace(demo, optimizer=opt,
                                                           eta=None))
             for opt in ("adam", "adam_rdbd")]

@@ -51,22 +51,26 @@ _FLAG_HELP = {"out": "output path (trace CSV or directory)"}
 def parse_config_file(path: str) -> RunConfig:
     if not os.path.isfile(path):
         raise ConfigError(f"config file not found: {path}")
+    try:
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
     values = {}
-    with open(path) as f:
-        for lineno, raw in enumerate(f, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key = value")
-            key, _, val = line.partition("=")
-            key = key.strip().replace("-", "_")
-            if key not in _FIELD_PARSERS:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            try:
-                values[key] = _FIELD_PARSERS[key](val.strip())
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: {exc}") from exc
+    for lineno, raw in enumerate(text.split("\n"), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected key = value")
+        key, _, val = line.partition("=")
+        key = key.strip().replace("-", "_")
+        if key not in _FIELD_PARSERS:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        try:
+            values[key] = _FIELD_PARSERS[key](val.strip())
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}") from exc
     return RunConfig(**values)
 
 
@@ -169,7 +173,7 @@ def _cmd_sweep(args) -> int:
         traces.append((label, records))
         print(f"{label}: final loss {records[-1].full_loss:.6g} -> {path}")
     plot_path = os.path.join(out_dir, f"{args.preset}__plot.csv")
-    rows = emit_plot_data(traces, plot_path, series=("loss", "full_loss", "alpha"))
+    rows = emit_plot_data(traces, plot_path)
     print(f"plot data ({rows} rows) written to {plot_path}")
     return 0
 

@@ -7,6 +7,7 @@ import gzip
 import math
 import os
 import struct
+import zlib
 
 import numpy as np
 
@@ -47,10 +48,15 @@ def parse_idx(data: bytes) -> np.ndarray:
 
     Big-endian header: magic, then one dimension per header slot
     (0x00000801 = 1-D labels, 0x00000803 = 3-D images), then the uint8
-    payload, whose length must equal the product of the dimensions.
+    payload, whose length must equal the product of the dimensions. Every
+    malformed stream, a corrupt or truncated gzip one included, raises
+    ValueError.
     """
     if data[:2] == b"\x1f\x8b":
-        data = gzip.decompress(data)
+        try:
+            data = gzip.decompress(data)
+        except (OSError, EOFError, zlib.error) as exc:
+            raise ValueError(f"corrupt gzip stream: {exc}") from exc
     if len(data) < 4:
         raise ValueError("IDX stream shorter than its magic number")
     (magic,) = struct.unpack(">I", data[:4])

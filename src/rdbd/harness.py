@@ -21,8 +21,8 @@ import numpy as np
 
 from .baselines import AdamState, adam_advance
 from .data import BatchSampler, load_mnist, mnist_subset, synthetic_blobs
-from .problems import (LogisticProblem, MlpProblem, NoisyGradientProblem,
-                       QuadraticProblem, RosenbrockProblem)
+from .problems import (LogisticProblem, MlpProblem, QuadraticProblem,
+                       RosenbrockProblem)
 from .schedulers import FlatSchedule
 
 # optimizer -> (direction, rate rule, default eta). The direction is the
@@ -177,21 +177,15 @@ def build_problem(config: RunConfig):
                                 cfg.separation)
         problem = MlpProblem(cfg.layer_sizes, dataset)
     elif cfg.problem == "mlp-mnist":
-        full = load_mnist(cfg.mnist_dir)
-        if full is None:
-            raise MissingDataError(
-                "MNIST IDX files not found; pass --mnist-dir or set MNIST_DIR")
         try:
+            full = load_mnist(cfg.mnist_dir)
+            if full is None:
+                raise MissingDataError("MNIST IDX files not found; pass "
+                                       "--mnist-dir or set MNIST_DIR")
             subset = mnist_subset(full, cfg.subset_n, cfg.problem_seed)
             problem = MlpProblem(cfg.layer_sizes, subset)
         except ValueError as exc:
             raise ConfigError(f"mlp-mnist: {exc}") from exc
-    if cfg.grad_noise > 0.0:
-        # Noise stream is seed-derived, so optimizers compared at one seed
-        # see identical perturbations.
-        problem = NoisyGradientProblem(problem, cfg.grad_noise,
-                                       seed=cfg.problem_seed + 1,
-                                       prob=cfg.grad_noise_prob)
     return problem
 
 
@@ -223,6 +217,10 @@ def run(config: RunConfig):
                          [0.0] * len(ids), np.zeros(x.size), cfg.eta,
                          cfg.alpha_min, cfg.alpha_max)
     fixed = [cfg.alpha0] * len(ids), [0.0] * len(ids), [False] * len(ids)
+    # The gradient-noise stream follows problem_seed, not seed, so every run
+    # of one problem (each optimizer, each seed) sees the same perturbations.
+    noise = (np.random.default_rng(cfg.problem_seed + 1)
+             if cfg.grad_noise > 0.0 else None)
     records = []
 
     def fail(step, detail):
@@ -236,6 +234,8 @@ def run(config: RunConfig):
         for t in range(1, cfg.steps + 1):
             batch = sampler.next_batch() if sampler else None
             batch_loss, grad = problem.loss_and_grad(x, batch)
+            if noise and noise.uniform() < cfg.grad_noise_prob:
+                grad = grad + noise.uniform(-cfg.grad_noise, cfg.grad_noise, x.size)
             if not math.isfinite(batch_loss):
                 fail(t, f"batch loss {batch_loss}")
             if not np.all(np.isfinite(grad)):
@@ -351,12 +351,15 @@ def compare(configs, metric="final_loss", threshold=0.5, out=None):
     """Run every config and summarize the metric per optimizer.
 
     All configs must share the problem signature, and every optimizer must
-    cover the same seed set, so differences come from the optimizer alone.
+    cover the same seed set, each seed once, so differences come from the
+    optimizer alone. Every input is checked before the first run.
     Returns (rows, winner) with rows ordered by median (lower is better);
     with `out` set, writes the rows there (to `comparison.csv` in a directory).
     """
     if not configs:
         raise ConfigError("compare needs at least one config")
+    if metric not in METRICS:
+        raise ConfigError(f"unknown metric {metric!r}; choose from {', '.join(METRICS)}")
     if not math.isfinite(threshold):
         raise ConfigError(f"threshold must be finite, got {threshold}")
     resolved = [c.resolved() for c in configs]
@@ -368,6 +371,9 @@ def compare(configs, metric="final_loss", threshold=0.5, out=None):
         by_opt.setdefault(cfg.optimizer, []).append(cfg)
     seed_sets = {opt: tuple(sorted(c.seed for c in cfgs))
                  for opt, cfgs in by_opt.items()}
+    for opt, seeds in seed_sets.items():
+        if len(set(seeds)) < len(seeds):
+            raise ConfigError(f"{opt} repeats a seed: {list(seeds)}")
     if len(set(seed_sets.values())) > 1:
         raise ConfigError(f"optimizers must share one seed set, got {seed_sets}")
     out = _out_file(out, "comparison.csv")
@@ -408,45 +414,29 @@ def render_comparison(rows) -> str:
     return "\n".join(out)
 
 
-def emit_plot_data(traces, out_path, series=("loss", "alpha")):
+def emit_plot_data(traces, out_path):
     """Write long-format plot data: run_id,step,series,value.
 
-    `traces` is a list of (run_id, records) pairs. Per-group series expand
-    to `name.<id>` when a trace has several weight groups; series with no
-    values (e.g. full_loss on steps without an evaluation) are filtered
-    out. Returns the number of data rows written.
+    `traces` is a list of (run_id, records) pairs. The series are `loss`,
+    `full_loss` and `alpha`; alpha expands to `alpha.<id>` when a trace has
+    several weight groups, and steps without an evaluation write no
+    full_loss row. Returns the number of data rows written.
     """
     if not traces:
         raise ConfigError("emit_plot_data needs at least one trace")
     lines = ["run_id,step,series,value"]
-    count = 0
-
-    def add(run_id, step, name, value):
-        nonlocal count
-        if value is None:
-            return
-        lines.append(f"{run_id},{step},{name},{_fmt(value)}")
-        count += 1
-
     for run_id, records in traces:
         if not records:
             continue
-        ids = list(records[0].grad_norms)
-        suffix = len(ids) > 1
+        ids = list(records[0].alphas)
+        labels = [f"alpha.{i}" if len(ids) > 1 else "alpha" for i in ids]
         for rec in records:
-            for name in series:
-                if name in ("loss", "full_loss"):
-                    add(run_id, rec.step, name, getattr(rec, name))
-                elif name in ("alpha", "grad_norm", "h", "reverted"):
-                    source = {"alpha": rec.alphas, "grad_norm": rec.grad_norms,
-                              "h": rec.hs, "reverted": rec.reverted}[name]
-                    for vec_id in ids:
-                        label = f"{name}.{vec_id}" if suffix else name
-                        add(run_id, rec.step, label, float(source[vec_id]))
-                else:
-                    raise ConfigError(f"unknown series {name!r}")
+            values = [("loss", rec.loss), ("full_loss", rec.full_loss)]
+            values += zip(labels, rec.alphas.values())
+            lines += [f"{run_id},{rec.step},{name},{_fmt(value)}"
+                      for name, value in values if value is not None]
     _write_lines(out_path, lines)
-    return count
+    return len(lines) - 1
 
 
 def check_revert_flags(records):

@@ -223,44 +223,6 @@ class MlpProblem(Problem):
         return np.concatenate(parts)
 
 
-class NoisyGradientProblem(Problem):
-    """Wrapper injecting zero-mean bounded noise into loss_and_grad gradients.
-
-    With probability `prob` per estimate, a uniform(-scale, scale)
-    perturbation is added per coordinate (prob=1 means every step; a small
-    prob models rare bursts). The perturbation is zero-mean and independent of
-    the batch, so estimates stay unbiased, and its norm stays below
-    scale*sqrt(dim). Losses (mini-batch and full) and full gradients pass
-    through untouched, and only loss_and_grad draws from the noise stream.
-    The stream is seeded, so runs sharing a seed see identical perturbations.
-    """
-
-    def __init__(self, inner: Problem, scale, seed=0, prob=1.0):
-        if scale < 0:
-            raise ValueError("noise scale must be >= 0")
-        if not 0.0 <= prob <= 1.0:
-            raise ValueError("noise probability must lie in [0, 1]")
-        super().__init__(inner.dim, known_constants=inner.known_constants,
-                         dataset=inner.dataset)
-        self.segments = inner.segments
-        self.inner = inner
-        self.scale = float(scale)
-        self.prob = float(prob)
-        self._noise_rng = np.random.default_rng(seed)
-
-    def _loss_grad(self, x, batch, need_grad=True):
-        return self.inner._loss_grad(x, batch, need_grad)
-
-    def loss_and_grad(self, x, batch):
-        loss, grad = super().loss_and_grad(x, batch)
-        if self._noise_rng.uniform() < self.prob:
-            grad = grad + self._noise_rng.uniform(-self.scale, self.scale, self.dim)
-        return loss, grad
-
-    def initial_point(self, rng):
-        return self.inner.initial_point(rng)
-
-
 def finite_difference_gradient(problem: Problem, x, step) -> np.ndarray:
     """Central-difference gradient of problem.loss, one coordinate at a time."""
     if step <= 0:

@@ -36,6 +36,12 @@ def test_parse_idx_rejects_truncation():
         parse_idx(struct.pack(">II", 0x00000801, 1) + bytes([1, 2]))
     with pytest.raises(ValueError, match="overflow"):
         parse_idx(struct.pack(">IIII", 0x00000803, 2 ** 30, 2 ** 30, 4))
+    packed = gzip.compress(serialize_idx(np.arange(200, dtype=np.uint8)))
+    for corrupt in (packed[:len(packed) // 2],               # EOFError
+                    packed[:10] + bytes(20) + packed[30:],   # zlib.error
+                    packed[:-8] + bytes(8)):                 # BadGzipFile
+        with pytest.raises(ValueError, match="corrupt gzip"):
+            parse_idx(corrupt)
 
 
 def test_idx_round_trip():

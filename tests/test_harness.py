@@ -1,11 +1,14 @@
 import dataclasses
+import gzip
 import math
 import os
+import struct
 
 import numpy as np
 import pytest
 
 from rdbd.cli import main, parse_config_file
+from rdbd.data import serialize_idx
 from rdbd.harness import (ConfigError, MissingDataError, NumericError,
                           PRESETS, RunConfig, SWEEPS, check_alpha_envelope,
                           check_revert_flags, compare, emit_plot_data,
@@ -118,6 +121,22 @@ def test_compare_rejects_mismatched_problems_or_seeds():
         compare([])
 
 
+def test_compare_checks_every_input_before_the_first_run(tmp_path,
+                                                          monkeypatch):
+    from rdbd import harness
+
+    runs = []
+    monkeypatch.setattr(harness, "run", runs.append)
+    out = tmp_path / "d"
+    with pytest.raises(ConfigError, match="unknown metric"):
+        compare([QUICK], metric="accuracy", out=str(out) + os.sep)
+    twice = [dataclasses.replace(QUICK, seed=s) for s in (1, 2, 1)]
+    with pytest.raises(ConfigError, match="repeats a seed"):
+        compare(twice, out=str(out) + os.sep)
+    assert runs == []
+    assert not out.exists()
+
+
 def test_metric_values():
     records = run(QUICK)
     final = metric_value(records, "final_loss")
@@ -134,9 +153,9 @@ def test_metric_values():
 def test_emit_plot_data_shape_and_round_trip(tmp_path):
     records = run(QUICK)
     path = tmp_path / "plot.csv"
-    rows = emit_plot_data([("run0", records)], str(path),
-                          series=("loss", "alpha"))
-    assert rows == 2 * len(records)
+    rows = emit_plot_data([("run0", records)], str(path))
+    evals = sum(r.full_loss is not None for r in records)
+    assert rows == 2 * len(records) + evals
     lines = path.read_text().splitlines()
     assert lines[0] == "run_id,step,series,value"
     assert len(lines) == 1 + rows
@@ -145,11 +164,7 @@ def test_emit_plot_data_shape_and_round_trip(tmp_path):
               if l.split(",")[2] == "loss"]
     assert min(losses) == min(r.loss for r in records)
     # sparse series are filtered, not written as blanks
-    rows2 = emit_plot_data([("run0", records)], str(path),
-                           series=("full_loss",))
-    assert rows2 == sum(r.full_loss is not None for r in records)
-    with pytest.raises(ConfigError):
-        emit_plot_data([("x", records)], str(path), series=("volume",))
+    assert sum(l.split(",")[2] == "full_loss" for l in lines[1:]) == evals
     with pytest.raises(ConfigError):
         emit_plot_data([], str(path))
 
@@ -188,21 +203,22 @@ def test_numeric_failure_aborts_and_flushes(tmp_path):
     assert len(path.read_text().splitlines()) > 1
 
 
-def test_mnist_pipeline_with_synthetic_idx_files(tmp_path, monkeypatch):
-    # Fabricated 28x28 IDX files exercise the full real-data wiring:
-    # loader -> stratified subset -> network problem -> trace.
-    import gzip
-
-    from rdbd.data import serialize_idx
-
-    monkeypatch.delenv("MNIST_DIR", raising=False)
+def _write_synthetic_mnist(directory):
+    """Fabricated 28x28 MNIST IDX files: 80 images (gzipped) and labels."""
     rng = np.random.default_rng(6)
     n = 80
     images = rng.integers(0, 256, size=(n, 28, 28), dtype=np.uint8)
     labels = (np.arange(n) % 10).astype(np.uint8)
-    (tmp_path / "train-images-idx3-ubyte.gz").write_bytes(
+    (directory / "train-images-idx3-ubyte.gz").write_bytes(
         gzip.compress(serialize_idx(images)))
-    (tmp_path / "train-labels-idx1-ubyte").write_bytes(serialize_idx(labels))
+    (directory / "train-labels-idx1-ubyte").write_bytes(serialize_idx(labels))
+
+
+def test_mnist_pipeline_with_synthetic_idx_files(tmp_path, monkeypatch):
+    # Fabricated 28x28 IDX files exercise the full real-data wiring:
+    # loader -> stratified subset -> network problem -> trace.
+    monkeypatch.delenv("MNIST_DIR", raising=False)
+    _write_synthetic_mnist(tmp_path)
     cfg = dataclasses.replace(preset("mnist-default"), steps=8, subset_n=40,
                               mnist_dir=str(tmp_path), eval_every=4)
     records = run(cfg)
@@ -219,21 +235,30 @@ def test_mnist_pipeline_with_synthetic_idx_files(tmp_path, monkeypatch):
 ])
 def test_bad_mnist_settings_exit_with_config_error(tmp_path, monkeypatch,
                                                    capsys, settings):
-    import gzip
-
-    from rdbd.data import serialize_idx
-
     monkeypatch.delenv("MNIST_DIR", raising=False)
-    rng = np.random.default_rng(6)
-    n = 80
-    images = rng.integers(0, 256, size=(n, 28, 28), dtype=np.uint8)
-    labels = (np.arange(n) % 10).astype(np.uint8)
-    (tmp_path / "train-images-idx3-ubyte.gz").write_bytes(
-        gzip.compress(serialize_idx(images)))
-    (tmp_path / "train-labels-idx1-ubyte").write_bytes(serialize_idx(labels))
+    _write_synthetic_mnist(tmp_path)
     path = tmp_path / "bad.cfg"
     path.write_text("problem = mlp-mnist\n" + settings)
     assert main(["run", "--config", str(path), "--steps", "5",
+                 "--mnist-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: mlp-mnist:")
+
+
+@pytest.mark.parametrize("name, corrupt", [
+    ("train-images-idx3-ubyte.gz",              # bad magic number
+     lambda data: gzip.compress(b"\0\0\x09\x99" + gzip.decompress(data)[4:])),
+    ("train-labels-idx1-ubyte",                 # 79 labels for 80 images
+     lambda data: struct.pack(">II", 0x801, 79) + data[8:-1]),
+    ("train-images-idx3-ubyte.gz",              # truncated gzip stream
+     lambda data: data[:len(data) // 2]),
+], ids=["bad-magic", "count-mismatch", "truncated-gzip"])
+def test_corrupt_mnist_files_exit_with_config_error(tmp_path, monkeypatch,
+                                                    capsys, name, corrupt):
+    monkeypatch.delenv("MNIST_DIR", raising=False)
+    _write_synthetic_mnist(tmp_path)
+    path = tmp_path / name
+    path.write_bytes(corrupt(path.read_bytes()))
+    assert main(["run", "--preset", "mnist-default", "--steps", "2",
                  "--mnist-dir", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith("config error: mlp-mnist:")
 
@@ -269,6 +294,11 @@ def test_config_file_parsing(tmp_path):
     bad_line.write_text("steps 100\n")
     with pytest.raises(ConfigError):
         parse_config_file(str(bad_line))
+
+    not_utf8 = tmp_path / "bad4.cfg"
+    not_utf8.write_bytes(b"\xff\xfes\x00t\x00e\x00p\x00s\x00")  # UTF-16
+    with pytest.raises(ConfigError, match="bad4.cfg: not UTF-8"):
+        parse_config_file(str(not_utf8))
 
 
 def test_config_file_sets_every_field(tmp_path):
@@ -442,6 +472,8 @@ def test_cli_sweep_failure_flushes_partial_trace(tmp_path, monkeypatch,
     (["run"], "optimizer = adam\neps_hat = nan\n"),
     (["run"], "separation = nan\n"),
     (["run"], "grad_noise = nan\n"),
+    (["run"], "grad_noise = -0.5\n"),
+    (["compare", "--optimizers", "rdbd,rdbd", "--seeds", "2"], None),
     (["compare", "--metric", "steps_to_threshold", "--threshold", "nan"], None),
 ])
 def test_cli_bad_input_exits_with_config_error(tmp_path, capsys, argv,
@@ -479,6 +511,50 @@ def test_run_makes_one_oracle_call_per_step(monkeypatch):
         records = run(dataclasses.replace(cfg, steps=40))
         assert len(records) == 40
         assert len(calls) == 40
+
+
+@pytest.mark.parametrize("cfg", [
+    dataclasses.replace(preset("quadratic-dbd"), grad_noise=0.5,
+                        grad_noise_prob=0.25, eval_every=1),
+    dataclasses.replace(QUICK, grad_noise=0.3, grad_noise_prob=0.5),
+    dataclasses.replace(preset("mlp-blobs-demo"), grad_noise=0.2,
+                        grad_noise_prob=1.0),
+])
+def test_run_adds_replayable_gradient_noise(monkeypatch, cfg):
+    # run draws one gate per step from a stream seeded problem_seed + 1,
+    # then one uniform(-grad_noise, grad_noise) vector when the gate opens;
+    # the eval draws nothing. A reference stream replays every SGD step.
+    from rdbd import harness
+
+    calls = []
+    build = harness.build_problem
+
+    def recording_build(config):
+        problem = build(config)
+        oracle = problem.loss_and_grad
+
+        def loss_and_grad(x, batch):
+            loss, grad = oracle(x, batch)
+            calls.append((x.copy(), grad, grad.copy()))
+            return loss, grad
+
+        monkeypatch.setattr(problem, "loss_and_grad", loss_and_grad)
+        return problem
+
+    monkeypatch.setattr(harness, "build_problem", recording_build)
+    cfg = dataclasses.replace(cfg, optimizer="sgd", steps=40)
+    run(cfg)
+    assert len(calls) == 40
+    ref = np.random.default_rng(cfg.problem_seed + 1)
+    noised = 0
+    for (x, grad, clean), (x_next, _, _) in zip(calls, calls[1:]):
+        assert np.array_equal(grad, clean)  # the oracle's array is untouched
+        d = clean
+        if ref.uniform() < cfg.grad_noise_prob:
+            d = clean + ref.uniform(-cfg.grad_noise, cfg.grad_noise, x.size)
+            noised += 1
+        assert np.array_equal(x_next, x - cfg.alpha0 * d)
+    assert noised == 39 if cfg.grad_noise_prob == 1.0 else 0 < noised < 39
 
 
 @pytest.mark.parametrize("alpha0, failed_step, detail", [

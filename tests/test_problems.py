@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from rdbd.data import BatchSampler, synthetic_blobs
-from rdbd.problems import (LogisticProblem, MlpProblem, NoisyGradientProblem,
-                           QuadraticProblem, RosenbrockProblem, estimate_sigma,
+from rdbd.problems import (LogisticProblem, MlpProblem, QuadraticProblem,
+                           RosenbrockProblem, estimate_sigma,
                            finite_difference_gradient)
 
 
@@ -207,39 +207,6 @@ def test_estimate_sigma_monotone_in_radius():
     assert values[0] <= values[1] <= values[2]
 
 
-def test_noise_wrapper_unbiased_and_bounded():
-    prob = QuadraticProblem(np.eye(3))
-    noisy = NoisyGradientProblem(prob, scale=0.5, seed=11)
-    x = np.array([1.0, -2.0, 0.5])
-    clean = prob.full_gradient(x)
-    draws = np.array([noisy.loss_and_grad(x, None)[1] for _ in range(4000)])
-    deltas = draws - clean
-    assert np.max(np.abs(deltas)) <= 0.5
-    assert np.all(np.abs(deltas.mean(axis=0)) < 0.02)
-    # full gradient and loss pass through untouched
-    assert np.array_equal(noisy.full_gradient(x), clean)
-    assert noisy.loss(x) == prob.loss(x)
-
-
-def test_noise_wrapper_probability_gate_and_determinism():
-    prob = QuadraticProblem(np.eye(2))
-    x = np.ones(2)
-    a = NoisyGradientProblem(prob, scale=1.0, seed=3, prob=0.25)
-    b = NoisyGradientProblem(prob, scale=1.0, seed=3, prob=0.25)
-    clean = prob.full_gradient(x)
-    touched = 0
-    for _ in range(400):
-        ga = a.loss_and_grad(x, None)[1]
-        gb = b.loss_and_grad(x, None)[1]
-        assert np.array_equal(ga, gb)
-        touched += not np.array_equal(ga, clean)
-    assert 40 <= touched <= 180
-    with pytest.raises(ValueError):
-        NoisyGradientProblem(prob, scale=-1.0)
-    with pytest.raises(ValueError):
-        NoisyGradientProblem(prob, scale=1.0, prob=1.5)
-
-
 def test_forward_only_loss_matches_loss_and_grad_bit_for_bit():
     # loss() reads the dataset in place and skips the backward pass; the
     # value must equal the one-pass oracle over every index exactly.
@@ -258,32 +225,3 @@ def test_deterministic_loss_and_grad_is_loss_and_full_gradient():
         loss, grad = prob.loss_and_grad(x, None)
         assert loss == prob.loss(x)
         assert np.array_equal(grad, prob.full_gradient(x))
-
-
-def test_noise_wrapper_loss_and_grad_draws_once_per_call():
-    # One gate draw per call, then one perturbation vector when the gate
-    # opens: a reference generator on the same seed replays the sequence.
-    inner = LogisticProblem(synthetic_blobs(64, 4, 2, seed=2))
-    noisy = NoisyGradientProblem(inner, scale=0.3, seed=9, prob=0.5)
-    ref = np.random.default_rng(9)
-    x = np.array([0.5, -0.25, 1.0, 0.0])
-    sampler = BatchSampler(64, 8, seed=1)
-    for _ in range(50):
-        batch = sampler.next_batch()
-        loss, grad = noisy.loss_and_grad(x, batch)
-        clean_loss, expected = inner.loss_and_grad(x, batch)
-        if ref.uniform() < 0.5:
-            expected = expected + ref.uniform(-0.3, 0.3, 4)
-        assert loss == clean_loss
-        assert np.array_equal(grad, expected)
-    assert (noisy._noise_rng.bit_generator.state
-            == ref.bit_generator.state)
-
-
-def test_noise_wrapper_loss_draws_nothing():
-    noisy = NoisyGradientProblem(
-        LogisticProblem(synthetic_blobs(64, 4, 2, seed=2)), scale=0.3, seed=9)
-    before = noisy._noise_rng.bit_generator.state
-    noisy.loss(np.zeros(4))
-    noisy.full_gradient(np.zeros(4))
-    assert noisy._noise_rng.bit_generator.state == before
