@@ -1,5 +1,5 @@
 """Print the sha256 of the trace CSV of a fixed list of seeded runs, and of
-the files two CLI commands write.
+the files three CLI commands write.
 
     python3 scripts/trace_manifest.py > manifest.txt
 
@@ -17,11 +17,14 @@ six-group vector), `mlp-blobs-demo` on Adam directions, and
 and 2. The capped runs revert increments that a clamp cut (hundreds of
 times per run), so they guard the applied-increment path of the revert.
 
-The last seven lines guard the CLI write path: the six files of
-`rdbd sweep --preset lr-robustness-logistic --seed 0 --out <dir>`, and the
+The last eight lines guard the CLI write path: the six files of
+`rdbd sweep --preset lr-robustness-logistic --seed 0 --out <dir>`, the
 `comparison.csv` of `rdbd compare --problem logistic --optimizers
-sgd,adam,dbd,rdbd,adam_rdbd --seeds 2 --steps 300 --out <dir>/`. Their
-label is `<command>/<file name>`, at seed 0.
+sgd,adam,dbd,rdbd,adam_rdbd --seeds 2 --steps 300 --out <dir>/`, and the
+`comparison.csv` of `rdbd compare --preset logistic-adam-rdbd --optimizers
+adam_rdbd,rdbd,adam --seeds 2 --steps 300 --out <dir>/`. That preset sets
+`eta` and `alpha_max`, which carry over to `adam_rdbd` only, so its line
+guards that rule. Their label is `<label>/<file name>`, at seed 0.
 """
 
 import contextlib
@@ -69,6 +72,9 @@ CLI_COMMANDS = (
     ("compare", ["compare", "--problem", "logistic", "--optimizers",
                  "sgd,adam,dbd,rdbd,adam_rdbd", "--seeds", "2", "--steps",
                  "300", "--out"]),
+    ("compare-preset", ["compare", "--preset", "logistic-adam-rdbd",
+                        "--optimizers", "adam_rdbd,rdbd,adam", "--seeds", "2",
+                        "--steps", "300", "--out"]),
 )
 
 
@@ -83,14 +89,14 @@ def main():
             for seed in range(3):
                 harness.run(dataclasses.replace(cfg, seed=seed, out=path))
                 print(f"{label} seed={seed} {digest(path)}", flush=True)
-        for command, argv in CLI_COMMANDS:
-            out_dir = Path(tmp) / command
+        for label, argv in CLI_COMMANDS:
+            out_dir = Path(tmp) / label
             with contextlib.redirect_stdout(io.StringIO()):
                 status = cli.main(argv + [str(out_dir) + os.sep])
             if status != 0:
-                raise SystemExit(f"rdbd {command} exited with {status}")
+                raise SystemExit(f"rdbd {label} exited with {status}")
             for name in sorted(os.listdir(out_dir)):
-                print(f"{command}/{name} seed=0 {digest(out_dir / name)}",
+                print(f"{label}/{name} seed=0 {digest(out_dir / name)}",
                       flush=True)
     return 0
 

@@ -145,19 +145,14 @@ def _cmd_run(args) -> int:
 def _cmd_compare(args) -> int:
     base = _base_config(args)
     optimizers = [o.strip() for o in args.optimizers.split(",") if o.strip()]
-    if not optimizers:
-        raise ConfigError("--optimizers must name at least one optimizer")
-    configs = []
-    for opt in optimizers:
-        for s in range(args.seeds):
-            configs.append(dataclasses.replace(
-                base, optimizer=opt, seed=base.seed + s, out=None,
-                eta=None if opt != base.optimizer else base.eta,
-                alpha_max=None if opt != base.optimizer else base.alpha_max))
-    rows, winner = compare(configs, metric=args.metric,
+    rows, winner = compare(base, optimizers, args.seeds, metric=args.metric,
                            threshold=args.threshold, out=base.out)
     print(render_comparison(rows))
-    print(f"winner by {args.metric}: {winner}")
+    if winner is None:
+        print(f"no winner by {args.metric}: no optimizer reached "
+              f"{args.threshold} on every seed")
+    else:
+        print(f"winner by {args.metric}: {winner}")
     if base.out:
         print(f"comparison written to {_out_file(base.out, 'comparison.csv')}")
     return 0

@@ -286,15 +286,19 @@ def trace_columns(vector_ids):
 
 def _out_file(path, name):
     """`path`, or the file `name` inside it when it names a directory (an
-    existing one, or any path that ends in a separator), made writable
-    before any work: ConfigError if its directory or file cannot be made."""
+    existing one, or any path that ends in a separator), checked writable
+    before any work: ConfigError if its directory or file cannot be made.
+    A file the check creates is removed again, so a failure leaves none."""
     if not path:
         return path
     if os.path.isdir(path) or path.endswith(os.sep):
         path = os.path.join(path, name)
+    existed = os.path.exists(path)
     try:
         os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
         open(path, "a").close()
+        if not existed:
+            os.remove(path)
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
     return path
@@ -343,53 +347,48 @@ class ComparisonRow:
     metric: str
     median: float
     iqr: float
-    n_seeds: int
     values: list = field(default_factory=list)
 
 
-def compare(configs, metric="final_loss", threshold=0.5, out=None):
-    """Run every config and summarize the metric per optimizer.
+def compare(base, optimizers, seeds, metric="final_loss", threshold=0.5,
+            out=None):
+    """Run each optimizer at seeds `base.seed` .. `base.seed + seeds - 1`
+    and summarize the metric per optimizer.
 
-    All configs must share the problem signature, and every optimizer must
-    cover the same seed set, each seed once, so differences come from the
-    optimizer alone. Every input is checked before the first run.
-    Returns (rows, winner) with rows ordered by median (lower is better);
-    with `out` set, writes the rows there (to `comparison.csv` in a directory).
+    Each run is `base` with its optimizer and seed replaced and no trace, so
+    differences come from the optimizer alone. `eta` and `alpha_max` carry
+    over only to `base.optimizer`; the others get their defaults. Every
+    input is checked before the first run. Returns (rows, winner) with rows
+    ordered by median (lower is better) and winner None when no median is
+    finite; with `out` set, writes the rows there (to `comparison.csv` in a
+    directory).
     """
-    if not configs:
-        raise ConfigError("compare needs at least one config")
+    if not optimizers or seeds < 1:
+        raise ConfigError("compare needs at least one optimizer and one seed")
+    if len(set(optimizers)) < len(optimizers):
+        raise ConfigError(f"optimizers must not repeat: {list(optimizers)}")
     if metric not in METRICS:
         raise ConfigError(f"unknown metric {metric!r}; choose from {', '.join(METRICS)}")
     if not math.isfinite(threshold):
         raise ConfigError(f"threshold must be finite, got {threshold}")
-    resolved = [c.resolved() for c in configs]
-    signatures = {c.problem_signature() for c in resolved}
-    if len(signatures) > 1:
-        raise ConfigError("configs must share the same problem settings")
-    by_opt = {}
-    for cfg in resolved:
-        by_opt.setdefault(cfg.optimizer, []).append(cfg)
-    seed_sets = {opt: tuple(sorted(c.seed for c in cfgs))
-                 for opt, cfgs in by_opt.items()}
-    for opt, seeds in seed_sets.items():
-        if len(set(seeds)) < len(seeds):
-            raise ConfigError(f"{opt} repeats a seed: {list(seeds)}")
-    if len(set(seed_sets.values())) > 1:
-        raise ConfigError(f"optimizers must share one seed set, got {seed_sets}")
+    others = dataclasses.replace(base, eta=None, alpha_max=None)
+    grid = {opt: [dataclasses.replace(
+        base if opt == base.optimizer else others,
+        optimizer=opt, seed=base.seed + s, out=None).resolved()
+        for s in range(seeds)] for opt in optimizers}
     out = _out_file(out, "comparison.csv")
 
     rows = []
-    for opt, cfgs in by_opt.items():
-        values = [metric_value(run(c), metric, threshold)
-                  for c in sorted(cfgs, key=lambda c: c.seed)]
+    for opt, cfgs in grid.items():
+        values = [metric_value(run(c), metric, threshold) for c in cfgs]
         finite = [v for v in values if math.isfinite(v)]
         median = float(np.median(values)) if finite == values else math.inf
         iqr = (float(np.percentile(values, 75) - np.percentile(values, 25))
                if finite == values else math.inf)
         rows.append(ComparisonRow(optimizer=opt, metric=metric, median=median,
-                                  iqr=iqr, n_seeds=len(values), values=values))
+                                  iqr=iqr, values=values))
     rows.sort(key=lambda r: (r.median, r.optimizer))
-    winner = rows[0].optimizer
+    winner = rows[0].optimizer if math.isfinite(rows[0].median) else None
     if out:
         write_comparison_csv(rows, out)
     return rows, winner
@@ -400,7 +399,7 @@ def write_comparison_csv(rows, path):
     for r in rows:
         values = ";".join(_fmt(v) for v in r.values)
         lines.append(f"{r.optimizer},{r.metric},{_fmt(r.median)},"
-                     f"{_fmt(r.iqr)},{r.n_seeds},{values}")
+                     f"{_fmt(r.iqr)},{len(r.values)},{values}")
     _write_lines(path, lines)
     return path
 
@@ -410,7 +409,7 @@ def render_comparison(rows) -> str:
     out = [header, "-" * len(header)]
     for r in rows:
         out.append(f"{r.optimizer:<12} {r.median:>14.6g} {r.iqr:>14.6g} "
-                   f"{r.n_seeds:>6d}")
+                   f"{len(r.values):>6d}")
     return "\n".join(out)
 
 

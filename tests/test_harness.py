@@ -100,25 +100,20 @@ def test_sgd_and_adam_have_constant_alpha():
 
 
 def test_compare_identical_configs_identical_rows():
-    cfgs = [dataclasses.replace(QUICK, optimizer=opt, seed=s)
-            for opt in ("sgd", "rdbd") for s in (1, 2, 3)]
-    rows_a, winner_a = compare(cfgs, metric="final_loss")
-    rows_b, winner_b = compare(cfgs, metric="final_loss")
+    rows_a, winner_a = compare(QUICK, ["sgd", "rdbd"], 3, metric="final_loss")
+    rows_b, winner_b = compare(QUICK, ["sgd", "rdbd"], 3, metric="final_loss")
     assert winner_a == winner_b
     assert [(r.optimizer, r.median, r.iqr, r.values) for r in rows_a] == \
            [(r.optimizer, r.median, r.iqr, r.values) for r in rows_b]
 
 
-def test_compare_rejects_mismatched_problems_or_seeds():
-    a = dataclasses.replace(QUICK, optimizer="sgd")
-    b = dataclasses.replace(QUICK, optimizer="rdbd", dim=9)
-    with pytest.raises(ConfigError):
-        compare([a, b])
-    c = dataclasses.replace(QUICK, optimizer="rdbd", seed=99)
-    with pytest.raises(ConfigError):
-        compare([a, c])
-    with pytest.raises(ConfigError):
-        compare([])
+def test_compare_rejects_a_bad_grid():
+    with pytest.raises(ConfigError, match="at least one optimizer"):
+        compare(QUICK, [], 2)
+    with pytest.raises(ConfigError, match="at least one optimizer"):
+        compare(QUICK, ["sgd", "rdbd"], 0)
+    with pytest.raises(ConfigError, match="must not repeat"):
+        compare(QUICK, ["sgd", "rdbd", "sgd"], 2)
 
 
 def test_compare_checks_every_input_before_the_first_run(tmp_path,
@@ -129,12 +124,40 @@ def test_compare_checks_every_input_before_the_first_run(tmp_path,
     monkeypatch.setattr(harness, "run", runs.append)
     out = tmp_path / "d"
     with pytest.raises(ConfigError, match="unknown metric"):
-        compare([QUICK], metric="accuracy", out=str(out) + os.sep)
-    twice = [dataclasses.replace(QUICK, seed=s) for s in (1, 2, 1)]
-    with pytest.raises(ConfigError, match="repeats a seed"):
-        compare(twice, out=str(out) + os.sep)
+        compare(QUICK, ["rdbd"], 1, metric="accuracy", out=str(out) + os.sep)
+    with pytest.raises(ConfigError, match="must not repeat"):
+        compare(QUICK, ["rdbd", "rdbd"], 2, out=str(out) + os.sep)
     assert runs == []
     assert not out.exists()
+
+
+def test_compare_carries_eta_and_alpha_max_to_the_base_optimizer_only(
+        tmp_path, monkeypatch, capsys):
+    from rdbd import harness
+
+    runs = []
+    monkeypatch.setattr(harness, "run", lambda cfg: runs.append(cfg) or run(cfg))
+    compare(dataclasses.replace(QUICK, eta=0.02, alpha_max=0.05),
+            ["rdbd", "dbd", "adam_rdbd"], 2)
+    lib_runs = list(runs)
+    assert [(c.optimizer, c.seed) for c in lib_runs] == [
+        (opt, s) for opt in ("rdbd", "dbd", "adam_rdbd") for s in (1, 2)]
+    expected = {"rdbd": (0.02, 0.05), "dbd": (0.01, math.inf),
+                "adam_rdbd": (5e-7, 10 * QUICK.alpha0)}
+    assert all((c.eta, c.alpha_max) == expected[c.optimizer]
+               for c in lib_runs)
+    assert all(c.out is None for c in lib_runs)
+
+    runs.clear()
+    path = tmp_path / "quick.cfg"
+    path.write_text("".join(f"{k} = {getattr(QUICK, k)}\n" for k in (
+        "problem", "optimizer", "alpha0", "batch_size", "steps", "seed",
+        "n_samples", "dim", "problem_seed", "eval_every")))
+    assert main(["compare", "--config", str(path), "--eta", "0.02",
+                 "--alpha-max", "0.05", "--optimizers", "rdbd,dbd,adam_rdbd",
+                 "--seeds", "2"]) == 0
+    capsys.readouterr()
+    assert runs == lib_runs
 
 
 def test_metric_values():
@@ -402,7 +425,7 @@ def test_run_and_compare_out_directory_name_their_file(tmp_path):
     run(dataclasses.replace(QUICK, out=str(tmp_path)))
     assert (tmp_path / "trace.csv").read_bytes() == \
         (tmp_path / "file.csv").read_bytes()
-    compare([QUICK], out=str(tmp_path))
+    compare(QUICK, ["rdbd"], 1, out=str(tmp_path))
     assert (tmp_path / "comparison.csv").read_text().startswith("optimizer,")
 
 
@@ -414,6 +437,47 @@ def test_cli_compare(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "winner by final_loss" in out
     assert (tmp_path / "comparison.csv").exists()
+
+
+def test_compare_names_no_winner_when_no_median_is_finite(tmp_path, capsys):
+    argv = ["compare", "--problem", "logistic", "--optimizers", "sgd,rdbd",
+            "--seeds", "2", "--steps", "30", "--metric", "steps_to_threshold",
+            "--threshold", "0.0001", "--out", str(tmp_path) + os.sep]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert "no winner by steps_to_threshold: no optimizer reached 0.0001 " \
+           "on every seed" in out
+    assert not any(line.startswith("winner by") for line in out.splitlines())
+    lines = (tmp_path / "comparison.csv").read_text().splitlines()
+    assert [line.split(",")[:5] for line in lines[1:]] == [
+        [opt, "steps_to_threshold", "inf", "inf", "2"]
+        for opt in ("rdbd", "sgd")]
+    rows, winner = compare(dataclasses.replace(QUICK, steps=30), ["sgd"], 1,
+                           metric="steps_to_threshold", threshold=1e-4)
+    assert winner is None and rows[0].median == math.inf
+
+
+@pytest.mark.parametrize("flags, code", [
+    (["--problem", "rosenbrock", "--optimizer", "sgd", "--optimizers", "sgd",
+      "--alpha0", "1.0", "--steps", "200"], 4),
+    (["--preset", "mnist-default", "--steps", "5", "--mnist-dir", "{empty}"],
+     3),
+])
+def test_failed_compare_leaves_no_comparison_csv(tmp_path, capsys, flags,
+                                                 code):
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    flags = [f.format(empty=empty) for f in flags]
+    out = tmp_path / "d"
+    assert main(["compare", "--seeds", "1", "--out", str(out) + os.sep]
+                + flags) == code
+    assert not (out / "comparison.csv").exists()
+    kept = tmp_path / "kept.csv"
+    kept.write_text("kept\n")
+    assert main(["compare", "--seeds", "1", "--out", str(kept)]
+                + flags) == code
+    assert kept.read_text() == "kept\n"
+    capsys.readouterr()
 
 
 def test_cli_sweep(tmp_path, monkeypatch, capsys):
