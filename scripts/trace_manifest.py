@@ -13,7 +13,10 @@ The configs are the five hermetic presets, the benchmark's MNIST-shaped
 gradient noise, `quadratic-dbd` with the same noise (noise over a
 deterministic problem), `mlp-blobs-demo` with the same noise (noise over a
 six-group vector), `mlp-blobs-demo` on Adam directions, and
-`mlp-blobs-demo-capped` (`rdbd` with `alpha_max=0.01`), each at seeds 0, 1
+`mlp-blobs-demo-capped` (`rdbd` with `alpha_max=0.01`), and
+`mlp-blobs-demo` with layer sizes (10, 3) (`mlp-blobs-shallow`, one weight
+matrix, so the backward pass never propagates through a ReLU) and
+(10, 16, 16, 8, 3) (`mlp-blobs-deep`, eight groups), each at seeds 0, 1
 and 2. The capped runs revert increments that a clamp cut (hundreds of
 times per run), so they guard the applied-increment path of the revert.
 
@@ -63,6 +66,9 @@ def configs():
             for opt in ("adam", "adam_rdbd")]
     out.append(("mlp-blobs-demo-capped",
                 dataclasses.replace(demo, alpha_max=0.01)))
+    out += [(f"mlp-blobs-{label}", dataclasses.replace(demo, layer_sizes=sizes))
+            for label, sizes in (("shallow", (10, 3)),
+                                 ("deep", (10, 16, 16, 8, 3)))]
     return out
 
 

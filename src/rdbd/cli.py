@@ -145,6 +145,12 @@ def _cmd_run(args) -> int:
 def _cmd_compare(args) -> int:
     base = _base_config(args)
     optimizers = [o.strip() for o in args.optimizers.split(",") if o.strip()]
+    unused = _overrides(args, ("eta", "alpha_max"))
+    if unused and base.optimizer not in optimizers:
+        flags = " and ".join("--" + n.replace("_", "-") for n in unused)
+        raise ConfigError(f"{flags} given, but the base optimizer "
+                          f"{base.optimizer!r} they apply to is not in "
+                          f"--optimizers")
     rows, winner = compare(base, optimizers, args.seeds, metric=args.metric,
                            threshold=args.threshold, out=base.out)
     print(render_comparison(rows))
@@ -161,13 +167,17 @@ def _cmd_compare(args) -> int:
 def _cmd_sweep(args) -> int:
     out_dir = args.out or "."
     overrides = _overrides(args, ("seed", "mnist_dir"))
-    traces = []
+    runs = []   # every output path is checked before the first run
     for label, cfg in sweep_configs(args.preset):
-        path = os.path.join(out_dir, f"{args.preset}__{label.replace('=', '_')}.csv")
-        records = run(dataclasses.replace(cfg, out=path, **overrides))
+        path = _out_file(os.path.join(
+            out_dir, f"{args.preset}__{label.replace('=', '_')}.csv"))
+        runs.append((label, dataclasses.replace(cfg, out=path, **overrides)))
+    plot_path = _out_file(os.path.join(out_dir, f"{args.preset}__plot.csv"))
+    traces = []
+    for label, cfg in runs:
+        records = run(cfg)
         traces.append((label, records))
-        print(f"{label}: final loss {records[-1].full_loss:.6g} -> {path}")
-    plot_path = os.path.join(out_dir, f"{args.preset}__plot.csv")
+        print(f"{label}: final loss {records[-1].full_loss:.6g} -> {cfg.out}")
     rows = emit_plot_data(traces, plot_path)
     print(f"plot data ({rows} rows) written to {plot_path}")
     return 0

@@ -193,8 +193,9 @@ def run(config: RunConfig):
     """Execute one seeded run; returns the list of TraceRecords.
 
     With `out` set (a file, or a directory for `trace.csv`), the trace CSV
-    is written there, and a run that raises NumericError writes the steps
-    before the failure first; an unwritable `out` fails before step 1.
+    is written there; a run that stops on any exception inside the step
+    loop still writes the steps before it, and an unwritable `out` fails
+    before step 1.
 
     Deterministic for a given (config, seed): the master seed splits into
     independent init and batch-order streams, so optimizer comparisons at
@@ -224,49 +225,48 @@ def run(config: RunConfig):
     records = []
 
     def fail(step, detail):
-        if out:
-            write_trace_csv(records, ids, out)
         raise NumericError(f"non-finite values at step {step}: {detail}")
 
     # Divergence is detected by the explicit finiteness checks below, so the
     # overflow that precedes an abort does not need to warn as well.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(1, cfg.steps + 1):
-            batch = sampler.next_batch() if sampler else None
-            batch_loss, grad = problem.loss_and_grad(x, batch)
-            if noise and noise.uniform() < cfg.grad_noise_prob:
-                grad = grad + noise.uniform(-cfg.grad_noise, cfg.grad_noise, x.size)
-            if not math.isfinite(batch_loss):
-                fail(t, f"batch loss {batch_loss}")
-            if not np.all(np.isfinite(grad)):
-                fail(t, "gradient values contains non-finite entries")
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            for t in range(1, cfg.steps + 1):
+                batch = sampler.next_batch() if sampler else None
+                batch_loss, grad = problem.loss_and_grad(x, batch)
+                if noise and noise.uniform() < cfg.grad_noise_prob:
+                    grad = grad + noise.uniform(-cfg.grad_noise, cfg.grad_noise, x.size)
+                if not math.isfinite(batch_loss):
+                    fail(t, f"batch loss {batch_loss}")
+                if not np.all(np.isfinite(grad)):
+                    fail(t, "gradient values contains non-finite entries")
 
-            d = adam_advance(adam, grad) if direction == "adam" else grad
-            if rule == "fixed":
-                x -= cfg.alpha0 * d
-                alphas, hs, reverted = fixed
-            else:
-                hs, reverted = sched.step(x, d, revert=rule == "rdbd")
-                alphas = sched.alpha
-            if not np.all(np.isfinite(x)):
-                bad = next(vec_id for vec_id, sl in zip(ids, segments)
-                           if not np.all(np.isfinite(x[sl])))
-                fail(t, f"weights of group {bad!r}")
-            norms = [math.sqrt(np.dot(d[sl], d[sl])) for sl in segments]
+                d = adam_advance(adam, grad) if direction == "adam" else grad
+                if rule == "fixed":
+                    x -= cfg.alpha0 * d
+                    alphas, hs, reverted = fixed
+                else:
+                    hs, reverted = sched.step(x, d, revert=rule == "rdbd")
+                    alphas = sched.alpha
+                if not np.all(np.isfinite(x)):
+                    bad = next(vec_id for vec_id, sl in zip(ids, segments)
+                               if not np.all(np.isfinite(x[sl])))
+                    fail(t, f"weights of group {bad!r}")
+                norms = [math.sqrt(np.dot(d[sl], d[sl])) for sl in segments]
 
-            full_loss = None
-            if t % cfg.eval_every == 0 or t == cfg.steps:
-                full_loss = problem.loss(x)
-                if not math.isfinite(full_loss):
-                    fail(t, f"full loss {full_loss}")
-            records.append(TraceRecord(
-                step=t, loss=batch_loss, full_loss=full_loss,
-                grad_norms=dict(zip(ids, norms)),
-                alphas=dict(zip(ids, alphas)), hs=dict(zip(ids, hs)),
-                reverted=dict(zip(ids, reverted))))
-
-    if out:
-        write_trace_csv(records, ids, out)
+                full_loss = None
+                if t % cfg.eval_every == 0 or t == cfg.steps:
+                    full_loss = problem.loss(x)
+                    if not math.isfinite(full_loss):
+                        fail(t, f"full loss {full_loss}")
+                records.append(TraceRecord(
+                    step=t, loss=batch_loss, full_loss=full_loss,
+                    grad_norms=dict(zip(ids, norms)),
+                    alphas=dict(zip(ids, alphas)), hs=dict(zip(ids, hs)),
+                    reverted=dict(zip(ids, reverted))))
+    finally:
+        if out:
+            write_trace_csv(records, ids, out)
     return records
 
 
@@ -284,14 +284,15 @@ def trace_columns(vector_ids):
     return cols
 
 
-def _out_file(path, name):
-    """`path`, or the file `name` inside it when it names a directory (an
-    existing one, or any path that ends in a separator), checked writable
-    before any work: ConfigError if its directory or file cannot be made.
-    A file the check creates is removed again, so a failure leaves none."""
+def _out_file(path, name=None):
+    """`path`, or, given `name`, the file `name` inside it when it names a
+    directory (an existing one, or any path that ends in a separator),
+    checked writable before any work: ConfigError if its directory or file
+    cannot be made. A file the check creates is removed again, so a
+    failure leaves none."""
     if not path:
         return path
-    if os.path.isdir(path) or path.endswith(os.sep):
+    if name and (os.path.isdir(path) or path.endswith(os.sep)):
         path = os.path.join(path, name)
     existed = os.path.exists(path)
     try:

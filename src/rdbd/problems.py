@@ -15,6 +15,7 @@ class Problem:
 
     `segments` holds one (id, slice) pair per schedulable weight group, cut
     from `layout`'s (id, size) pairs; by default one group, ("x", dim).
+    `dim` is the total length of the segments, so a layout gives it alone.
     `n_samples` is the length of `dataset`, 0 for deterministic problems.
 
     Subclasses implement the one oracle, _loss_grad(x, batch,
@@ -26,13 +27,14 @@ class Problem:
     whole-dataset loss and full_gradient(x) its gradient.
     """
 
-    def __init__(self, dim, layout=None, known_constants=None, dataset=None):
-        self.dim = int(dim)
+    def __init__(self, dim=None, layout=None, known_constants=None,
+                 dataset=None):
         self.segments = []
         offset = 0
-        for name, size in layout or [("x", self.dim)]:
+        for name, size in layout or [("x", int(dim))]:
             self.segments.append((name, slice(offset, offset + size)))
             offset += size
+        self.dim = offset
         self.known_constants = dict(known_constants or {})
         self.dataset = dataset
         self.n_samples = 0 if dataset is None else len(dataset)
@@ -165,8 +167,7 @@ class MlpProblem(Problem):
         for i in range(1, len(layer_sizes)):
             layout.append((f"W{i}", layer_sizes[i - 1] * layer_sizes[i]))
             layout.append((f"b{i}", layer_sizes[i]))
-        super().__init__(sum(size for _, size in layout), layout,
-                         dataset=dataset)
+        super().__init__(layout=layout, dataset=dataset)
         self.layer_sizes = layer_sizes
         self._onehot = np.eye(dataset.num_classes)[dataset.labels]
 
@@ -183,13 +184,9 @@ class MlpProblem(Problem):
             X, Y = X[batch], Y[batch]
 
         activations = [X]
-        pre = []
-        a = X
         for j, (W, b) in enumerate(params):
-            z = a @ W + b
-            pre.append(z)
-            a = np.maximum(z, 0.0) if j < len(params) - 1 else z
-            activations.append(a)
+            z = activations[-1] @ W + b
+            activations.append(np.maximum(z, 0.0) if j < len(params) - 1 else z)
 
         logits = activations[-1]
         shifted = logits - logits.max(axis=1, keepdims=True)
@@ -201,26 +198,21 @@ class MlpProblem(Problem):
         probs = np.exp(shifted)
         probs /= probs.sum(axis=1, keepdims=True)
         delta = (probs - Y) / len(X)
-        grads = []
-        for j in range(len(params) - 1, -1, -1):
-            W, _ = params[j]
-            a_in = activations[j]
-            grads.append((a_in.T @ delta, delta.sum(axis=0)))
+        grad = np.empty(self.dim)  # the layer views below cover all of it
+        for j, (gW, gb) in reversed(list(enumerate(self._unpack(grad)))):
+            np.matmul(activations[j].T, delta, out=gW)
+            np.sum(delta, axis=0, out=gb)
             if j > 0:
-                delta = (delta @ W.T) * (pre[j - 1] > 0.0)
-        grads.reverse()
-
-        return loss, np.concatenate([g for gW, gb in grads
-                                     for g in (gW.ravel(), gb)])
+                delta = (delta @ params[j][0].T) * (activations[j] > 0.0)
+        return loss, grad
 
     def initial_point(self, rng):
-        parts = []
-        for i in range(1, len(self.layer_sizes)):
-            n_in, n_out = self.layer_sizes[i - 1], self.layer_sizes[i]
-            bound = 1.0 / np.sqrt(n_in)
-            parts.append(rng.uniform(-bound, bound, n_in * n_out))
-            parts.append(rng.uniform(-bound, bound, n_out))
-        return np.concatenate(parts)
+        x = np.empty(self.dim)
+        for W, b in self._unpack(x):
+            bound = 1.0 / np.sqrt(W.shape[0])
+            W[...] = rng.uniform(-bound, bound, W.shape)
+            b[...] = rng.uniform(-bound, bound, b.size)
+        return x
 
 
 def finite_difference_gradient(problem: Problem, x, step) -> np.ndarray:

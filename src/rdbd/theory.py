@@ -17,7 +17,6 @@ class TheoryParams:
     lipschitz_L : gradient Lipschitz constant, > 0
     sigma       : bound on update norms, > 0
     mu          : gradient/update alignment constant, > 0
-    tau         : floor on consecutive-update dot products, > 0
     gamma       : rate-drift fraction, in [0, 1)
     epsilon     : target gradient norm, > 0
     f_gap       : initial loss minus the optimum, >= 0
@@ -26,7 +25,6 @@ class TheoryParams:
     lipschitz_L: float = 1.0
     sigma: float = 1.0
     mu: float = 1.0
-    tau: float = 1.0
     gamma: float = 0.5
     epsilon: float = 0.1
     f_gap: float = 1.0
@@ -38,15 +36,13 @@ def validate_theory_params(p: TheoryParams) -> list[str]:
         (p.lipschitz_L > 0, "lipschitz_L must be > 0"),
         (p.sigma > 0, "sigma must be > 0"),
         (p.mu > 0, "mu must be > 0"),
-        (p.tau > 0, "tau must be > 0"),
         (p.gamma >= 0, "gamma must be >= 0"),
         (p.gamma < 1, "gamma must be < 1"),
         (p.epsilon > 0, "epsilon must be > 0"),
         (p.f_gap >= 0, "f_gap must be >= 0"),
     ]
     violations = [msg for ok, msg in checks if not ok]
-    for name in ("lipschitz_L", "sigma", "mu", "tau", "gamma", "epsilon",
-                 "f_gap"):
+    for name in ("lipschitz_L", "sigma", "mu", "gamma", "epsilon", "f_gap"):
         if not math.isfinite(getattr(p, name)):
             violations.append(f"{name} must be finite")
     return violations

@@ -387,6 +387,19 @@ def test_cli_run_out_directory_writes_trace_csv(tmp_path, capsys):
         capsys.readouterr().out
 
 
+@pytest.mark.parametrize("taken", ["lr-robustness-logistic__plot.csv",
+                                   "lr-robustness-logistic__alpha0_0.01.csv"])
+def test_cli_sweep_checks_every_output_before_the_first_run(tmp_path, capsys,
+                                                            taken):
+    # A directory where the sweep would write one of its files.
+    (tmp_path / taken).mkdir()
+    assert main(["sweep", "--preset", "lr-robustness-logistic",
+                 "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: cannot write")
+    assert os.listdir(tmp_path) == [taken]
+    assert os.listdir(tmp_path / taken) == []
+
+
 @pytest.mark.parametrize("argv", [
     ["run", "--problem", "rosenbrock", "--steps", "5", "--out", "{file}/x.csv"],
     ["sweep", "--preset", "lr-robustness-logistic", "--out", "{file}"],
@@ -513,6 +526,17 @@ def test_cli_sweep_failure_flushes_partial_trace(tmp_path, monkeypatch,
     assert [int(line.split(",")[0]) for line in lines[1:]] == [1, 2, 3, 4]
 
 
+@pytest.mark.parametrize("argv", [
+    # A preset's eta still carries over to its own optimizer only.
+    ["--preset", "logistic-default", "--optimizers", "sgd,adam"],
+    ["--problem", "logistic", "--eta", "5.0", "--alpha-max", "0.1",
+     "--optimizers", "rdbd,dbd"],
+])
+def test_cli_compare_accepts_eta_where_it_applies(capsys, argv):
+    assert main(["compare", "--steps", "5", "--seeds", "1"] + argv) == 0
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("argv, config_text", [
     (["run", "--problem", "logistic", "--batch-size", "5000"], None),
     (["run", "--problem", "mlp-blobs", "--batch-size", "3000"], None),
@@ -539,6 +563,12 @@ def test_cli_sweep_failure_flushes_partial_trace(tmp_path, monkeypatch,
     (["run"], "grad_noise = -0.5\n"),
     (["compare", "--optimizers", "rdbd,rdbd", "--seeds", "2"], None),
     (["compare", "--metric", "steps_to_threshold", "--threshold", "nan"], None),
+    # --eta and --alpha-max set only the base optimizer (rdbd here), which
+    # --optimizers leaves out, so they would have no effect.
+    (["compare", "--problem", "logistic", "--eta", "5.0", "--optimizers",
+      "dbd", "--seeds", "1"], None),
+    (["compare", "--problem", "logistic", "--alpha-max", "0.1",
+      "--optimizers", "sgd,dbd", "--seeds", "1"], None),
 ])
 def test_cli_bad_input_exits_with_config_error(tmp_path, capsys, argv,
                                                 config_text):
@@ -681,6 +711,37 @@ def test_non_finite_step_names_the_failure_and_flushes(tmp_path, monkeypatch,
     with pytest.raises(NumericError, match=f"step 3: {detail}"):
         run(cfg)
     assert len(path.read_text().splitlines()) == 3   # header and steps 1-2
+
+
+@pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+def test_run_stopped_inside_the_loop_leaves_its_partial_trace(
+        tmp_path, monkeypatch, error):
+    from rdbd import harness
+
+    build = harness.build_problem
+    calls = []
+
+    def build_failing_at_step_3(config):
+        problem = build(config)
+        oracle = problem.loss_and_grad
+
+        def loss_and_grad(x, batch):
+            calls.append(batch)
+            if len(calls) == 3:
+                raise error("oracle failed")
+            return oracle(x, batch)
+
+        monkeypatch.setattr(problem, "loss_and_grad", loss_and_grad)
+        return problem
+
+    full = tmp_path / "full.csv"
+    run(dataclasses.replace(QUICK, out=str(full)))
+    monkeypatch.setattr(harness, "build_problem", build_failing_at_step_3)
+    path = tmp_path / "t.csv"
+    with pytest.raises(error, match="oracle failed"):
+        run(dataclasses.replace(QUICK, out=str(path)))
+    # The header and steps 1-2, as an uninterrupted run wrote them.
+    assert path.read_text().splitlines() == full.read_text().splitlines()[:3]
 
 
 @pytest.mark.parametrize("name", ["mlp-blobs-demo", "logistic-default"])

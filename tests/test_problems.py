@@ -189,6 +189,70 @@ def test_mlp_layout_and_validation():
         MlpProblem((4, 3, 3), ds)
 
 
+def _per_layer_loss_grad(sizes, dataset, x, batch):
+    """The MLP oracle with one gradient piece per layer, collected backwards,
+    reversed and joined: the form the flat views must reproduce."""
+    params, offset = [], 0
+    for n_in, n_out in zip(sizes, sizes[1:]):
+        W = x[offset:offset + n_in * n_out].reshape(n_in, n_out)
+        offset += n_in * n_out
+        params.append((W, x[offset:offset + n_out]))
+        offset += n_out
+    X, Y = dataset.features, np.eye(sizes[-1])[dataset.labels]
+    if batch is not None:
+        X, Y = X[batch], Y[batch]
+    activations, pre, a = [X], [], X
+    for j, (W, b) in enumerate(params):
+        z = a @ W + b
+        pre.append(z)
+        a = np.maximum(z, 0.0) if j < len(params) - 1 else z
+        activations.append(a)
+    logits = activations[-1]
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    logsumexp = np.log(np.exp(shifted).sum(axis=1)) + logits.max(axis=1)
+    loss = float(np.mean(logsumexp - (logits * Y).sum(axis=1)))
+    probs = np.exp(shifted)
+    probs /= probs.sum(axis=1, keepdims=True)
+    delta = (probs - Y) / len(X)
+    grads = []
+    for j in range(len(params) - 1, -1, -1):
+        grads.append((activations[j].T @ delta, delta.sum(axis=0)))
+        if j > 0:
+            delta = (delta @ params[j][0].T) * (pre[j - 1] > 0.0)
+    grads.reverse()
+    return loss, np.concatenate([g for gW, gb in grads
+                                 for g in (gW.ravel(), gb)])
+
+
+@pytest.mark.parametrize("sizes", [(10, 3), (10, 16, 8, 3),
+                                   (10, 16, 16, 8, 3)])
+def test_mlp_gradient_and_initial_point_follow_the_segment_layout(sizes):
+    dataset = synthetic_blobs(64, sizes[0], sizes[-1], seed=5)
+    prob = MlpProblem(sizes, dataset)
+    widths = [n_in * n_out + n_out for n_in, n_out in zip(sizes, sizes[1:])]
+    assert prob.dim == sum(widths) == sum(
+        sl.stop - sl.start for _, sl in prob.segments)
+
+    rng = np.random.default_rng(11)
+    draws = []
+    for n_in, n_out in zip(sizes, sizes[1:]):
+        bound = 1.0 / np.sqrt(n_in)
+        draws += [rng.uniform(-bound, bound, n_in * n_out),
+                  rng.uniform(-bound, bound, n_out)]
+    x = prob.initial_point(np.random.default_rng(11))
+    assert np.array_equal(x, np.concatenate(draws))
+
+    batch = np.random.default_rng(2).choice(64, 16, replace=False)
+    for b in (batch, None):
+        loss, grad = prob.loss_and_grad(x, b)
+        ref_loss, ref_grad = _per_layer_loss_grad(sizes, dataset, x, b)
+        assert loss == ref_loss
+        assert np.array_equal(grad, ref_grad)
+    # Each call returns a fresh gradient array.
+    again = prob.loss_and_grad(x, batch)[1]
+    assert not np.shares_memory(again, prob.loss_and_grad(x, batch)[1])
+
+
 def test_estimate_sigma_identity_quadratic():
     prob = QuadraticProblem(np.eye(2))
     sigma = estimate_sigma(prob, 500, radius=5.0, rng=np.random.default_rng(3))

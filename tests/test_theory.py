@@ -192,7 +192,6 @@ def test_validate_theory_params():
     assert "sigma must be > 0" in bad
     assert "gamma must be >= 0" in bad
     assert "f_gap must be >= 0" in bad
-    assert "tau must be > 0" in validate_theory_params(TheoryParams(tau=0.0))
     assert "mu must be > 0" in validate_theory_params(TheoryParams(mu=0.0))
     assert any("finite" in v for v in
                validate_theory_params(TheoryParams(f_gap=np.inf)))
