@@ -10,9 +10,11 @@ arithmetic shows exactly which runs moved. rdbd is imported from the
 
 The configs are the five hermetic presets, the benchmark's MNIST-shaped
 `mlp-784`, logistic regression with each optimizer, logistic with sparse
-gradient noise, `quadratic-dbd` with the same noise (noise over a
-deterministic problem), `mlp-blobs-demo` with the same noise (noise over a
-six-group vector), `mlp-blobs-demo` on Adam directions, and
+gradient noise, `logistic-odd-batch` (`rdbd` on blobs at separation 12
+with batches of 13: the sigmoid saturates, the final loss is ~2e-4, and
+no batch length is a multiple of a SIMD width), `quadratic-dbd` with the
+same noise (noise over a deterministic problem), `mlp-blobs-demo` with the
+same noise (noise over a six-group vector), `mlp-blobs-demo` on Adam directions, and
 `mlp-blobs-demo-capped` (`rdbd` with `alpha_max=0.01`), and
 `mlp-blobs-demo` with layer sizes (10, 3) (`mlp-blobs-shallow`, one weight
 matrix, so the backward pass never propagates through a ReLU) and
@@ -56,6 +58,9 @@ def configs():
             for opt in harness.OPTIMIZERS]
     out.append(("logistic-noise", RunConfig(problem="logistic", grad_noise=0.5,
                                             grad_noise_prob=0.3, steps=500)))
+    out.append(("logistic-odd-batch", RunConfig(problem="logistic",
+                                                batch_size=13,
+                                                separation=12.0)))
     out.append(("quadratic-noise", dataclasses.replace(
         harness.preset("quadratic-dbd"), grad_noise=0.5, grad_noise_prob=0.3)))
     demo = harness.preset("mlp-blobs-demo")

@@ -120,22 +120,20 @@ class LogisticProblem(Problem):
         # sigmoid' <= 1/4 makes lambda_max(X'X)/(4n) a Lipschitz constant.
         L = float(np.linalg.eigvalsh(X.T @ X)[-1] / (4.0 * n))
         super().__init__(dim, known_constants={"L": L}, dataset=dataset)
+        self._y = dataset.labels.astype(np.float64)
 
     def _loss_grad(self, w, batch, need_grad=True):
-        X, y = self.dataset.features, self.dataset.labels
+        X, y = self.dataset.features, self._y
         if batch is not None:
             X, y = X[batch], y[batch]
-        y = y.astype(np.float64)
         z = X @ w
-        loss = float(np.mean(np.logaddexp(0.0, z) - y * z))
+        loss = float(np.add.reduce(np.logaddexp(0.0, z) - y * z) / y.size)
         if not need_grad:
             return loss, None
-        # Overflow-safe sigmoid, split on the sign of z.
-        p = np.empty_like(z)
-        pos = z >= 0
-        p[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-        ez = np.exp(z[~pos])
-        p[~pos] = ez / (1.0 + ez)
+        # Overflow-safe sigmoid: t = exp(-|z|) never overflows, and is
+        # exactly exp(-z) where z >= 0 and exp(z) elsewhere.
+        t = np.exp(-np.abs(z))
+        p = np.where(z >= 0, 1.0, t) / (1.0 + t)
         grad = X.T @ (p - y) / y.size
         return loss, grad
 
@@ -183,27 +181,30 @@ class MlpProblem(Problem):
         if batch is not None:
             X, Y = X[batch], Y[batch]
 
-        activations = [X]
+        activations = [X]  # X may be the read-only dataset; z is always fresh
         for j, (W, b) in enumerate(params):
-            z = activations[-1] @ W + b
-            activations.append(np.maximum(z, 0.0) if j < len(params) - 1 else z)
+            z = activations[-1] @ W
+            z += b
+            activations.append(np.maximum(z, 0.0, out=z) if j < len(params) - 1 else z)
 
         logits = activations[-1]
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        logsumexp = np.log(np.exp(shifted).sum(axis=1)) + logits.max(axis=1)
-        loss = float(np.mean(logsumexp - (logits * Y).sum(axis=1)))
+        top = np.maximum.reduce(logits, axis=1)
+        probs = np.exp(logits - top[:, None])
+        total = np.add.reduce(probs, axis=1)
+        v = np.log(total) + top - np.add.reduce(logits * Y, axis=1)
+        loss = float(np.add.reduce(v) / v.size)
         if not need_grad:
             return loss, None
 
-        probs = np.exp(shifted)
-        probs /= probs.sum(axis=1, keepdims=True)
+        probs /= total[:, None]
         delta = (probs - Y) / len(X)
         grad = np.empty(self.dim)  # the layer views below cover all of it
         for j, (gW, gb) in reversed(list(enumerate(self._unpack(grad)))):
             np.matmul(activations[j].T, delta, out=gW)
-            np.sum(delta, axis=0, out=gb)
+            np.add.reduce(delta, axis=0, out=gb)
             if j > 0:
-                delta = (delta @ params[j][0].T) * (activations[j] > 0.0)
+                delta = delta @ params[j][0].T
+                delta *= activations[j] > 0.0
         return loss, grad
 
     def initial_point(self, rng):

@@ -713,6 +713,21 @@ def test_non_finite_step_names_the_failure_and_flushes(tmp_path, monkeypatch,
     assert len(path.read_text().splitlines()) == 3   # header and steps 1-2
 
 
+def test_all_finite_needs_no_finite_sum_of_squares():
+    from rdbd.harness import _all_finite
+
+    # The sum of squares overflows, yet every entry is finite. run calls
+    # the check with overflow warnings off, and so does this test.
+    with np.errstate(over="ignore"):
+        assert _all_finite(np.array([1e200, 1.0]))
+        assert _all_finite(np.full(7, -1e300))
+    for bad in (np.nan, np.inf, -np.inf):
+        for index in (0, 3, 6):
+            v = np.ones(7)
+            v[index] = bad
+            assert not _all_finite(v)
+
+
 @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
 def test_run_stopped_inside_the_loop_leaves_its_partial_trace(
         tmp_path, monkeypatch, error):

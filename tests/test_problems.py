@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -191,7 +192,10 @@ def test_mlp_layout_and_validation():
 
 def _per_layer_loss_grad(sizes, dataset, x, batch):
     """The MLP oracle with one gradient piece per layer, collected backwards,
-    reversed and joined: the form the flat views must reproduce."""
+    reversed and joined, an out-of-place ReLU and a two-pass softmax (row
+    max and exp computed once for the loss and again for the
+    probabilities): the form the flat views and the one-pass softmax must
+    reproduce. Returns (loss, grad, logits)."""
     params, offset = [], 0
     for n_in, n_out in zip(sizes, sizes[1:]):
         W = x[offset:offset + n_in * n_out].reshape(n_in, n_out)
@@ -221,7 +225,7 @@ def _per_layer_loss_grad(sizes, dataset, x, batch):
             delta = (delta @ params[j][0].T) * (pre[j - 1] > 0.0)
     grads.reverse()
     return loss, np.concatenate([g for gW, gb in grads
-                                 for g in (gW.ravel(), gb)])
+                                 for g in (gW.ravel(), gb)]), logits
 
 
 @pytest.mark.parametrize("sizes", [(10, 3), (10, 16, 8, 3),
@@ -245,12 +249,92 @@ def test_mlp_gradient_and_initial_point_follow_the_segment_layout(sizes):
     batch = np.random.default_rng(2).choice(64, 16, replace=False)
     for b in (batch, None):
         loss, grad = prob.loss_and_grad(x, b)
-        ref_loss, ref_grad = _per_layer_loss_grad(sizes, dataset, x, b)
+        ref_loss, ref_grad, _ = _per_layer_loss_grad(sizes, dataset, x, b)
         assert loss == ref_loss
         assert np.array_equal(grad, ref_grad)
     # Each call returns a fresh gradient array.
     again = prob.loss_and_grad(x, batch)[1]
     assert not np.shares_memory(again, prob.loss_and_grad(x, batch)[1])
+
+
+def _mask_split_sigmoid(z):
+    p = np.empty_like(z)
+    pos = z >= 0
+    p[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    p[~pos] = ez / (1.0 + ez)
+    return p
+
+
+def _mask_split_logistic_loss_grad(dataset, w, batch):
+    """The logistic oracle with labels cast on every call, np.mean, and a
+    sigmoid split on the sign of z by boolean masks: the form the
+    one-exponential sigmoid must reproduce. Returns (loss, grad, z)."""
+    X, y = dataset.features, dataset.labels
+    if batch is not None:
+        X, y = X[batch], y[batch]
+    y = y.astype(np.float64)
+    z = X @ w
+    loss = float(np.mean(np.logaddexp(0.0, z) - y * z))
+    return loss, X.T @ (_mask_split_sigmoid(z) - y) / y.size, z
+
+
+def _bits(value):
+    return np.asarray(value, dtype=np.float64).tobytes()
+
+
+@pytest.mark.parametrize("sizes", [None, (6, 3), (6, 16, 8, 3)],
+                         ids=["logistic", "mlp-6-3", "mlp-6-16-8-3"])
+def test_oracles_match_their_reference_forms_byte_for_byte(sizes):
+    # Batches of 1-40 rows (most lengths no multiple of a SIMD width), at
+    # zero weights, at the initial point, and with the output layer scaled
+    # so that |z| reaches 800, where exp(-|z|) underflows to zero. Row 0
+    # is all zeros, so every logistic batch has a z of exactly 0.0.
+    dataset = synthetic_blobs(64, 6, 2 if sizes is None else sizes[-1],
+                              seed=5)
+    dataset.features[0] = 0.0
+    if sizes is None:
+        prob, reference, output = (LogisticProblem(dataset),
+                                   _mask_split_logistic_loss_grad, 0)
+    else:
+        prob = MlpProblem(sizes, dataset)
+        reference = functools.partial(_per_layer_loss_grad, sizes)
+        output = prob.segments[-2][1].start
+    x = prob.initial_point(np.random.default_rng(3))
+    z_max = np.abs(reference(dataset, x, None)[2]).max()
+    saturated = x.copy()
+    saturated[output:] *= 800.0 / z_max
+    assert 790.0 < np.abs(reference(dataset, saturated, None)[2]).max()
+    for w in (np.zeros(prob.dim), x, saturated):
+        for size in range(1, 41):
+            batch = np.arange(size) * 37 % 64
+            loss, grad = prob.loss_and_grad(w, batch)
+            ref_loss, ref_grad, _ = reference(dataset, w, batch)
+            assert _bits(loss) == _bits(ref_loss)
+            assert grad.tobytes() == ref_grad.tobytes()
+        ref_loss, ref_grad, _ = reference(dataset, w, None)
+        assert _bits(prob.loss(w)) == _bits(ref_loss)
+        assert prob.full_gradient(w).tobytes() == ref_grad.tobytes()
+
+
+def test_one_exponential_sigmoid_and_add_reduce_mean_match_the_old_forms():
+    # X @ w does not yield -0.0 (its sum starts at +0.0), so the
+    # identities the logistic oracle relies on are also checked directly,
+    # on vectors with +-0.0, +-inf, and entries where exp overflows
+    # (709.8) or underflows to zero (745.2).
+    rng = np.random.default_rng(0)
+    special = np.array([0.0, -0.0, np.inf, -np.inf, 709.8, -709.8, 745.2,
+                        -745.2])
+    for _ in range(2000):
+        z = rng.normal(scale=300.0, size=rng.integers(1, 70))
+        hits = rng.random(z.size) < 0.3
+        z[hits] = rng.choice(special, hits.sum())
+        t = np.exp(-np.abs(z))
+        assert (np.where(z >= 0, 1.0, t) / (1.0 + t)).tobytes() == \
+            _mask_split_sigmoid(z).tobytes()
+        finite = np.where(np.isfinite(z), z, 1.0)
+        assert _bits(np.add.reduce(finite) / finite.size) == \
+            _bits(np.mean(finite))
 
 
 def test_estimate_sigma_identity_quadratic():
