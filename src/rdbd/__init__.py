@@ -2,14 +2,14 @@
 baseline optimizers they wrap, closed-form convergence-bound calculators,
 and a seeded benchmark harness."""
 
-from .schedulers import FlatSchedule, revert_exactness_check
+from .schedulers import FlatSchedule
 from .baselines import AdamState, adam_advance
-from .problems import Problem, estimate_sigma, finite_difference_gradient
+from .problems import Problem
 from .data import (BatchSampler, Dataset, load_mnist, mnist_subset,
-                   parse_idx, serialize_idx, synthetic_blobs)
+                   parse_idx, synthetic_blobs)
 from .theory import (BoundReport, TheoryParams, alpha_envelope,
                      dbd_hypergradient, dbd_iteration_bound,
-                     descent_coefficient_bound, dot, measure_tau,
+                     descent_coefficient_bound, measure_tau,
                      rdbd_iteration_bound, rdbd_theoretical_hyperparams,
                      steeper_descent_conditions, validate_theory_params)
 from .harness import (ConfigError, MissingDataError, NumericError, RunConfig,

@@ -80,17 +80,6 @@ def parse_idx(data: bytes) -> np.ndarray:
     return np.frombuffer(payload, dtype=np.uint8).reshape(dims)
 
 
-def serialize_idx(arr) -> bytes:
-    """Encode a uint8 tensor (1-D labels or 3-D images) as IDX bytes."""
-    arr = np.ascontiguousarray(arr, dtype=np.uint8)
-    magic = {1: LABELS_MAGIC, 3: IMAGES_MAGIC}.get(arr.ndim)
-    if magic is None:
-        raise ValueError("only 1-D label or 3-D image tensors are supported")
-    header = struct.pack(">I", magic) + struct.pack(
-        f">{arr.ndim}I", *arr.shape)
-    return header + arr.tobytes()
-
-
 class BatchSampler:
     """Without-replacement mini-batch index stream.
 

@@ -333,10 +333,6 @@ def write_trace_csv(records, vector_ids, path):
     return path
 
 
-def flat_grad_norm(record: TraceRecord) -> float:
-    return math.sqrt(sum(v ** 2 for v in record.grad_norms.values()))
-
-
 def metric_value(records, metric, threshold=0.5):
     if metric == "final_loss":
         return records[-1].full_loss
@@ -346,7 +342,8 @@ def metric_value(records, metric, threshold=0.5):
                 return float(rec.step)
         return math.inf
     if metric == "min_grad_norm":
-        return min(flat_grad_norm(rec) for rec in records)
+        return min(math.sqrt(sum(v ** 2 for v in rec.grad_norms.values()))
+                   for rec in records)
     raise ConfigError(f"unknown metric {metric!r}; choose from {', '.join(METRICS)}")
 
 

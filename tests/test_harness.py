@@ -8,12 +8,12 @@ import numpy as np
 import pytest
 
 from rdbd.cli import main, parse_config_file
-from rdbd.data import serialize_idx
 from rdbd.harness import (ConfigError, MissingDataError, NumericError,
                           PRESETS, RunConfig, SWEEPS, check_alpha_envelope,
                           check_revert_flags, compare, emit_plot_data,
                           metric_value, preset, run, sweep_configs,
                           write_trace_csv)
+from reference import serialize_idx
 
 QUICK = RunConfig(problem="logistic", optimizer="rdbd", alpha0=0.005,
                   eta=0.01, batch_size=16, steps=120, seed=1, n_samples=256,

@@ -6,15 +6,15 @@ import pytest
 
 from rdbd.data import BatchSampler, synthetic_blobs
 from rdbd.problems import (LogisticProblem, MlpProblem, QuadraticProblem,
-                           RosenbrockProblem, estimate_sigma,
-                           finite_difference_gradient)
+                           RosenbrockProblem)
+from reference import estimate_sigma, finite_difference_gradient
 
 
 def test_quadratic_identity():
     prob = QuadraticProblem(np.eye(2))
     x = np.array([3.0, 4.0])
     assert prob.loss(x) == 12.5
-    assert np.array_equal(prob.full_gradient(x), x)
+    assert np.array_equal(prob.loss_and_grad(x, None)[1], x)
     assert prob.known_constants["L"] == 1.0
     assert prob.known_constants["f_star"] == 0.0
 
@@ -39,16 +39,16 @@ def test_quadratic_rejects_bad_matrices():
 def test_rosenbrock_values():
     prob = RosenbrockProblem()
     assert prob.loss([1.0, 1.0]) == 0.0
-    assert np.array_equal(prob.full_gradient([1.0, 1.0]), [0.0, 0.0])
+    assert np.array_equal(prob.loss_and_grad([1.0, 1.0], None)[1], [0.0, 0.0])
     assert prob.loss([0.0, 0.0]) == 1.0
-    assert np.array_equal(prob.full_gradient([0.0, 0.0]), [-2.0, 0.0])
+    assert np.array_equal(prob.loss_and_grad([0.0, 0.0], None)[1], [-2.0, 0.0])
 
 
 def test_rosenbrock_gradient_matches_fd():
     prob = RosenbrockProblem()
     x = np.array([-1.2, 1.0])
     fd = finite_difference_gradient(prob, x, 1e-6)
-    analytic = prob.full_gradient(x)
+    analytic = prob.loss_and_grad(x, None)[1]
     assert np.all(np.abs(fd - analytic) <= 1e-5 * np.maximum(1.0, np.abs(analytic)))
 
 
@@ -58,7 +58,7 @@ def test_fd_gradient_property_random_points():
     for _ in range(10):
         x = rng.uniform(-2.0, 2.0, 2)
         fd = finite_difference_gradient(prob, x, 1e-6)
-        analytic = prob.full_gradient(x)
+        analytic = prob.loss_and_grad(x, None)[1]
         assert np.all(np.abs(fd - analytic)
                       <= 1e-5 * np.maximum(1.0, np.abs(analytic)))
 
@@ -90,8 +90,8 @@ def test_logistic_full_gradient_is_mean_of_per_sample():
     rng = np.random.default_rng(0)
     w = rng.normal(size=6)
     singles = [prob.loss_and_grad(w, [i])[1] for i in range(64)]
-    assert np.allclose(np.mean(singles, axis=0), prob.full_gradient(w),
-                       rtol=1e-10, atol=1e-14)
+    assert np.allclose(np.mean(singles, axis=0),
+                       prob.loss_and_grad(w, None)[1], rtol=1e-10, atol=1e-14)
 
 
 def test_unbiasedness_over_epoch_partition():
@@ -104,7 +104,7 @@ def test_unbiasedness_over_epoch_partition():
         batches = [sampler.next_batch() for _ in range(prob.n_samples // 8)]
         mean = np.mean([prob.loss_and_grad(x, b)[1] for b in batches],
                        axis=0)
-        full = prob.full_gradient(x)
+        full = prob.loss_and_grad(x, None)[1]
         assert np.all(np.abs(mean - full) <= 1e-10 * np.maximum(1.0, np.abs(full)))
 
 
@@ -115,7 +115,7 @@ def test_far_separated_blobs_train_to_near_zero_loss():
                                            separation=10.0))
     w = np.zeros(8)
     for _ in range(500):
-        w = w - 0.5 * prob.full_gradient(w)
+        w = w - 0.5 * prob.loss_and_grad(w, None)[1]
     assert prob.loss(w) < 0.1
 
 
@@ -142,7 +142,8 @@ def test_lipschitz_constant_bounds_gradient_differences():
         for _ in range(100):
             x = rng.normal(size=prob.dim) * scale
             y = rng.normal(size=prob.dim) * scale
-            lhs = np.linalg.norm(prob.full_gradient(x) - prob.full_gradient(y))
+            lhs = np.linalg.norm(prob.loss_and_grad(x, None)[1]
+                                 - prob.loss_and_grad(y, None)[1])
             assert lhs <= L * np.linalg.norm(x - y) + 1e-10
 
 
@@ -162,7 +163,7 @@ def test_mlp_gradient_matches_fd_small_batch():
     ds = synthetic_blobs(3, 5, 3, seed=4)
     prob = MlpProblem((5, 4, 3), ds)
     x = prob.initial_point(np.random.default_rng(12))
-    analytic = prob.full_gradient(x)
+    analytic = prob.loss_and_grad(x, None)[1]
     fd = finite_difference_gradient(prob, x, 1e-5)
     assert np.all(np.abs(fd - analytic) <= 1e-4 * np.maximum(1.0, np.abs(analytic)))
 
@@ -174,7 +175,7 @@ def test_mlp_dead_relu_zeroes_first_layer_gradient():
     x = np.zeros(prob.dim)
     segs = dict(prob.segments)
     x[segs["b1"]] = -1.0                   # all first-layer pre-activations < 0
-    grad = prob.full_gradient(x)
+    grad = prob.loss_and_grad(x, None)[1]
     assert np.all(grad[segs["W1"]] == 0.0)
     assert np.all(grad[segs["b1"]] == 0.0)
 
@@ -314,7 +315,7 @@ def test_oracles_match_their_reference_forms_byte_for_byte(sizes):
             assert grad.tobytes() == ref_grad.tobytes()
         ref_loss, ref_grad, _ = reference(dataset, w, None)
         assert _bits(prob.loss(w)) == _bits(ref_loss)
-        assert prob.full_gradient(w).tobytes() == ref_grad.tobytes()
+        assert prob.loss_and_grad(w, None)[1].tobytes() == ref_grad.tobytes()
 
 
 def test_one_exponential_sigmoid_and_add_reduce_mean_match_the_old_forms():
@@ -364,12 +365,10 @@ def test_forward_only_loss_matches_loss_and_grad_bit_for_bit():
         x = prob.initial_point(np.random.default_rng(2))
         loss, grad = prob.loss_and_grad(x, np.arange(prob.n_samples))
         assert prob.loss(x) == loss
-        assert np.array_equal(prob.full_gradient(x), grad)
+        assert prob.loss_and_grad(x, None)[1].tobytes() == grad.tobytes()
 
 
-def test_deterministic_loss_and_grad_is_loss_and_full_gradient():
+def test_deterministic_loss_and_grad_loss_is_the_forward_only_loss():
     for prob, x in ((QuadraticProblem(np.diag([1.0, 3.0])), np.array([2.0, -1.0])),
                     (RosenbrockProblem(), np.array([-1.2, 1.0]))):
-        loss, grad = prob.loss_and_grad(x, None)
-        assert loss == prob.loss(x)
-        assert np.array_equal(grad, prob.full_gradient(x))
+        assert prob.loss_and_grad(x, None)[0] == prob.loss(x)

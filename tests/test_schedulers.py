@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from rdbd.schedulers import FlatSchedule, revert_exactness_check
+from rdbd.schedulers import FlatSchedule
+from reference import revert_exactness_check
 
 
 def make_sched(alpha=0.005, eta=0.01, prev_update=(0.0, 0.0), prev_dot=0.0,

@@ -6,7 +6,7 @@ import pytest
 from rdbd.data import synthetic_blobs
 from rdbd.problems import LogisticProblem, QuadraticProblem
 from rdbd.theory import (TheoryParams, alpha_envelope, dbd_hypergradient,
-                         dbd_iteration_bound, descent_coefficient_bound, dot,
+                         dbd_iteration_bound, descent_coefficient_bound,
                          measure_tau, rdbd_iteration_bound,
                          rdbd_theoretical_hyperparams,
                          steeper_descent_conditions, validate_theory_params)
@@ -113,6 +113,28 @@ def test_steeper_descent_conditions():
     assert steeper_descent_conditions(p2, 0.5 + 1e-9, 0.1) == (False, True)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: steeper_descent_conditions(TheoryParams(lipschitz_L=0.0), 0.1, 0.1),
+    lambda: steeper_descent_conditions(TheoryParams(lipschitz_L=-1.0), 0.1, 0.1),
+    lambda: steeper_descent_conditions(TheoryParams(sigma=math.nan), 0.1, 0.1),
+    lambda: steeper_descent_conditions(TheoryParams(mu=math.inf), 0.1, 0.1),
+    lambda: descent_coefficient_bound(0.1, 0.0, 0.5),
+    lambda: descent_coefficient_bound(
+        0.1, QuadraticProblem(np.zeros((2, 2))).known_constants["L"], 0.5),
+    lambda: descent_coefficient_bound(0.1, -1.0, 0.5),
+    lambda: descent_coefficient_bound(0.1, math.inf, 0.5),
+    lambda: descent_coefficient_bound(0.1, math.nan, 0.5),
+    lambda: descent_coefficient_bound(0.1, 1.0, 1.0),
+    lambda: descent_coefficient_bound(0.1, 1.0, -0.1),
+    lambda: descent_coefficient_bound(0.1, 1.0, math.nan),
+], ids=["steeper-L0", "steeper-L-neg", "steeper-sigma-nan", "steeper-mu-inf",
+        "coef-L0", "coef-L-of-zero-quadratic", "coef-L-neg", "coef-L-inf",
+        "coef-L-nan", "coef-gamma1", "coef-gamma-neg", "coef-gamma-nan"])
+def test_calculators_reject_what_validate_theory_params_rejects(call):
+    with pytest.raises(ValueError, match="invalid theory params"):
+        call()
+
+
 def test_dbd_hypergradient_values():
     assert dbd_hypergradient([1.0, 0.0], [1.0, 0.0]) == -1.0
     assert dbd_hypergradient([1.0, 0.0], [0.0, 1.0]) == 0.0
@@ -125,8 +147,8 @@ def test_dbd_hypergradient_matches_rate_derivative():
     prob = QuadraticProblem(np.diag([1.0, 4.0]))
     x = np.array([1.0, 1.0])
     alpha = 0.1
-    g = prob.full_gradient(x)
-    hyper = dbd_hypergradient(prob.full_gradient(x - alpha * g), g)
+    g = prob.loss_and_grad(x, None)[1]
+    hyper = dbd_hypergradient(prob.loss_and_grad(x - alpha * g, None)[1], g)
     h = 1e-6
     fd = (prob.loss(x - (alpha + h) * g) - prob.loss(x - (alpha - h) * g)) / (2 * h)
     assert abs(hyper - fd) <= 1e-6 * max(1.0, abs(fd))
@@ -151,23 +173,19 @@ def test_smoothness_inequality_on_known_L_problems():
             x = rng.normal(size=prob.dim) * scale
             y = rng.normal(size=prob.dim) * scale
             gap = (prob.loss(x) - prob.loss(y)
-                   - float(prob.full_gradient(y) @ (x - y))
+                   - float(prob.loss_and_grad(y, None)[1] @ (x - y))
                    - 0.5 * L * float((x - y) @ (x - y)))
             assert gap <= 1e-10
 
 
-def test_dot_basic():
-    assert dot([1, 2, 3], [1, 2, 3]) == 14
-    assert dot([1, 0], [0, 1]) == 0
-    assert dot([3.5, -2.0, 7.0], np.zeros(3)) == 0.0
+def test_dbd_hypergradient_basic():
+    assert dbd_hypergradient([1, 2, 3], [1, 2, 3]) == -14
+    assert dbd_hypergradient([1, 0], [0, 1]) == 0
+    assert dbd_hypergradient([3.5, -2.0, 7.0], np.zeros(3)) == 0.0
 
 
-def test_dot_dimension_mismatch():
-    with pytest.raises(ValueError):
-        dot([1, 2], [1, 2, 3])
-
-
-def test_dot_symmetric_bilinear():
+def test_dbd_hypergradient_symmetric_bilinear():
+    hg = dbd_hypergradient
     rng = np.random.default_rng(42)
     for _ in range(200):
         n = rng.integers(1, 12)
@@ -175,10 +193,10 @@ def test_dot_symmetric_bilinear():
         b = rng.normal(size=n)
         c = rng.normal(size=n)
         s, t = rng.normal(size=2)
-        scale = max(1.0, abs(dot(a, b)))
-        assert abs(dot(a, b) - dot(b, a)) <= 1e-12 * scale
-        lhs = dot(s * a + t * c, b)
-        rhs = s * dot(a, b) + t * dot(c, b)
+        scale = max(1.0, abs(hg(a, b)))
+        assert abs(hg(a, b) - hg(b, a)) <= 1e-12 * scale
+        lhs = hg(s * a + t * c, b)
+        rhs = s * hg(a, b) + t * hg(c, b)
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
 
 
