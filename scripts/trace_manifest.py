@@ -22,14 +22,18 @@ matrix, so the backward pass never propagates through a ReLU) and
 and 2. The capped runs revert increments that a clamp cut (hundreds of
 times per run), so they guard the applied-increment path of the revert.
 
-The last eight lines guard the CLI write path: the six files of
+The last thirteen lines guard the CLI write path: the six files of
 `rdbd sweep --preset lr-robustness-logistic --seed 0 --out <dir>`, the
 `comparison.csv` of `rdbd compare --problem logistic --optimizers
-sgd,adam,dbd,rdbd,adam_rdbd --seeds 2 --steps 300 --out <dir>/`, and the
+sgd,adam,dbd,rdbd,adam_rdbd --seeds 2 --steps 300 --out <dir>/`, the
 `comparison.csv` of `rdbd compare --preset logistic-adam-rdbd --optimizers
-adam_rdbd,rdbd,adam --seeds 2 --steps 300 --out <dir>/`. That preset sets
-`eta` and `alpha_max`, which carry over to `adam_rdbd` only, so its line
-guards that rule. Their label is `<label>/<file name>`, at seed 0.
+adam_rdbd,rdbd,adam --seeds 2 --steps 300 --out <dir>/`, and the five
+files of `rdbd sweep --preset batch-size-impact --seed 0 --out <dir>`.
+The `logistic-adam-rdbd` preset sets `eta` and `alpha_max`, which carry
+over to `adam_rdbd` only, so its line guards that rule. The first sweep's
+axis is `alpha0`; the second's is `batch_size`, which is part of the
+problem signature, so the two guard both kinds of sweep axis. Their label
+is `<label>/<file name>`, at seed 0.
 """
 
 import contextlib
@@ -86,6 +90,8 @@ CLI_COMMANDS = (
     ("compare-preset", ["compare", "--preset", "logistic-adam-rdbd",
                         "--optimizers", "adam_rdbd,rdbd,adam", "--seeds", "2",
                         "--steps", "300", "--out"]),
+    ("sweep-batch", ["sweep", "--preset", "batch-size-impact", "--seed", "0",
+                     "--out"]),
 )
 
 

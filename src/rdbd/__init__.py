@@ -11,7 +11,7 @@ from .theory import (BoundReport, TheoryParams, alpha_envelope,
                      dbd_hypergradient, dbd_iteration_bound,
                      descent_coefficient_bound, measure_tau,
                      rdbd_iteration_bound, rdbd_theoretical_hyperparams,
-                     steeper_descent_conditions, validate_theory_params)
+                     steeper_descent_conditions)
 from .harness import (ConfigError, MissingDataError, NumericError, RunConfig,
                       TraceRecord, compare, emit_plot_data, preset, run)
 

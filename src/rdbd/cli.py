@@ -22,8 +22,8 @@ import sys
 import typing
 
 from .harness import (METRICS, ConfigError, MissingDataError, NumericError,
-                      RunConfig, SWEEPS, _out_file, compare, emit_plot_data,
-                      preset, render_comparison, run, sweep_configs)
+                      RunConfig, SWEEPS, _out_file, compare, config_grid,
+                      emit_plot_data, preset, render_comparison, run)
 
 
 def _parse_sizes(text):
@@ -165,13 +165,19 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    if args.preset not in SWEEPS:
+        known = ", ".join(sorted(SWEEPS))
+        raise ConfigError(f"unknown sweep {args.preset!r}; known sweeps: {known}")
+    base_name, axis, values = SWEEPS[args.preset]
+    base = dataclasses.replace(preset(base_name),
+                               **_overrides(args, ("seed", "mnist_dir")))
+    cells = config_grid(base, [base.optimizer], 1, axis, values)
     out_dir = args.out or "."
-    overrides = _overrides(args, ("seed", "mnist_dir"))
     runs = []   # every output path is checked before the first run
-    for label, cfg in sweep_configs(args.preset):
+    for value, cfg in zip(values, cells):
         path = _out_file(os.path.join(
-            out_dir, f"{args.preset}__{label.replace('=', '_')}.csv"))
-        runs.append((label, dataclasses.replace(cfg, out=path, **overrides)))
+            out_dir, f"{args.preset}__{axis}_{value}.csv"))
+        runs.append((f"{axis}={value}", dataclasses.replace(cfg, out=path)))
     plot_path = _out_file(os.path.join(out_dir, f"{args.preset}__plot.csv"))
     traces = []
     for label, cfg in runs:

@@ -26,6 +26,7 @@ from .data import BatchSampler, load_mnist, mnist_subset, synthetic_blobs
 from .problems import (LogisticProblem, MlpProblem, QuadraticProblem,
                        RosenbrockProblem)
 from .schedulers import FlatSchedule
+from .theory import alpha_envelope
 
 # optimizer -> (direction, rate rule, default eta). The direction is the
 # gradient or Adam's bias-corrected u; the rule holds every rate at alpha0
@@ -240,10 +241,14 @@ def run(config: RunConfig):
                     grad = grad + noise.uniform(-cfg.grad_noise, cfg.grad_noise, x.size)
                 if not math.isfinite(batch_loss):
                     fail(t, f"batch loss {batch_loss}")
-                if not _all_finite(grad):
-                    fail(t, "gradient values contains non-finite entries")
 
                 d = adam_advance(adam, grad) if direction == "adam" else grad
+                # A non-finite entry makes its group's norm non-finite (for
+                # Adam too: inf/inf is NaN), so only then check every entry.
+                norms = [math.sqrt(np.dot(d[sl], d[sl])) for sl in segments]
+                if (not all(map(math.isfinite, norms))
+                        and not np.isfinite(grad).all()):
+                    fail(t, "gradient values contains non-finite entries")
                 if rule == "fixed":
                     x -= cfg.alpha0 * d
                     alphas, hs, reverted = fixed
@@ -254,7 +259,6 @@ def run(config: RunConfig):
                     bad = next(vec_id for vec_id, sl in zip(ids, segments)
                                if not _all_finite(x[sl]))
                     fail(t, f"weights of group {bad!r}")
-                norms = [math.sqrt(np.dot(d[sl], d[sl])) for sl in segments]
 
                 full_loss = None
                 if t % cfg.eval_every == 0 or t == cfg.steps:
@@ -356,37 +360,49 @@ class ComparisonRow:
     values: list = field(default_factory=list)
 
 
-def compare(base, optimizers, seeds, metric="final_loss", threshold=0.5,
-            out=None):
-    """Run each optimizer at seeds `base.seed` .. `base.seed + seeds - 1`
-    and summarize the metric per optimizer.
+def config_grid(base, optimizers, seeds, axis=None, values=()):
+    """The run configs of axis value x optimizer x seed, in that order.
 
-    Each run is `base` with its optimizer and seed replaced and no trace, so
-    differences come from the optimizer alone. `eta` and `alpha_max` carry
-    over only to `base.optimizer`; the others get their defaults. Every
-    input is checked before the first run. Returns (rows, winner) with rows
-    ordered by median (lower is better) and winner None when no median is
-    finite; with `out` set, writes the rows there (to `comparison.csv` in a
-    directory).
+    Each cell is `base` with the `axis` field set to one of `values`, its
+    optimizer and its seed (`base.seed` .. `base.seed + seeds - 1`)
+    replaced, and no trace, so differences come from those alone. Without
+    an axis the grid is optimizer x seed. `eta` and `alpha_max` carry over
+    only to `base.optimizer`; the others get their defaults. Every cell is
+    resolved here, so a bad setting fails before any run or file.
     """
     if not optimizers or seeds < 1:
         raise ConfigError("compare needs at least one optimizer and one seed")
     if len(set(optimizers)) < len(optimizers):
         raise ConfigError(f"optimizers must not repeat: {list(optimizers)}")
+    others = dataclasses.replace(base, eta=None, alpha_max=None)
+    settings = [{axis: value} for value in values] if axis else [{}]
+    return [dataclasses.replace(
+        base if opt == base.optimizer else others, optimizer=opt,
+        seed=base.seed + s, out=None, **setting).resolved()
+        for setting in settings for opt in optimizers for s in range(seeds)]
+
+
+def compare(base, optimizers, seeds, metric="final_loss", threshold=0.5,
+            out=None):
+    """Run the `config_grid` of each optimizer over `seeds` seeds and
+    summarize the metric per optimizer.
+
+    Every input is checked before the first run. Returns (rows, winner)
+    with rows ordered by median (lower is better) and winner None when no
+    median is finite; with `out` set, writes the rows there (to
+    `comparison.csv` in a directory).
+    """
     if metric not in METRICS:
         raise ConfigError(f"unknown metric {metric!r}; choose from {', '.join(METRICS)}")
     if not math.isfinite(threshold):
         raise ConfigError(f"threshold must be finite, got {threshold}")
-    others = dataclasses.replace(base, eta=None, alpha_max=None)
-    grid = {opt: [dataclasses.replace(
-        base if opt == base.optimizer else others,
-        optimizer=opt, seed=base.seed + s, out=None).resolved()
-        for s in range(seeds)] for opt in optimizers}
+    cells = config_grid(base, optimizers, seeds)
     out = _out_file(out, "comparison.csv")
 
     rows = []
-    for opt, cfgs in grid.items():
-        values = [metric_value(run(c), metric, threshold) for c in cfgs]
+    for i, opt in enumerate(optimizers):
+        values = [metric_value(run(c), metric, threshold)
+                  for c in cells[i * seeds:(i + 1) * seeds]]
         finite = [v for v in values if math.isfinite(v)]
         median = float(np.median(values)) if finite == values else math.inf
         iqr = (float(np.percentile(values, 75) - np.percentile(values, 25))
@@ -457,7 +473,8 @@ def check_revert_flags(records):
 
 
 def check_alpha_envelope(records, alpha0, eta, slack=1e-10):
-    """Steps violating |alpha_t - alpha0| <= t*eta*(max update norm)^2.
+    """Steps whose rate leaves `alpha_envelope(alpha0, eta, sigma, t)`,
+    with sigma the largest update norm of its group, by more than `slack`.
 
     Only meaningful on runs with clamping disabled; reverts only remove
     increments, so they tighten the bound rather than widening it.
@@ -469,8 +486,8 @@ def check_alpha_envelope(records, alpha0, eta, slack=1e-10):
             for vec_id in records[0].grad_norms}
     for rec in records:
         for vec_id, alpha in rec.alphas.items():
-            bound = rec.step * eta * gmax[vec_id] ** 2
-            if abs(alpha - alpha0) > bound + slack:
+            lo, hi = alpha_envelope(alpha0, eta, gmax[vec_id], rec.step)
+            if not lo - slack <= alpha <= hi + slack:
                 violations.append((rec.step, vec_id))
     return violations
 
@@ -527,15 +544,3 @@ def preset(name: str) -> RunConfig:
         raise ConfigError(f"unknown preset {name!r}; known presets: {known}")
     return dataclasses.replace(PRESETS[name])
 
-
-def sweep_configs(name: str):
-    """Expand a named sweep into (label, config) pairs."""
-    if name not in SWEEPS:
-        known = ", ".join(sorted(SWEEPS))
-        raise ConfigError(f"unknown sweep {name!r}; known sweeps: {known}")
-    base_name, axis, values = SWEEPS[name]
-    out = []
-    for value in values:
-        cfg = dataclasses.replace(preset(base_name), **{axis: value})
-        out.append((f"{axis}={value}", cfg))
-    return out

@@ -10,9 +10,10 @@ from dataclasses import dataclass
 import numpy as np
 
 
-@dataclass
+@dataclass(frozen=True)
 class TheoryParams:
-    """Constants feeding the closed-form bound calculators.
+    """Constants feeding the closed-form bound calculators. Construction
+    raises ValueError unless every field is finite and in its range:
 
     lipschitz_L : gradient Lipschitz constant, > 0
     sigma       : bound on update norms, > 0
@@ -29,23 +30,20 @@ class TheoryParams:
     epsilon: float = 0.1
     f_gap: float = 1.0
 
-
-def validate_theory_params(p: TheoryParams) -> list[str]:
-    """Range-check every field; returns the list of violations (empty = ok)."""
-    checks = [
-        (p.lipschitz_L > 0, "lipschitz_L must be > 0"),
-        (p.sigma > 0, "sigma must be > 0"),
-        (p.mu > 0, "mu must be > 0"),
-        (p.gamma >= 0, "gamma must be >= 0"),
-        (p.gamma < 1, "gamma must be < 1"),
-        (p.epsilon > 0, "epsilon must be > 0"),
-        (p.f_gap >= 0, "f_gap must be >= 0"),
-    ]
-    violations = [msg for ok, msg in checks if not ok]
-    for name in ("lipschitz_L", "sigma", "mu", "gamma", "epsilon", "f_gap"):
-        if not math.isfinite(getattr(p, name)):
-            violations.append(f"{name} must be finite")
-    return violations
+    def __post_init__(self):
+        violations = [msg for ok, msg in (
+            (self.lipschitz_L > 0, "lipschitz_L must be > 0"),
+            (self.sigma > 0, "sigma must be > 0"),
+            (self.mu > 0, "mu must be > 0"),
+            (self.gamma >= 0, "gamma must be >= 0"),
+            (self.gamma < 1, "gamma must be < 1"),
+            (self.epsilon > 0, "epsilon must be > 0"),
+            (self.f_gap >= 0, "f_gap must be >= 0")) if not ok]
+        violations += [f"{name} must be finite"
+                       for name, value in vars(self).items()
+                       if not math.isfinite(value)]
+        if violations:
+            raise ValueError("invalid theory params: " + "; ".join(violations))
 
 
 @dataclass
@@ -66,24 +64,16 @@ class BoundReport:
     applicable: bool = True
 
 
-def _require_valid(p: TheoryParams):
-    violations = validate_theory_params(p)
-    if violations:
-        raise ValueError("invalid theory params: " + "; ".join(violations))
-
-
 def dbd_iteration_bound(p: TheoryParams) -> float:
     """Iterations sufficient for the plain scheduler to drive the minimum
     gradient norm below epsilon in full-batch mode:
     2*L*f_gap / ((1 - gamma^2) * epsilon^2)."""
-    _require_valid(p)
     return 2.0 * p.lipschitz_L * p.f_gap / ((1.0 - p.gamma ** 2) * p.epsilon ** 2)
 
 
 def rdbd_iteration_bound(p: TheoryParams) -> float:
     """Iterations sufficient for the revertible scheduler in mini-batch mode:
     sigma * sqrt(L*f_gap) * (1/(1-gamma) + (1+gamma)/2) / epsilon^2."""
-    _require_valid(p)
     return (p.sigma * math.sqrt(p.lipschitz_L * p.f_gap)
             * (1.0 / (1.0 - p.gamma) + 0.5 * (1.0 + p.gamma))
             / p.epsilon ** 2)
@@ -96,7 +86,6 @@ def rdbd_theoretical_hyperparams(p: TheoryParams, T: int) -> tuple[float, float]
         alpha0 = sqrt(f_gap) / (sigma * sqrt(L*T))
         eta    = gamma * sqrt(f_gap) / (T * sigma^3 * sqrt(L*T))
     """
-    _require_valid(p)
     if T <= 0 or int(T) != T:
         raise ValueError("T must be a positive integer")
     root = math.sqrt(p.lipschitz_L * T)
@@ -117,10 +106,10 @@ def descent_coefficient_bound(alpha_t: float, L: float, gamma: float) -> BoundRe
 
     Only applicable for alpha_t in (0, 2/L), where the denominator is
     positive; outside that range the report is marked inapplicable. Raises
-    ValueError, as the other calculators do, unless L is finite and > 0
-    and gamma lies in [0, 1).
+    ValueError, as `TheoryParams` does, unless L is finite and > 0 and
+    gamma lies in [0, 1).
     """
-    _require_valid(TheoryParams(lipschitz_L=L, gamma=gamma))
+    TheoryParams(lipschitz_L=L, gamma=gamma)
     name = "descent_coefficient"
     rhs = 2.0 * L / (1.0 - gamma ** 2)
     if not (0.0 < alpha_t < 2.0 / L):
@@ -136,7 +125,6 @@ def descent_coefficient_bound(alpha_t: float, L: float, gamma: float) -> BoundRe
 def steeper_descent_conditions(p: TheoryParams, eta: float, alpha: float) -> tuple[bool, bool]:
     """Admissibility of (eta, alpha) for the per-step improvement guarantee:
     eta <= 2/(L*sigma^2) and alpha <= 2*mu/L, both non-strict."""
-    _require_valid(p)
     eta_ok = eta <= 2.0 / (p.lipschitz_L * p.sigma ** 2)
     alpha_ok = alpha <= 2.0 * p.mu / p.lipschitz_L
     return eta_ok, alpha_ok

@@ -9,10 +9,10 @@ import pytest
 
 from rdbd.cli import main, parse_config_file
 from rdbd.harness import (ConfigError, MissingDataError, NumericError,
-                          PRESETS, RunConfig, SWEEPS, check_alpha_envelope,
-                          check_revert_flags, compare, emit_plot_data,
-                          metric_value, preset, run, sweep_configs,
-                          write_trace_csv)
+                          OPTIMIZERS, PRESETS, RunConfig, SWEEPS, TraceRecord,
+                          check_alpha_envelope, check_revert_flags, compare,
+                          config_grid, emit_plot_data, metric_value, preset,
+                          run, write_trace_csv)
 from reference import serialize_idx
 
 QUICK = RunConfig(problem="logistic", optimizer="rdbd", alpha0=0.005,
@@ -160,6 +160,51 @@ def test_compare_carries_eta_and_alpha_max_to_the_base_optimizer_only(
     assert runs == lib_runs
 
 
+def test_compare_calls_the_module_level_run_once_per_cell(monkeypatch,
+                                                           capsys):
+    # The benchmark counts compare's runs by patching harness.run.
+    from rdbd import harness
+
+    calls = []
+
+    def counting_run(cfg):
+        calls.append((cfg.optimizer, cfg.seed))
+        return run(cfg)
+
+    monkeypatch.setattr(harness, "run", counting_run)
+    grid = [(opt, s) for opt in ("sgd", "adam", "rdbd") for s in (1, 2)]
+    compare(QUICK, ["sgd", "adam", "rdbd"], 2)
+    assert len(calls) == 6 and calls == grid
+    calls.clear()
+    assert main(["compare", "--problem", "logistic", "--steps", "30",
+                 "--seed", "1", "--optimizers", "sgd,adam,rdbd",
+                 "--seeds", "2"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 6 and calls == grid
+
+
+def test_config_grid_cells():
+    base = dataclasses.replace(QUICK, eta=0.02, alpha_max=0.05, out="t.csv")
+    cells = config_grid(base, ["rdbd", "sgd", "adam_rdbd"], 2, "alpha0",
+                        [0.1, 0.2])
+    assert [(c.alpha0, c.optimizer, c.seed) for c in cells] == [
+        (a, opt, s) for a in (0.1, 0.2)
+        for opt in ("rdbd", "sgd", "adam_rdbd") for s in (1, 2)]
+    # eta and alpha_max carry over to the base optimizer only, and the
+    # adam_rdbd default cap follows the axis value of its own cell.
+    assert [(c.eta, c.alpha_max) for c in cells if c.alpha0 == 0.2] == \
+        [(0.02, 0.05)] * 2 + [(0.0, math.inf)] * 2 + [(5e-7, 2.0)] * 2
+    assert all(c.out is None and c == c.resolved() for c in cells)
+    # Without an axis the grid is optimizer x seed.
+    assert config_grid(QUICK, ["rdbd", "sgd"], 1) == [
+        dataclasses.replace(QUICK).resolved(),
+        dataclasses.replace(QUICK, optimizer="sgd", eta=None).resolved()]
+    with pytest.raises(ConfigError, match="seed must be >= 0"):
+        config_grid(dataclasses.replace(QUICK, seed=-1), ["rdbd"], 1)
+    with pytest.raises(ConfigError, match="batch_size must be >= 1"):
+        config_grid(QUICK, ["rdbd"], 1, "batch_size", [4, 0])
+
+
 def test_metric_values():
     records = run(QUICK)
     final = metric_value(records, "final_loss")
@@ -203,16 +248,50 @@ def test_presets_and_reserved():
         preset("imagenet")
 
 
-def test_sweep_configs_expansion():
-    pairs = sweep_configs("lr-robustness-logistic")
-    assert [label for label, _ in pairs] == [
-        "alpha0=0.01", "alpha0=0.005", "alpha0=0.001", "alpha0=0.0005",
-        "alpha0=0.0001"]
-    assert {cfg.alpha0 for _, cfg in pairs} == {0.01, 0.005, 0.001, 0.0005, 0.0001}
-    pairs = sweep_configs("batch-size-impact")
-    assert [cfg.batch_size for _, cfg in pairs] == [4, 16, 64, 256]
-    with pytest.raises(ConfigError):
-        sweep_configs("momentum-sweep")
+@pytest.mark.parametrize("name, axis, values", [
+    ("lr-robustness-logistic", "alpha0", [0.01, 0.005, 0.001, 0.0005, 0.0001]),
+    ("batch-size-impact", "batch_size", [4, 16, 64, 256]),
+])
+def test_sweep_runs_its_preset_over_the_axis(tmp_path, monkeypatch, capsys,
+                                             name, axis, values):
+    from rdbd import cli
+
+    runs = []
+
+    def recorded_run(cfg):
+        runs.append(cfg)
+        return [TraceRecord(step=1, loss=1.0, full_loss=1.0,
+                            grad_norms={"x": 1.0}, alphas={"x": cfg.alpha0},
+                            hs={"x": 0.0}, reverted={"x": False})]
+
+    monkeypatch.setattr(cli, "run", recorded_run)
+    assert main(["sweep", "--preset", name, "--seed", "3",
+                 "--out", str(tmp_path)]) == 0
+    labels = [f"{axis}={v}" for v in values]
+    assert runs == [dataclasses.replace(
+        preset("logistic-default"), seed=3, **{axis: v},
+        out=str(tmp_path / f"{name}__{axis}_{v}.csv")).resolved()
+        for v in values]
+    assert [line.split(":")[0] for line in
+            capsys.readouterr().out.splitlines()[:-1]] == labels
+
+
+def test_cli_sweep_rejects_an_unknown_sweep(tmp_path, capsys):
+    out = tmp_path / "new"
+    assert main(["sweep", "--preset", "momentum-sweep",
+                 "--out", str(out) + os.sep]) == 2
+    assert capsys.readouterr().err == (
+        "config error: unknown sweep 'momentum-sweep'; known sweeps: "
+        "batch-size-impact, lr-robustness, lr-robustness-logistic\n")
+    assert not out.exists()
+
+
+def test_cli_sweep_with_a_bad_setting_makes_no_directory(tmp_path, capsys):
+    out = tmp_path / "new"
+    assert main(["sweep", "--preset", "lr-robustness-logistic",
+                 "--seed", "-1", "--out", str(out) + os.sep]) == 2
+    assert capsys.readouterr().err == "config error: seed must be >= 0\n"
+    assert not out.exists()
 
 
 def test_numeric_failure_aborts_and_flushes(tmp_path):
@@ -675,15 +754,8 @@ def test_diverging_sampled_run_raises_and_flushes(tmp_path, capsys, alpha0,
     assert "numeric failure" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("optimizer", ["sgd", "dbd", "rdbd"])
-@pytest.mark.parametrize("value, detail", [
-    # A finite gradient whose step overflows only the weights of b1.
-    (1e308, "weights of group 'b1'"),
-    (np.inf, "gradient values contains non-finite entries"),
-])
-def test_non_finite_step_names_the_failure_and_flushes(tmp_path, monkeypatch,
-                                                       optimizer, value,
-                                                       detail):
+def _set_b1_gradient_at_step_3(monkeypatch, value):
+    """Make the third oracle call of the next run return `value` on b1."""
     from rdbd import harness
 
     build = harness.build_problem
@@ -705,12 +777,47 @@ def test_non_finite_step_names_the_failure_and_flushes(tmp_path, monkeypatch,
         return problem
 
     monkeypatch.setattr(harness, "build_problem", build_with_bad_b1)
+
+
+@pytest.mark.parametrize("optimizer, value, detail", [
+    # A finite gradient whose step overflows only the weights of b1.
+    *[(opt, 1e308, "weights of group 'b1'") for opt in ("sgd", "dbd", "rdbd")],
+    # Adam directions too: inf/inf in u is NaN, and so is its group norm.
+    *[(opt, bad, "gradient values contains non-finite entries")
+      for opt in OPTIMIZERS for bad in (np.inf, -np.inf, np.nan)],
+])
+def test_non_finite_step_names_the_failure_and_flushes(tmp_path, monkeypatch,
+                                                       optimizer, value,
+                                                       detail):
+    _set_b1_gradient_at_step_3(monkeypatch, value)
     path = tmp_path / "t.csv"
     cfg = dataclasses.replace(preset("mlp-blobs-demo"), optimizer=optimizer,
                               alpha0=10.0, out=str(path))
     with pytest.raises(NumericError, match=f"step 3: {detail}"):
         run(cfg)
     assert len(path.read_text().splitlines()) == 3   # header and steps 1-2
+
+
+@pytest.mark.parametrize("optimizer, detail", [
+    ("sgd", None),
+    ("dbd", "step 3: weights of group 'b1'"),
+    ("rdbd", "step 3: weights of group 'b1'"),
+])
+def test_finite_gradient_whose_norm_overflows_is_not_non_finite(
+        tmp_path, monkeypatch, optimizer, detail):
+    # Every entry is finite, but the sum of squares of b1 overflows, so the
+    # norm is inf and the exact check must find the entries finite.
+    _set_b1_gradient_at_step_3(monkeypatch, 1e200)
+    path = tmp_path / "t.csv"
+    cfg = dataclasses.replace(preset("mlp-blobs-demo"), optimizer=optimizer,
+                              alpha0=10.0, out=str(path))
+    if detail is None:
+        run(cfg)
+        header, _, _, row = path.read_text().splitlines()[:4]
+        assert row.split(",")[header.split(",").index("grad_norm.b1")] == "inf"
+    else:
+        with pytest.raises(NumericError, match=detail):
+            run(cfg)
 
 
 def test_all_finite_needs_no_finite_sum_of_squares():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,7 +10,7 @@ from rdbd.theory import (TheoryParams, alpha_envelope, dbd_hypergradient,
                          dbd_iteration_bound, descent_coefficient_bound,
                          measure_tau, rdbd_iteration_bound,
                          rdbd_theoretical_hyperparams,
-                         steeper_descent_conditions, validate_theory_params)
+                         steeper_descent_conditions)
 
 
 def close(a, b, rel=1e-14):
@@ -130,7 +131,7 @@ def test_steeper_descent_conditions():
 ], ids=["steeper-L0", "steeper-L-neg", "steeper-sigma-nan", "steeper-mu-inf",
         "coef-L0", "coef-L-of-zero-quadratic", "coef-L-neg", "coef-L-inf",
         "coef-L-nan", "coef-gamma1", "coef-gamma-neg", "coef-gamma-nan"])
-def test_calculators_reject_what_validate_theory_params_rejects(call):
+def test_calculators_reject_invalid_theory_params(call):
     with pytest.raises(ValueError, match="invalid theory params"):
         call()
 
@@ -200,16 +201,23 @@ def test_dbd_hypergradient_symmetric_bilinear():
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
 
 
-def test_validate_theory_params():
-    assert validate_theory_params(TheoryParams(gamma=0.5)) == []
-    assert "gamma must be < 1" in validate_theory_params(TheoryParams(gamma=1.0))
-    assert "epsilon must be > 0" in validate_theory_params(TheoryParams(epsilon=0.0))
-    bad = validate_theory_params(TheoryParams(lipschitz_L=-1.0, sigma=0.0,
-                                              gamma=-0.2, f_gap=-1.0))
+def _violations(**fields):
+    """The violations TheoryParams(**fields) raises with."""
+    with pytest.raises(ValueError, match="^invalid theory params: ") as exc:
+        TheoryParams(**fields)
+    return str(exc.value).split(": ", 1)[1].split("; ")
+
+
+def test_theory_params_construction_raises_on_every_violation():
+    p = TheoryParams(gamma=0.5)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.gamma = 1.0
+    assert "gamma must be < 1" in _violations(gamma=1.0)
+    assert "epsilon must be > 0" in _violations(epsilon=0.0)
+    bad = _violations(lipschitz_L=-1.0, sigma=0.0, gamma=-0.2, f_gap=-1.0)
     assert "lipschitz_L must be > 0" in bad
     assert "sigma must be > 0" in bad
     assert "gamma must be >= 0" in bad
     assert "f_gap must be >= 0" in bad
-    assert "mu must be > 0" in validate_theory_params(TheoryParams(mu=0.0))
-    assert any("finite" in v for v in
-               validate_theory_params(TheoryParams(f_gap=np.inf)))
+    assert "mu must be > 0" in _violations(mu=0.0)
+    assert any("finite" in v for v in _violations(f_gap=np.inf))
