@@ -1,5 +1,5 @@
 """Print the sha256 of the trace CSV of a fixed list of seeded runs, and of
-the files three CLI commands write.
+the files four CLI commands write.
 
     python3 scripts/trace_manifest.py > manifest.txt
 
@@ -7,9 +7,15 @@ Run it from two checkouts and diff the outputs: a change that must keep
 traces byte-identical shows no difference, and a change that alters the
 arithmetic shows exactly which runs moved. rdbd is imported from the
 `src/` next to this script. Each output line is `<label> seed=<n> <sha256>`.
+BLAS is pinned to one thread before numpy loads, as in `perfbench/run.py`:
+the last bits of the MLP gradient depend on OpenBLAS's thread count, so
+without the pin the MLP lines would differ between machines.
 
 The configs are the five hermetic presets, the benchmark's MNIST-shaped
-`mlp-784`, logistic regression with each optimizer, logistic with sparse
+`mlp-784`, the same network under `adam_rdbd` (`mlp-784-adam_rdbd`: the
+RDBD schedule on Adam directions at MNIST scale; both runs are large
+enough that `harness.run` evaluates their full loss on a worker thread),
+logistic regression with each optimizer, logistic with sparse
 gradient noise, `logistic-odd-batch` (`rdbd` on blobs at separation 12
 with batches of 13: the sigmoid saturates, the final loss is ~2e-4, and
 no batch length is a multiple of a SIMD width), `quadratic-dbd` with the
@@ -46,6 +52,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+os.environ.update({var: "1" for var in ("OPENBLAS_NUM_THREADS",
+                                        "OMP_NUM_THREADS", "MKL_NUM_THREADS")})
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
@@ -58,6 +66,8 @@ def configs():
     """(label, config) pairs, without a seed."""
     out = [(name, harness.preset(name)) for name in HERMETIC_PRESETS]
     out.append(("mlp-784", MLP_784))
+    out.append(("mlp-784-adam_rdbd", dataclasses.replace(
+        MLP_784, optimizer="adam_rdbd", eta=None)))
     out += [(f"logistic-{opt}", RunConfig(problem="logistic", optimizer=opt))
             for opt in harness.OPTIMIZERS]
     out.append(("logistic-noise", RunConfig(problem="logistic", grad_noise=0.5,

@@ -9,6 +9,8 @@ direction norms. `loss` is the mini-batch loss at the pre-step point;
 `full_loss` is the whole-dataset loss after the step, filled every
 `eval_every` steps and at the final step, blank otherwise.
 Identical (config, seed) pairs produce byte-identical files.
+A large full-dataset eval overlaps the next steps on one thread, with the
+same traces and failure steps; a small or deterministic problem starts none.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import dataclasses
 import functools
 import math
 import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,6 +46,7 @@ OPTIMIZER_TABLE = {
 OPTIMIZERS = tuple(OPTIMIZER_TABLE)
 PROBLEMS = ("quadratic", "rosenbrock", "logistic", "mlp-blobs", "mlp-mnist")
 METRICS = ("final_loss", "steps_to_threshold", "min_grad_norm")
+_OVERLAP_EVAL_SIZE = 1 << 24  # rows x weights from which the eval overlaps
 
 
 class ConfigError(ValueError):
@@ -225,10 +229,29 @@ def run(config: RunConfig):
     # of one problem (each optimizer, each seed) sees the same perturbations.
     noise = (np.random.default_rng(cfg.problem_seed + 1)
              if cfg.grad_noise > 0.0 else None)
+    overlap = problem.n_samples * problem.dim >= _OVERLAP_EVAL_SIZE
     records = []
+    pending = None  # (step, join) of the eval whose loss is not recorded yet
 
     def fail(step, detail):
         raise NumericError(f"non-finite values at step {step}: {detail}")
+
+    def check_groups(step, v, what):
+        if not _all_finite(v):
+            bad = next(vec_id for vec_id, sl in zip(ids, segments)
+                       if not _all_finite(v[sl]))
+            fail(step, f"{what} of group {bad!r}")
+
+    def settle():  # an eval that fails keeps the steps before it, as in order
+        nonlocal pending
+        if pending:
+            (step, join), pending = pending, None
+            later = records[step - 1:]
+            del records[step - 1:]
+            later[0].full_loss = loss = join()
+            if not math.isfinite(loss):
+                fail(step, f"full loss {loss}")
+            records.extend(later)
 
     # Divergence is detected by the explicit finiteness checks below, so the
     # overflow that precedes an abort does not need to warn as well.
@@ -249,31 +272,58 @@ def run(config: RunConfig):
                 if (not all(map(math.isfinite, norms))
                         and not np.isfinite(grad).all()):
                     fail(t, "gradient values contains non-finite entries")
+                if direction == "adam":  # v overflows on entries > ~1e154
+                    check_groups(t, adam.v, "Adam second moment")
                 if rule == "fixed":
                     x -= cfg.alpha0 * d
                     alphas, hs, reverted = fixed
                 else:
                     hs, reverted = sched.step(x, d, revert=rule == "rdbd")
                     alphas = sched.alpha
-                if not _all_finite(x):
-                    bad = next(vec_id for vec_id, sl in zip(ids, segments)
-                               if not _all_finite(x[sl]))
-                    fail(t, f"weights of group {bad!r}")
+                check_groups(t, x, "weights")
 
-                full_loss = None
-                if t % cfg.eval_every == 0 or t == cfg.steps:
-                    full_loss = problem.loss(x)
-                    if not math.isfinite(full_loss):
-                        fail(t, f"full loss {full_loss}")
                 records.append(TraceRecord(
-                    step=t, loss=batch_loss, full_loss=full_loss,
+                    step=t, loss=batch_loss, full_loss=None,
                     grad_norms=dict(zip(ids, norms)),
                     alphas=dict(zip(ids, alphas)), hs=dict(zip(ids, hs)),
                     reverted=dict(zip(ids, reverted))))
+                if t % cfg.eval_every == 0 or t == cfg.steps:
+                    settle()
+                    if overlap and t < cfg.steps:
+                        pending = t, _eval_on_thread(problem.loss, x.copy())
+                    else:
+                        pending = t, functools.partial(problem.loss, x)
+                        settle()
     finally:
-        if out:
-            write_trace_csv(records, ids, out)
+        try:
+            settle()
+        finally:
+            if out:
+                write_trace_csv(records, ids, out)
     return records
+
+
+def _eval_on_thread(loss, x):
+    """Start loss(x) on a worker thread; return its join, which returns the
+    loss or raises what loss raised."""
+    result, error = [], []
+
+    def work():  # errstate is context-local, so the thread sets the run's
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                result.append(loss(x))
+            except BaseException as exc:  # raised again by join
+                error.append(exc)
+
+    thread = threading.Thread(target=work)
+    thread.start()
+
+    def join():
+        thread.join()
+        if error:
+            raise error[0]
+        return result[0]
+    return join
 
 
 def _all_finite(v) -> bool:

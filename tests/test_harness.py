@@ -3,6 +3,8 @@ import gzip
 import math
 import os
 import struct
+import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -730,7 +732,15 @@ def test_run_adds_replayable_gradient_noise(monkeypatch, cfg):
     assert noised == 39 if cfg.grad_noise_prob == 1.0 else 0 < noised < 39
 
 
-@pytest.mark.parametrize("alpha0, failed_step, detail", [
+def _force_overlap(monkeypatch):
+    """Put every full-dataset eval but the last on a worker thread, whatever
+    the problem's size."""
+    from rdbd import harness
+
+    monkeypatch.setattr(harness, "_OVERLAP_EVAL_SIZE", 1)
+
+
+DIVERGING_CASES = pytest.mark.parametrize("alpha0, failed_step, detail", [
     # The weights stay finite, but the full-dataset sum in the forward-only
     # eval overflows at the first eval step.
     (1e307, 25, "full loss inf"),
@@ -738,6 +748,9 @@ def test_run_adds_replayable_gradient_noise(monkeypatch, cfg):
     # mini-batch loss on the second step.
     (1e308, 2, "batch loss nan"),
 ])
+
+
+@DIVERGING_CASES
 def test_diverging_sampled_run_raises_and_flushes(tmp_path, capsys, alpha0,
                                                   failed_step, detail):
     path = tmp_path / "diverge.csv"
@@ -752,6 +765,14 @@ def test_diverging_sampled_run_raises_and_flushes(tmp_path, capsys, alpha0,
     assert main(["run", "--problem", "logistic", "--optimizer", "sgd",
                  "--alpha0", repr(alpha0), "--steps", "200"]) == 4
     assert "numeric failure" in capsys.readouterr().err
+
+
+@DIVERGING_CASES
+def test_diverging_sampled_run_raises_and_flushes_overlapped(
+        tmp_path, capsys, monkeypatch, alpha0, failed_step, detail):
+    _force_overlap(monkeypatch)
+    test_diverging_sampled_run_raises_and_flushes(tmp_path, capsys, alpha0,
+                                                  failed_step, detail)
 
 
 def _set_b1_gradient_at_step_3(monkeypatch, value):
@@ -779,13 +800,16 @@ def _set_b1_gradient_at_step_3(monkeypatch, value):
     monkeypatch.setattr(harness, "build_problem", build_with_bad_b1)
 
 
-@pytest.mark.parametrize("optimizer, value, detail", [
+NON_FINITE_CASES = pytest.mark.parametrize("optimizer, value, detail", [
     # A finite gradient whose step overflows only the weights of b1.
     *[(opt, 1e308, "weights of group 'b1'") for opt in ("sgd", "dbd", "rdbd")],
     # Adam directions too: inf/inf in u is NaN, and so is its group norm.
     *[(opt, bad, "gradient values contains non-finite entries")
       for opt in OPTIMIZERS for bad in (np.inf, -np.inf, np.nan)],
 ])
+
+
+@NON_FINITE_CASES
 def test_non_finite_step_names_the_failure_and_flushes(tmp_path, monkeypatch,
                                                        optimizer, value,
                                                        detail):
@@ -798,10 +822,22 @@ def test_non_finite_step_names_the_failure_and_flushes(tmp_path, monkeypatch,
     assert len(path.read_text().splitlines()) == 3   # header and steps 1-2
 
 
+@NON_FINITE_CASES
+def test_non_finite_step_names_the_failure_and_flushes_overlapped(
+        tmp_path, monkeypatch, optimizer, value, detail):
+    _force_overlap(monkeypatch)
+    test_non_finite_step_names_the_failure_and_flushes(
+        tmp_path, monkeypatch, optimizer, value, detail)
+
+
 @pytest.mark.parametrize("optimizer, detail", [
     ("sgd", None),
     ("dbd", "step 3: weights of group 'b1'"),
     ("rdbd", "step 3: weights of group 'b1'"),
+    # The square of 1e200 overflows Adam's second moment, which would make
+    # u exactly 0 on those weights at every later step.
+    ("adam", "step 3: Adam second moment of group 'b1'"),
+    ("adam_rdbd", "step 3: Adam second moment of group 'b1'"),
 ])
 def test_finite_gradient_whose_norm_overflows_is_not_non_finite(
         tmp_path, monkeypatch, optimizer, detail):
@@ -818,6 +854,7 @@ def test_finite_gradient_whose_norm_overflows_is_not_non_finite(
     else:
         with pytest.raises(NumericError, match=detail):
             run(cfg)
+        assert len(path.read_text().splitlines()) == 3   # header and steps 1-2
 
 
 def test_all_finite_needs_no_finite_sum_of_squares():
@@ -864,6 +901,171 @@ def test_run_stopped_inside_the_loop_leaves_its_partial_trace(
         run(dataclasses.replace(QUICK, out=str(path)))
     # The header and steps 1-2, as an uninterrupted run wrote them.
     assert path.read_text().splitlines() == full.read_text().splitlines()[:3]
+
+
+def _count_threads(monkeypatch):
+    """Make threading.Thread record every thread started, in the list this
+    returns."""
+    started = []
+
+    class CountedThread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", CountedThread)
+    return started
+
+
+@pytest.fixture(params=[False, True], ids=["in-order", "overlapped"])
+def overlapped(request, monkeypatch):
+    """Run every full-dataset eval in order (the default for problems this
+    small), or, when True, force each one but the last onto a worker
+    thread."""
+    if request.param:
+        _force_overlap(monkeypatch)
+    return request.param
+
+
+@pytest.mark.parametrize("cfg", [
+    preset("mlp-blobs-demo"), preset("logistic-default"),
+    RunConfig(problem="logistic", grad_noise=0.5, grad_noise_prob=0.3,
+              steps=500)], ids=["mlp-blobs-demo", "logistic-default",
+                                "logistic-noise"])
+def test_overlapped_eval_keeps_every_trace_byte(tmp_path, monkeypatch, cfg):
+    in_order = tmp_path / "in_order.csv"
+    records = run(dataclasses.replace(cfg, out=str(in_order)))
+    _force_overlap(monkeypatch)
+    started = _count_threads(monkeypatch)
+    threads = threading.active_count()
+    threaded = tmp_path / "threaded.csv"
+    assert run(dataclasses.replace(cfg, out=str(threaded))) == records
+    assert threaded.read_bytes() == in_order.read_bytes()
+    # Each eval but the final one ran on its own thread, now ended.
+    assert len(started) == (cfg.steps - 1) // cfg.eval_every
+    assert threading.active_count() == threads
+
+
+HERMETIC_PRESETS = ("quadratic-dbd", "rosenbrock-rdbd", "logistic-default",
+                    "logistic-adam-rdbd", "mlp-blobs-demo")
+
+
+def test_small_problems_start_no_thread_and_large_ones_do(monkeypatch):
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a small problem started a thread")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(threading, "Thread", no_thread)
+        for name in HERMETIC_PRESETS:
+            run(preset(name))
+    # The MNIST-shaped network (2048 rows x 109,386 weights) is large.
+    started = _count_threads(monkeypatch)
+    cfg = RunConfig(problem="mlp-blobs", layer_sizes=(784, 128, 64, 10),
+                    n_samples=2048, steps=30, eval_every=10)
+    run(cfg)
+    assert len(started) == 2    # steps 10 and 20; the final eval is in order
+    assert not any(t.is_alive() for t in started)
+
+
+@pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+@pytest.mark.parametrize("eval_fails", [False, True])
+def test_failure_while_an_eval_is_pending_flushes_its_full_loss(
+        tmp_path, monkeypatch, overlapped, error, eval_fails):
+    from rdbd import harness
+
+    full = tmp_path / "full.csv"
+    run(dataclasses.replace(QUICK, out=str(full)))
+    build = harness.build_problem
+    failed = threading.Event()
+    evals = []
+
+    def build_failing_at_step_30(config):
+        problem = build(config)
+        oracle, loss = problem.loss_and_grad, problem.loss
+        calls = []
+
+        def loss_and_grad(x, batch):
+            calls.append(batch)
+            if len(calls) == 30:
+                failed.set()
+                raise error("oracle failed")
+            return oracle(x, batch)
+
+        def slow_loss(x):
+            # On a thread, the step-25 eval is still running when step 30
+            # fails; in order, step 30 never starts before it returns.
+            if overlapped:
+                evals.append(failed.wait(timeout=30))
+            return math.inf if eval_fails else loss(x)
+
+        monkeypatch.setattr(problem, "loss_and_grad", loss_and_grad)
+        monkeypatch.setattr(problem, "loss", slow_loss)
+        return problem
+
+    monkeypatch.setattr(harness, "build_problem", build_failing_at_step_30)
+    path = tmp_path / "t.csv"
+    threads = threading.active_count()
+    # A failed step-25 eval wins over the later failure, as it would in order.
+    with pytest.raises(NumericError if eval_fails else error,
+                       match="step 25: full loss inf" if eval_fails
+                       else "oracle failed"):
+        run(dataclasses.replace(QUICK, out=str(path)))
+    assert threading.active_count() == threads
+    assert evals == ([True] if overlapped else [])
+    lines = path.read_text().splitlines()
+    if eval_fails:   # the header and steps 1-24
+        assert lines == full.read_text().splitlines()[:25]
+    else:   # the header and steps 1-29, step 25's full loss included
+        assert lines == full.read_text().splitlines()[:30]
+        assert lines[25].split(",")[2] != ""
+
+
+@pytest.mark.parametrize("eval_step", [25, 50])
+def test_eval_that_raises_raises_the_same_exception(tmp_path, monkeypatch,
+                                                    overlapped, eval_step):
+    from rdbd import harness
+
+    full = tmp_path / "full.csv"
+    run(dataclasses.replace(QUICK, out=str(full)))
+    build = harness.build_problem
+    boom = ValueError("eval failed")
+
+    def build_with_failing_eval(config):
+        problem = build(config)
+        loss, evals = problem.loss, []
+
+        def failing_loss(x):
+            evals.append(x)
+            if len(evals) == eval_step // QUICK.eval_every:
+                raise boom
+            return loss(x)
+
+        monkeypatch.setattr(problem, "loss", failing_loss)
+        return problem
+
+    monkeypatch.setattr(harness, "build_problem", build_with_failing_eval)
+    path = tmp_path / "t.csv"
+    threads = threading.active_count()
+    with pytest.raises(ValueError) as info:
+        run(dataclasses.replace(QUICK, out=str(path)))
+    assert info.value is boom
+    assert threading.active_count() == threads
+    # The steps before the failed eval, as an uninterrupted run wrote them.
+    assert path.read_text().splitlines() == \
+        full.read_text().splitlines()[:eval_step]
+
+
+def test_overlapped_eval_that_overflows_does_not_warn(overlapped):
+    # The eval at step 25 overflows (see the diverging test above); the run
+    # turns that into a NumericError, on the worker thread too.
+    cfg = RunConfig(problem="logistic", optimizer="sgd", alpha0=1e307,
+                    steps=60)
+    threads = threading.active_count()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match="step 25: full loss inf"):
+            run(cfg)
+    assert threading.active_count() == threads
 
 
 @pytest.mark.parametrize("name", ["mlp-blobs-demo", "logistic-default"])
