@@ -9,17 +9,19 @@ direction norms. `loss` is the mini-batch loss at the pre-step point;
 `full_loss` is the whole-dataset loss after the step, filled every
 `eval_every` steps and at the final step, blank otherwise.
 Identical (config, seed) pairs produce byte-identical files.
-A large full-dataset eval overlaps the next steps on one thread, with the
-same traces and failure steps; a small or deterministic problem starts none.
+A large problem runs its full-dataset evals on one worker thread, each
+overlapping the steps after it, with the same traces and failure steps; a
+small or deterministic problem starts no thread.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
 import math
 import os
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -171,29 +173,26 @@ def _shared_blobs(*args):
 
 def build_problem(config: RunConfig):
     cfg = config.resolved()
-    if cfg.problem == "quadratic":
-        problem = QuadraticProblem(np.diag(np.arange(1.0, cfg.dim + 1.0)))
-    elif cfg.problem == "rosenbrock":
-        problem = RosenbrockProblem()
-    elif cfg.problem == "logistic":
-        problem = LogisticProblem(_shared_blobs(
-            cfg.n_samples, cfg.dim, 2, cfg.problem_seed, cfg.separation))
-    elif cfg.problem == "mlp-blobs":
-        dataset = _shared_blobs(cfg.n_samples, cfg.layer_sizes[0],
-                                cfg.layer_sizes[-1], cfg.problem_seed,
-                                cfg.separation)
-        problem = MlpProblem(cfg.layer_sizes, dataset)
-    elif cfg.problem == "mlp-mnist":
-        try:
-            full = load_mnist(cfg.mnist_dir)
-            if full is None:
-                raise MissingDataError("MNIST IDX files not found; pass "
-                                       "--mnist-dir or set MNIST_DIR")
-            subset = mnist_subset(full, cfg.subset_n, cfg.problem_seed)
-            problem = MlpProblem(cfg.layer_sizes, subset)
-        except ValueError as exc:
-            raise ConfigError(f"mlp-mnist: {exc}") from exc
-    return problem
+    try:
+        if cfg.problem == "quadratic":
+            return QuadraticProblem(np.diag(np.arange(1.0, cfg.dim + 1.0)))
+        if cfg.problem == "rosenbrock":
+            return RosenbrockProblem()
+        if cfg.problem == "logistic":
+            return LogisticProblem(_shared_blobs(
+                cfg.n_samples, cfg.dim, 2, cfg.problem_seed, cfg.separation))
+        if cfg.problem == "mlp-blobs":
+            return MlpProblem(cfg.layer_sizes, _shared_blobs(
+                cfg.n_samples, cfg.layer_sizes[0], cfg.layer_sizes[-1],
+                cfg.problem_seed, cfg.separation))
+        full = load_mnist(cfg.mnist_dir)  # mlp-mnist, the last of PROBLEMS
+        if full is None:
+            raise MissingDataError("MNIST IDX files not found; pass "
+                                   "--mnist-dir or set MNIST_DIR")
+        return MlpProblem(cfg.layer_sizes, mnist_subset(
+            full, cfg.subset_n, cfg.problem_seed))
+    except ValueError as exc:
+        raise ConfigError(f"{cfg.problem}: {exc}") from exc
 
 
 def run(config: RunConfig):
@@ -231,7 +230,7 @@ def run(config: RunConfig):
              if cfg.grad_noise > 0.0 else None)
     overlap = problem.n_samples * problem.dim >= _OVERLAP_EVAL_SIZE
     records = []
-    pending = None  # (step, join) of the eval whose loss is not recorded yet
+    pending = None  # (step, result) of the eval whose loss is not recorded yet
 
     def fail(step, detail):
         raise NumericError(f"non-finite values at step {step}: {detail}")
@@ -245,18 +244,22 @@ def run(config: RunConfig):
     def settle():  # an eval that fails keeps the steps before it, as in order
         nonlocal pending
         if pending:
-            (step, join), pending = pending, None
-            later = records[step - 1:]
-            del records[step - 1:]
-            later[0].full_loss = loss = join()
-            if not math.isfinite(loss):
-                fail(step, f"full loss {loss}")
-            records.extend(later)
+            (step, result), pending = pending, None
+            try:
+                records[step - 1].full_loss = loss = result()
+                if not math.isfinite(loss):
+                    fail(step, f"full loss {loss}")
+            except BaseException:
+                del records[step - 1:]
+                raise
 
     # Divergence is detected by the explicit finiteness checks below, so the
-    # overflow that precedes an abort does not need to warn as well.
+    # overflow that precedes an abort does not need to warn as well. The
+    # worker sets the same errstate itself, as errstate is context-local.
+    quiet = dict(over="ignore", invalid="ignore")
     try:
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(**quiet), (ThreadPoolExecutor(1) if overlap
+                                    else contextlib.nullcontext()) as pool:
             for t in range(1, cfg.steps + 1):
                 batch = sampler.next_batch() if sampler else None
                 batch_loss, grad = problem.loss_and_grad(x, batch)
@@ -269,9 +272,8 @@ def run(config: RunConfig):
                 # A non-finite entry makes its group's norm non-finite (for
                 # Adam too: inf/inf is NaN), so only then check every entry.
                 norms = [math.sqrt(np.dot(d[sl], d[sl])) for sl in segments]
-                if (not all(map(math.isfinite, norms))
-                        and not np.isfinite(grad).all()):
-                    fail(t, "gradient values contains non-finite entries")
+                if not all(map(math.isfinite, norms)):
+                    check_groups(t, grad, "gradient")
                 if direction == "adam":  # v overflows on entries > ~1e154
                     check_groups(t, adam.v, "Adam second moment")
                 if rule == "fixed":
@@ -289,8 +291,9 @@ def run(config: RunConfig):
                     reverted=dict(zip(ids, reverted))))
                 if t % cfg.eval_every == 0 or t == cfg.steps:
                     settle()
-                    if overlap and t < cfg.steps:
-                        pending = t, _eval_on_thread(problem.loss, x.copy())
+                    if pool:
+                        pending = t, pool.submit(np.errstate(**quiet)(
+                            problem.loss), x.copy()).result
                     else:
                         pending = t, functools.partial(problem.loss, x)
                         settle()
@@ -301,29 +304,6 @@ def run(config: RunConfig):
             if out:
                 write_trace_csv(records, ids, out)
     return records
-
-
-def _eval_on_thread(loss, x):
-    """Start loss(x) on a worker thread; return its join, which returns the
-    loss or raises what loss raised."""
-    result, error = [], []
-
-    def work():  # errstate is context-local, so the thread sets the run's
-        with np.errstate(over="ignore", invalid="ignore"):
-            try:
-                result.append(loss(x))
-            except BaseException as exc:  # raised again by join
-                error.append(exc)
-
-    thread = threading.Thread(target=work)
-    thread.start()
-
-    def join():
-        thread.join()
-        if error:
-            raise error[0]
-        return result[0]
-    return join
 
 
 def _all_finite(v) -> bool:

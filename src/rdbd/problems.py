@@ -116,7 +116,11 @@ class LogisticProblem(Problem):
         if n < dim:
             raise ValueError("need n_samples >= dim")
         # sigmoid' <= 1/4 makes lambda_max(X'X)/(4n) a Lipschitz constant.
-        L = float(np.linalg.eigvalsh(X.T @ X)[-1] / (4.0 * n))
+        with np.errstate(over="ignore"):
+            gram = X.T @ X
+        if not np.isfinite(gram).all():
+            raise ValueError("features too large: X'X overflows")
+        L = float(np.linalg.eigvalsh(gram)[-1] / (4.0 * n))
         super().__init__(dim, known_constants={"L": L}, dataset=dataset)
         self._y = dataset.labels.astype(np.float64)
 

@@ -650,6 +650,8 @@ def test_cli_compare_accepts_eta_where_it_applies(capsys, argv):
       "dbd", "--seeds", "1"], None),
     (["compare", "--problem", "logistic", "--alpha-max", "0.1",
       "--optimizers", "sgd,dbd", "--seeds", "1"], None),
+    # Finite, but X'X overflows, so the logistic constant L cannot be had.
+    (["run"], "problem = logistic\nseparation = 1e160\n"),
 ])
 def test_cli_bad_input_exits_with_config_error(tmp_path, capsys, argv,
                                                 config_text):
@@ -733,8 +735,8 @@ def test_run_adds_replayable_gradient_noise(monkeypatch, cfg):
 
 
 def _force_overlap(monkeypatch):
-    """Put every full-dataset eval but the last on a worker thread, whatever
-    the problem's size."""
+    """Put every full-dataset eval on the run's worker thread, whatever the
+    problem's size."""
     from rdbd import harness
 
     monkeypatch.setattr(harness, "_OVERLAP_EVAL_SIZE", 1)
@@ -803,8 +805,11 @@ def _set_b1_gradient_at_step_3(monkeypatch, value):
 NON_FINITE_CASES = pytest.mark.parametrize("optimizer, value, detail", [
     # A finite gradient whose step overflows only the weights of b1.
     *[(opt, 1e308, "weights of group 'b1'") for opt in ("sgd", "dbd", "rdbd")],
-    # Adam directions too: inf/inf in u is NaN, and so is its group norm.
-    *[(opt, bad, "gradient values contains non-finite entries")
+    # Gradient values that contain non-finite entries (the id names the case)
+    # fail the gradient check, which names the group. Adam directions too:
+    # inf/inf in u is NaN, and so is its group norm.
+    *[pytest.param(opt, bad, "gradient of group 'b1'",
+                   id=f"{opt}-{bad}-gradient values contains non-finite entries")
       for opt in OPTIMIZERS for bad in (np.inf, -np.inf, np.nan)],
 ])
 
@@ -920,8 +925,7 @@ def _count_threads(monkeypatch):
 @pytest.fixture(params=[False, True], ids=["in-order", "overlapped"])
 def overlapped(request, monkeypatch):
     """Run every full-dataset eval in order (the default for problems this
-    small), or, when True, force each one but the last onto a worker
-    thread."""
+    small), or, when True, force each one onto the run's worker thread."""
     if request.param:
         _force_overlap(monkeypatch)
     return request.param
@@ -941,8 +945,9 @@ def test_overlapped_eval_keeps_every_trace_byte(tmp_path, monkeypatch, cfg):
     threaded = tmp_path / "threaded.csv"
     assert run(dataclasses.replace(cfg, out=str(threaded))) == records
     assert threaded.read_bytes() == in_order.read_bytes()
-    # Each eval but the final one ran on its own thread, now ended.
-    assert len(started) == (cfg.steps - 1) // cfg.eval_every
+    # Every eval ran on the run's one worker thread, now ended.
+    assert len(started) == 1
+    assert not started[0].is_alive()
     assert threading.active_count() == threads
 
 
@@ -963,8 +968,8 @@ def test_small_problems_start_no_thread_and_large_ones_do(monkeypatch):
     cfg = RunConfig(problem="mlp-blobs", layer_sizes=(784, 128, 64, 10),
                     n_samples=2048, steps=30, eval_every=10)
     run(cfg)
-    assert len(started) == 2    # steps 10 and 20; the final eval is in order
-    assert not any(t.is_alive() for t in started)
+    assert len(started) == 1    # one worker evaluates steps 10, 20 and 30
+    assert not started[0].is_alive()
 
 
 @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])

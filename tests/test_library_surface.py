@@ -11,7 +11,7 @@ import pytest
 import rdbd
 
 SRC = Path(rdbd.__file__).parent
-GUARDED = ("problems", "schedulers", "data", "baselines")
+GUARDED = ("problems", "schedulers", "data", "baselines", "cli")
 
 
 def _used_names(node):

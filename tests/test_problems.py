@@ -1,5 +1,6 @@
 import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -83,6 +84,12 @@ def test_logistic_validation():
         LogisticProblem(synthetic_blobs(4, 8, 2, seed=0))
     with pytest.raises(ValueError):
         LogisticProblem(synthetic_blobs(64, 4, 3, seed=0))
+    # Finite features whose X'X overflows leave no Lipschitz constant, and
+    # say so without a warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="X'X overflows"):
+            LogisticProblem(synthetic_blobs(64, 4, 2, seed=0, separation=1e160))
 
 
 def test_logistic_full_gradient_is_mean_of_per_sample():
