@@ -28,18 +28,23 @@ matrix, so the backward pass never propagates through a ReLU) and
 and 2. The capped runs revert increments that a clamp cut (hundreds of
 times per run), so they guard the applied-increment path of the revert.
 
-The last thirteen lines guard the CLI write path: the six files of
+The last fifteen lines guard the CLI write path: the six files of
 `rdbd sweep --preset lr-robustness-logistic --seed 0 --out <dir>`, the
 `comparison.csv` of `rdbd compare --problem logistic --optimizers
 sgd,adam,dbd,rdbd,adam_rdbd --seeds 2 --steps 300 --out <dir>/`, the
 `comparison.csv` of `rdbd compare --preset logistic-adam-rdbd --optimizers
-adam_rdbd,rdbd,adam --seeds 2 --steps 300 --out <dir>/`, and the five
-files of `rdbd sweep --preset batch-size-impact --seed 0 --out <dir>`.
+adam_rdbd,rdbd,adam --seeds 2 --steps 300 --out <dir>/`, the five
+files of `rdbd sweep --preset batch-size-impact --seed 0 --out <dir>`, and
+the `comparison.csv` of `rdbd compare --preset mlp-blobs-demo --optimizers
+rdbd,sgd --seeds 2 --steps 300 --out <dir>/` under `--metric
+min_grad_norm` and under `--metric steps_to_threshold --threshold 1.11`.
 The `logistic-adam-rdbd` preset sets `eta` and `alpha_max`, which carry
 over to `adam_rdbd` only, so its line guards that rule. The first sweep's
 axis is `alpha0`; the second's is `batch_size`, which is part of the
-problem signature, so the two guard both kinds of sweep axis. Their label
-is `<label>/<file name>`, at seed 0.
+problem signature, so the two guard both kinds of sweep axis. The last
+two guard the other two metric readers on a six-group trace; every one
+of their four runs reaches the threshold, at steps 50 to 200, so their
+values are finite. Their label is `<label>/<file name>`, at seed 0.
 """
 
 import contextlib
@@ -102,6 +107,15 @@ CLI_COMMANDS = (
                         "--steps", "300", "--out"]),
     ("sweep-batch", ["sweep", "--preset", "batch-size-impact", "--seed", "0",
                      "--out"]),
+    ("compare-min-grad-norm", ["compare", "--preset", "mlp-blobs-demo",
+                               "--optimizers", "rdbd,sgd", "--seeds", "2",
+                               "--steps", "300", "--metric", "min_grad_norm",
+                               "--out"]),
+    ("compare-steps-to-threshold", ["compare", "--preset", "mlp-blobs-demo",
+                                    "--optimizers", "rdbd,sgd", "--seeds", "2",
+                                    "--steps", "300", "--metric",
+                                    "steps_to_threshold", "--threshold",
+                                    "1.11", "--out"]),
 )
 
 

@@ -131,11 +131,10 @@ def build_parser():
 
 def _cmd_run(args) -> int:
     cfg = _base_config(args)
-    records = run(cfg)
-    reverts = sum(any(rec.reverted.values()) for rec in records)
-    final = records[-1].full_loss
+    trace = run(cfg)
+    reverts = int(trace.reverted.any(axis=1).sum())
     print(f"run complete: {cfg.optimizer} on {cfg.problem}, "
-          f"{len(records)} steps, final loss {final:.6g}, "
+          f"{len(trace)} steps, final loss {trace.full_loss[-1]:.6g}, "
           f"{reverts} steps with a revert")
     if cfg.out:
         print(f"trace written to {_out_file(cfg.out, 'trace.csv')}")
@@ -181,9 +180,9 @@ def _cmd_sweep(args) -> int:
     plot_path = _out_file(os.path.join(out_dir, f"{args.preset}__plot.csv"))
     traces = []
     for label, cfg in runs:
-        records = run(cfg)
-        traces.append((label, records))
-        print(f"{label}: final loss {records[-1].full_loss:.6g} -> {cfg.out}")
+        trace = run(cfg)
+        traces.append((label, trace))
+        print(f"{label}: final loss {trace.full_loss[-1]:.6g} -> {cfg.out}")
     rows = emit_plot_data(traces, plot_path)
     print(f"plot data ({rows} rows) written to {plot_path}")
     return 0

@@ -1,6 +1,11 @@
 """Experiment runner: configures optimizer x scheduler x problem, executes
 seeded runs, records per-step traces, and compares optimizers over seeds.
 
+A run's trace is one `Trace`: a float64 array with one row per step, in
+the CSV column order below. The CSV writer, the metrics and the checks
+read its columns; `TraceRecord` row views are for callers outside the
+library.
+
 Trace CSV schema (one row per step): `step,loss,full_loss` followed by
 `grad_norm,alpha,h,reverted` per weight group (suffixed `.<id>` when the
 problem has more than one group). `grad_norm` is the norm of the update
@@ -21,6 +26,7 @@ import dataclasses
 import functools
 import math
 import os
+import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -144,15 +150,87 @@ class RunConfig:
                 self.layer_sizes, self.subset_n, self.batch_size, self.steps)
 
 
-@dataclass
+class Trace:
+    """The trace of one run: one float64 row per step in trace CSV column
+    order, `step,loss,full_loss` then `grad_norm,alpha,h,reverted` per
+    weight group of `ids`.
+
+    `data` is allocated for every step up front and its first `n` rows are
+    written; `rows` is their view. A NaN `full_loss` marks a step without
+    an eval, and `reverted` is 0 or 1. The column views are 1-D for the
+    first three and `(n, groups)` for the per-group ones. `trace[i]` and
+    iteration give `TraceRecord` row views. Two traces are equal when
+    their ids and written rows are (NaN equal to NaN). Raises ConfigError
+    when `steps` rows cannot be allocated.
+    """
+
+    def __init__(self, ids, steps):
+        self.ids = tuple(ids)
+        columns = 3 + 4 * len(self.ids)
+        try:
+            self.data = np.empty((steps, columns))
+        except (MemoryError, ValueError) as exc:
+            raise ConfigError(f"steps={steps} is too large: its trace of "
+                              f"{steps} rows x {columns} float64 columns "
+                              f"cannot be allocated ({exc})") from exc
+        self.n = 0
+        self._row = struct.Struct(f"{columns}d")
+
+    def append(self, loss, grad_norms, alphas, hs, reverted):
+        """Write step n+1 into the next row, with no full loss yet."""
+        row = [self.n + 1, loss, math.nan]
+        for group in zip(grad_norms, alphas, hs, reverted):
+            row += group
+        self._row.pack_into(self.data, self.n * self._row.size, *row)
+        self.n += 1
+
+    rows = property(lambda self: self.data[:self.n])
+    step = property(lambda self: self.rows[:, 0])
+    loss = property(lambda self: self.rows[:, 1])
+    full_loss = property(lambda self: self.rows[:, 2])
+    grad_norm = property(lambda self: self.rows[:, 3::4])
+    alpha = property(lambda self: self.rows[:, 4::4])
+    h = property(lambda self: self.rows[:, 5::4])
+    reverted = property(lambda self: self.rows[:, 6::4])
+
+    def __len__(self):
+        return self.n
+
+    def __getitem__(self, i):
+        return TraceRecord(self.ids, self.rows[i].tolist())
+
+    def __iter__(self):
+        return (self[i] for i in range(self.n))
+
+    def __eq__(self, other):
+        if not isinstance(other, Trace):
+            return NotImplemented
+        return self.ids == other.ids and np.array_equal(
+            self.rows, other.rows, equal_nan=True)
+
+
 class TraceRecord:
-    step: int
-    loss: float
-    full_loss: float | None
-    grad_norms: dict
-    alphas: dict
-    hs: dict
-    reverted: dict
+    """Read-only view of one trace row: `step`, `loss`, `full_loss` (None
+    without an eval) and the per-group columns as dicts keyed by group id
+    (`reverted` as bool)."""
+
+    __slots__ = ("_ids", "_row")
+
+    def __init__(self, ids, row):
+        self._ids, self._row = ids, row
+
+    def _groups(self, k):
+        return dict(zip(self._ids, self._row[3 + k::4]))
+
+    step = property(lambda self: int(self._row[0]))
+    loss = property(lambda self: self._row[1])
+    full_loss = property(lambda self: None if math.isnan(self._row[2])
+                         else self._row[2])
+    grad_norms = property(lambda self: self._groups(0))
+    alphas = property(lambda self: self._groups(1))
+    hs = property(lambda self: self._groups(2))
+    reverted = property(lambda self: {i: bool(v)
+                                      for i, v in self._groups(3).items()})
 
 
 @functools.lru_cache(maxsize=1)
@@ -195,13 +273,15 @@ def build_problem(config: RunConfig):
         raise ConfigError(f"{cfg.problem}: {exc}") from exc
 
 
-def run(config: RunConfig):
-    """Execute one seeded run; returns the list of TraceRecords.
+def run(config: RunConfig) -> Trace:
+    """Execute one seeded run; returns its `Trace`, one row per step.
 
-    With `out` set (a file, or a directory for `trace.csv`), the trace CSV
-    is written there; a run that stops on any exception inside the step
-    loop still writes the steps before it, and an unwritable `out` fails
-    before step 1.
+    The trace array is allocated for every step before step 1, so a
+    `steps` too large to hold fails as a ConfigError first. Each step
+    writes its row, and each eval its row's full loss. With `out` set (a
+    file, or a directory for `trace.csv`), the trace CSV is written there;
+    a run that stops on any exception inside the step loop still writes
+    the steps before it, and an unwritable `out` fails before step 1.
 
     Deterministic for a given (config, seed): the master seed splits into
     independent init and batch-order streams, so optimizer comparisons at
@@ -209,6 +289,8 @@ def run(config: RunConfig):
     """
     cfg = config.resolved()
     problem = build_problem(cfg)
+    ids, segments = zip(*problem.segments)
+    trace = Trace(ids, cfg.steps)
     out = _out_file(cfg.out, "trace.csv")
     init_ss, batch_ss = np.random.SeedSequence(cfg.seed).spawn(2)
     x = problem.initial_point(np.random.default_rng(init_ss)).astype(np.float64)
@@ -217,7 +299,6 @@ def run(config: RunConfig):
     if problem.n_samples:
         sampler = BatchSampler(problem.n_samples, cfg.batch_size, batch_ss)
 
-    ids, segments = zip(*problem.segments)
     direction, rule, _ = OPTIMIZER_TABLE[cfg.optimizer]
     adam = AdamState.fresh(x.size, cfg.beta1, cfg.beta2, cfg.eps_hat)
     sched = FlatSchedule(segments, [cfg.alpha0] * len(ids), [0.0] * len(ids),
@@ -229,7 +310,6 @@ def run(config: RunConfig):
     noise = (np.random.default_rng(cfg.problem_seed + 1)
              if cfg.grad_noise > 0.0 else None)
     overlap = problem.n_samples * problem.dim >= _OVERLAP_EVAL_SIZE
-    records = []
     pending = None  # (step, result) of the eval whose loss is not recorded yet
 
     def fail(step, detail):
@@ -246,11 +326,11 @@ def run(config: RunConfig):
         if pending:
             (step, result), pending = pending, None
             try:
-                records[step - 1].full_loss = loss = result()
+                trace.data[step - 1, 2] = loss = result()
                 if not math.isfinite(loss):
                     fail(step, f"full loss {loss}")
             except BaseException:
-                del records[step - 1:]
+                trace.n = step - 1
                 raise
 
     # Divergence is detected by the explicit finiteness checks below, so the
@@ -284,11 +364,7 @@ def run(config: RunConfig):
                     alphas = sched.alpha
                 check_groups(t, x, "weights")
 
-                records.append(TraceRecord(
-                    step=t, loss=batch_loss, full_loss=None,
-                    grad_norms=dict(zip(ids, norms)),
-                    alphas=dict(zip(ids, alphas)), hs=dict(zip(ids, hs)),
-                    reverted=dict(zip(ids, reverted))))
+                trace.append(batch_loss, norms, alphas, hs, reverted)
                 if t % cfg.eval_every == 0 or t == cfg.steps:
                     settle()
                     if pool:
@@ -302,8 +378,8 @@ def run(config: RunConfig):
             settle()
         finally:
             if out:
-                write_trace_csv(records, ids, out)
-    return records
+                write_trace_csv(trace, ids, out)
+    return trace
 
 
 def _all_finite(v) -> bool:
@@ -354,30 +430,43 @@ def _write_lines(path, lines):
         f.write("\n".join(lines) + "\n")
 
 
+def _int_cell(value) -> str:
+    return str(int(value))
+
+
+def _optional_cell(value) -> str:
+    return "" if math.isnan(value) else repr(value)
+
+
 def write_trace_csv(records, vector_ids, path):
+    """Write the Trace `records` as a trace CSV whose groups are
+    `vector_ids`, in that order; a NaN full loss is a blank cell."""
+    groups = [records.ids.index(vec_id) for vec_id in vector_ids]
+    picked = [0, 1, 2] + [3 + 4 * g + j for g in groups for j in range(4)]
+    formats = [_int_cell, repr, _optional_cell]
+    formats += [repr, repr, repr, _int_cell] * len(groups)
     lines = [",".join(trace_columns(vector_ids))]
-    for rec in records:
-        cells = [str(rec.step), _fmt(rec.loss),
-                 "" if rec.full_loss is None else _fmt(rec.full_loss)]
-        for vec_id in vector_ids:
-            cells += [_fmt(rec.grad_norms[vec_id]), _fmt(rec.alphas[vec_id]),
-                      _fmt(rec.hs[vec_id]), str(int(rec.reverted[vec_id]))]
-        lines.append(",".join(cells))
+    for start in range(0, records.n, 64):  # bounds the floats alive at once
+        columns = records.rows[start:start + 64, picked].T.tolist()
+        lines += map(",".join, zip(*map(map, formats, columns)))
     _write_lines(path, lines)
     return path
 
 
 def metric_value(records, metric, threshold=0.5):
+    """`metric` of the Trace `records`: the last full loss, the first step
+    whose full loss is <= `threshold` (inf if none), or the smallest norm
+    of a step's whole update direction."""
     if metric == "final_loss":
-        return records[-1].full_loss
+        return float(records.full_loss[-1])
     if metric == "steps_to_threshold":
-        for rec in records:
-            if rec.full_loss is not None and rec.full_loss <= threshold:
-                return float(rec.step)
-        return math.inf
+        hits = np.flatnonzero(records.full_loss <= threshold)
+        return float(records.step[hits[0]]) if hits.size else math.inf
     if metric == "min_grad_norm":
-        return min(math.sqrt(sum(v ** 2 for v in rec.grad_norms.values()))
-                   for rec in records)
+        # Row by row in Python floats: numpy's `v * v` can differ from
+        # libm's `v ** 2` in the last bit, and `sum` rounds as Python does.
+        return min(math.sqrt(sum(v ** 2 for v in row))
+                   for row in records.grad_norm.tolist())
     raise ConfigError(f"unknown metric {metric!r}; choose from {', '.join(METRICS)}")
 
 
@@ -468,7 +557,7 @@ def render_comparison(rows) -> str:
 def emit_plot_data(traces, out_path):
     """Write long-format plot data: run_id,step,series,value.
 
-    `traces` is a list of (run_id, records) pairs. The series are `loss`,
+    `traces` is a list of (run_id, Trace) pairs. The series are `loss`,
     `full_loss` and `alpha`; alpha expands to `alpha.<id>` when a trace has
     several weight groups, and steps without an evaluation write no
     full_loss row. Returns the number of data rows written.
@@ -476,50 +565,55 @@ def emit_plot_data(traces, out_path):
     if not traces:
         raise ConfigError("emit_plot_data needs at least one trace")
     lines = ["run_id,step,series,value"]
-    for run_id, records in traces:
-        if not records:
-            continue
-        ids = list(records[0].alphas)
-        labels = [f"alpha.{i}" if len(ids) > 1 else "alpha" for i in ids]
-        for rec in records:
-            values = [("loss", rec.loss), ("full_loss", rec.full_loss)]
-            values += zip(labels, rec.alphas.values())
-            lines += [f"{run_id},{rec.step},{name},{_fmt(value)}"
-                      for name, value in values if value is not None]
+    for run_id, trace in traces:
+        labels = [f"alpha.{i}" if len(trace.ids) > 1 else "alpha"
+                  for i in trace.ids]
+        for step, loss, full, alphas in zip(
+                trace.step.astype(np.int64).tolist(), trace.loss.tolist(),
+                trace.full_loss.tolist(), trace.alpha.tolist()):
+            lines.append(f"{run_id},{step},loss,{loss!r}")
+            if not math.isnan(full):
+                lines.append(f"{run_id},{step},full_loss,{full!r}")
+            lines += [f"{run_id},{step},{label},{alpha!r}"
+                      for label, alpha in zip(labels, alphas)]
     _write_lines(out_path, lines)
     return len(lines) - 1
 
 
+def _cells(trace, mask):
+    """The (step, group id) of every True entry of an (n, groups) mask,
+    step by step."""
+    return [(int(trace.step[r]), trace.ids[g])
+            for r, g in zip(*np.nonzero(mask))]
+
+
 def check_revert_flags(records):
-    """Indices whose revert flag fired without h_t * h_{t-1} < 0."""
-    violations = []
-    prev_h = {vec_id: 0.0 for vec_id in records[0].hs} if records else {}
-    for rec in records:
-        for vec_id, rev in rec.reverted.items():
-            if rev and not rec.hs[vec_id] * prev_h[vec_id] < 0.0:
-                violations.append((rec.step, vec_id))
-            prev_h[vec_id] = rec.hs[vec_id]
-    return violations
+    """(step, group id) of each revert flag of the Trace `records` that
+    fired without h_t * h_{t-1} < 0 (h_0 = 0)."""
+    h = records.h
+    prev = np.zeros_like(h)
+    prev[1:] = h[:-1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _cells(records, (records.reverted != 0) & ~(h * prev < 0.0))
 
 
 def check_alpha_envelope(records, alpha0, eta, slack=1e-10):
-    """Steps whose rate leaves `alpha_envelope(alpha0, eta, sigma, t)`,
-    with sigma the largest update norm of its group, by more than `slack`.
+    """(step, group id) of each rate of the Trace `records` that leaves
+    `alpha_envelope(alpha0, eta, sigma, t)`, with sigma the largest update
+    norm of its group, by more than `slack`.
 
     Only meaningful on runs with clamping disabled; reverts only remove
     increments, so they tighten the bound rather than widening it.
     """
-    violations = []
     if not records:
-        return violations
-    gmax = {vec_id: max(rec.grad_norms[vec_id] for rec in records)
-            for vec_id in records[0].grad_norms}
-    for rec in records:
-        for vec_id, alpha in rec.alphas.items():
-            lo, hi = alpha_envelope(alpha0, eta, gmax[vec_id], rec.step)
-            if not lo - slack <= alpha <= hi + slack:
-                violations.append((rec.step, vec_id))
-    return violations
+        return []
+    outside = np.zeros(records.alpha.shape, dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, sigma in enumerate(records.grad_norm.max(axis=0).tolist()):
+            lo, hi = alpha_envelope(alpha0, eta, sigma, records.step)
+            alpha = records.alpha[:, k]
+            outside[:, k] = ~((lo - slack <= alpha) & (alpha <= hi + slack))
+    return _cells(records, outside)
 
 
 # Desk-scale presets. The quadratic here is diag(1..dim); MNIST presets use

@@ -11,10 +11,10 @@ import pytest
 
 from rdbd.cli import main, parse_config_file
 from rdbd.harness import (ConfigError, MissingDataError, NumericError,
-                          OPTIMIZERS, PRESETS, RunConfig, SWEEPS, TraceRecord,
+                          OPTIMIZERS, PRESETS, RunConfig, SWEEPS, Trace,
                           check_alpha_envelope, check_revert_flags, compare,
                           config_grid, emit_plot_data, metric_value, preset,
-                          run, write_trace_csv)
+                          run, trace_columns, write_trace_csv)
 from reference import serialize_idx
 
 QUICK = RunConfig(problem="logistic", optimizer="rdbd", alpha0=0.005,
@@ -85,6 +85,101 @@ def test_trace_multi_vector_columns(tmp_path):
     # independent per-vector schedules diverge
     alphas = records[-1].alphas
     assert len({round(a, 12) for a in alphas.values()}) > 1
+
+
+def test_trace_is_one_float64_array_in_csv_column_order(tmp_path):
+    path = tmp_path / "t.csv"
+    cfg = dataclasses.replace(QUICK, problem="mlp-blobs", n_samples=64,
+                              layer_sizes=(6, 5, 3), batch_size=8, steps=30,
+                              eval_every=10, out=str(path))
+    trace = run(cfg)
+    assert trace.ids == ("W1", "b1", "W2", "b2")
+    assert trace.data.shape == (30, 3 + 4 * 4) and trace.data.dtype == np.float64
+    assert len(trace) == trace.n == 30
+    lines = path.read_text().splitlines()[1:]
+    written = [[float(c) if c else math.nan for c in line.split(",")]
+               for line in lines]
+    assert np.array_equal(written, trace.rows, equal_nan=True)
+    assert np.isnan(trace.full_loss).tolist() == [
+        t % 10 != 0 for t in range(1, 31)]
+    assert set(trace.reverted.ravel().tolist()) <= {0.0, 1.0}
+    # Row views read the same row, and cannot be written.
+    last = trace[-1]
+    assert last.step == 30 and last.full_loss == trace.full_loss[-1]
+    assert trace[0].full_loss is None
+    assert last.alphas == dict(zip(trace.ids, trace.alpha[-1].tolist()))
+    assert all(type(v) is bool for v in last.reverted.values())
+    with pytest.raises(AttributeError):
+        last.loss = 0.0
+    assert [r.step for r in trace] == list(range(1, 31))
+
+
+def test_trace_equality_is_ids_and_written_rows():
+    def trace(ids, capacity, rows):
+        t = Trace(ids, capacity)
+        for loss in rows:
+            t.append(loss, [1.0] * len(ids), [0.5] * len(ids),
+                     [0.0] * len(ids), [False] * len(ids))
+        return t
+
+    a = trace(["x"], 3, [1.0, 2.0])
+    assert a == trace(["x"], 2, [1.0, 2.0])     # NaN full losses are equal
+    assert a != trace(["y"], 3, [1.0, 2.0])
+    assert a != trace(["x"], 3, [1.0, 2.0, 3.0])
+    assert a != trace(["x"], 3, [1.0, 2.5])
+    b = trace(["x"], 3, [1.0, 2.0])
+    b.data[1, 2] = 0.25
+    assert a != b and a != list(a)
+
+
+def test_trace_checks_find_the_rows_a_per_row_check_finds():
+    """The column checks against their per-row definition, on a trace
+    with planted revert flags and rates outside the envelope."""
+    cfg = dataclasses.replace(QUICK, problem="mlp-blobs", n_samples=64,
+                              layer_sizes=(6, 5, 3), batch_size=8, steps=40,
+                              alpha_min=-math.inf)
+    trace = run(cfg)
+    assert check_revert_flags(trace) == []
+    assert check_alpha_envelope(trace, cfg.alpha0, cfg.resolved().eta) == []
+    trace.reverted[[0, 7, 7, 20], [1, 0, 3, 2]] = 1.0
+    trace.h[11:13, 1] = 1.0, -1.0
+    trace.reverted[12, 1] = 1.0                # a genuine sign flip
+    trace.alpha[[3, 30], [2, 0]] = [1.0, -1.0]
+    flags, outside = [], []
+    prev_h = dict.fromkeys(trace.ids, 0.0)
+    gmax = {i: max(r.grad_norms[i] for r in trace) for i in trace.ids}
+    for rec in trace:
+        for i in trace.ids:
+            if rec.reverted[i] and not rec.hs[i] * prev_h[i] < 0.0:
+                flags.append((rec.step, i))
+            prev_h[i] = rec.hs[i]
+            drift = rec.step * cfg.resolved().eta * gmax[i] ** 2
+            if not (cfg.alpha0 - drift - 1e-10 <= rec.alphas[i]
+                    <= cfg.alpha0 + drift + 1e-10):
+                outside.append((rec.step, i))
+    assert (1, "b1") in flags and (13, "b1") not in flags
+    assert check_revert_flags(trace) == flags
+    assert outside == [(4, "W2"), (31, "W1")]
+    assert check_alpha_envelope(trace, cfg.alpha0, cfg.resolved().eta) == outside
+
+
+def test_a_trace_holds_its_array_and_little_else():
+    import gc
+    import tracemalloc
+
+    cfg = preset("logistic-default")
+    run(cfg)    # fills the dataset cache and every lazy import
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        trace = run(cfg)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(trace) == cfg.steps == 2000
+    assert held <= cfg.steps * len(trace_columns(trace.ids)) * 8 + 16384
 
 
 def test_alpha_envelope_checker_on_unclamped_runs():
@@ -262,9 +357,10 @@ def test_sweep_runs_its_preset_over_the_axis(tmp_path, monkeypatch, capsys,
 
     def recorded_run(cfg):
         runs.append(cfg)
-        return [TraceRecord(step=1, loss=1.0, full_loss=1.0,
-                            grad_norms={"x": 1.0}, alphas={"x": cfg.alpha0},
-                            hs={"x": 0.0}, reverted={"x": False})]
+        trace = Trace(["x"], 1)
+        trace.append(1.0, [1.0], [cfg.alpha0], [0.0], [False])
+        trace.data[0, 2] = 1.0
+        return trace
 
     monkeypatch.setattr(cli, "run", recorded_run)
     assert main(["sweep", "--preset", name, "--seed", "3",
@@ -443,6 +539,18 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
     assert main(["run", "--problem", "rosenbrock", "--optimizer", "sgd",
                  "--alpha0", "1.0", "--steps", "200"]) == 4
     capsys.readouterr()
+
+
+def test_cli_run_with_a_huge_steps_exits_2_before_step_1(tmp_path, capsys):
+    # 2**62 rows is a trace shape numpy refuses without allocating.
+    out = tmp_path / "new" / "t.csv"
+    assert main(["run", "--steps", str(2 ** 62), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: steps={2 ** 62} is too large: "
+                          f"its trace of {2 ** 62} rows x 7 float64 columns "
+                          f"cannot be allocated (")
+    assert "Traceback" not in err
+    assert not (tmp_path / "new").exists()
 
 
 def test_cli_run_with_config_file(tmp_path, capsys):
