@@ -13,7 +13,6 @@ from .theory import (BoundReport, TheoryParams, alpha_envelope,
                      rdbd_iteration_bound, rdbd_theoretical_hyperparams,
                      steeper_descent_conditions)
 from .harness import (ConfigError, MissingDataError, NumericError, RunConfig,
-                      Trace, TraceRecord, compare, emit_plot_data, preset,
-                      run)
+                      Trace, compare, emit_plot_data, preset, run)
 
 __version__ = "0.1.0"

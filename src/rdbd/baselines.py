@@ -35,8 +35,9 @@ class AdamState:
 
 
 def adam_advance(state: AdamState, g) -> np.ndarray:
-    """Fold the gradient g into the moments, in place, and return the
-    bias-corrected direction u = m_hat / (sqrt(v_hat) + eps_hat)."""
+    """Fold the gradient g into the moments, rebinding `state.m` and
+    `state.v` to new arrays, and return the bias-corrected direction
+    u = m_hat / (sqrt(v_hat) + eps_hat)."""
     if g.size != state.m.size:
         raise ValueError(f"gradient dim {g.size} != moment dim {state.m.size}")
     state.step += 1

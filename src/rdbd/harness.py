@@ -2,9 +2,9 @@
 seeded runs, records per-step traces, and compares optimizers over seeds.
 
 A run's trace is one `Trace`: a float64 array with one row per step, in
-the CSV column order below. The CSV writer, the metrics and the checks
-read its columns; `TraceRecord` row views are for callers outside the
-library.
+the CSV column order below. Every reader in the library and its tests
+reads its columns; `TraceRecord` row views are kept only as the
+benchmark's four-attribute contract, and go once it reads columns.
 
 Trace CSV schema (one row per step): `step,loss,full_loss` followed by
 `grad_norm,alpha,h,reverted` per weight group (suffixed `.<id>` when the
@@ -26,7 +26,6 @@ import dataclasses
 import functools
 import math
 import os
-import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -158,10 +157,11 @@ class Trace:
     `data` is allocated for every step up front and its first `n` rows are
     written; `rows` is their view. A NaN `full_loss` marks a step without
     an eval, and `reverted` is 0 or 1. The column views are 1-D for the
-    first three and `(n, groups)` for the per-group ones. `trace[i]` and
-    iteration give `TraceRecord` row views. Two traces are equal when
-    their ids and written rows are (NaN equal to NaN). Raises ConfigError
-    when `steps` rows cannot be allocated.
+    first three and `(n, groups)` for the per-group ones. `trace[i]` is a
+    `TraceRecord`, the benchmark's row view, and iterating goes through
+    it. Two traces are equal when their ids and written rows are (NaN
+    equal to NaN). Raises ConfigError when `steps` rows cannot be
+    allocated.
     """
 
     def __init__(self, ids, steps):
@@ -174,14 +174,13 @@ class Trace:
                               f"{steps} rows x {columns} float64 columns "
                               f"cannot be allocated ({exc})") from exc
         self.n = 0
-        self._row = struct.Struct(f"{columns}d")
 
     def append(self, loss, grad_norms, alphas, hs, reverted):
         """Write step n+1 into the next row, with no full loss yet."""
         row = [self.n + 1, loss, math.nan]
         for group in zip(grad_norms, alphas, hs, reverted):
             row += group
-        self._row.pack_into(self.data, self.n * self._row.size, *row)
+        self.data[self.n] = row
         self.n += 1
 
     rows = property(lambda self: self.data[:self.n])
@@ -199,9 +198,6 @@ class Trace:
     def __getitem__(self, i):
         return TraceRecord(self.ids, self.rows[i].tolist())
 
-    def __iter__(self):
-        return (self[i] for i in range(self.n))
-
     def __eq__(self, other):
         if not isinstance(other, Trace):
             return NotImplemented
@@ -210,27 +206,21 @@ class Trace:
 
 
 class TraceRecord:
-    """Read-only view of one trace row: `step`, `loss`, `full_loss` (None
-    without an eval) and the per-group columns as dicts keyed by group id
-    (`reverted` as bool)."""
+    """Read-only view of one trace row, as the benchmark reads it: `loss`,
+    `full_loss` (None without an eval), and `grad_norms` and `reverted`
+    (bool values) as dicts keyed by group id."""
 
     __slots__ = ("_ids", "_row")
 
     def __init__(self, ids, row):
         self._ids, self._row = ids, row
 
-    def _groups(self, k):
-        return dict(zip(self._ids, self._row[3 + k::4]))
-
-    step = property(lambda self: int(self._row[0]))
     loss = property(lambda self: self._row[1])
     full_loss = property(lambda self: None if math.isnan(self._row[2])
                          else self._row[2])
-    grad_norms = property(lambda self: self._groups(0))
-    alphas = property(lambda self: self._groups(1))
-    hs = property(lambda self: self._groups(2))
-    reverted = property(lambda self: {i: bool(v)
-                                      for i, v in self._groups(3).items()})
+    grad_norms = property(lambda self: dict(zip(self._ids, self._row[3::4])))
+    reverted = property(lambda self: {i: bool(v) for i, v in
+                                      zip(self._ids, self._row[6::4])})
 
 
 @functools.lru_cache(maxsize=1)
@@ -269,19 +259,20 @@ def build_problem(config: RunConfig):
                                    "--mnist-dir or set MNIST_DIR")
         return MlpProblem(cfg.layer_sizes, mnist_subset(
             full, cfg.subset_n, cfg.problem_seed))
-    except ValueError as exc:
+    except (MemoryError, ValueError) as exc:
         raise ConfigError(f"{cfg.problem}: {exc}") from exc
 
 
 def run(config: RunConfig) -> Trace:
     """Execute one seeded run; returns its `Trace`, one row per step.
 
-    The trace array is allocated for every step before step 1, so a
-    `steps` too large to hold fails as a ConfigError first. Each step
-    writes its row, and each eval its row's full loss. With `out` set (a
-    file, or a directory for `trace.csv`), the trace CSV is written there;
-    a run that stops on any exception inside the step loop still writes
-    the steps before it, and an unwritable `out` fails before step 1.
+    The dataset, the trace array for every step and the weights are
+    allocated before `out` is checked, so a problem or a `steps` too large
+    to hold fails as a ConfigError before step 1 and leaves no file. Each
+    step writes its row, and each eval its row's full loss. With `out` set
+    (a file, or a directory for `trace.csv`), the trace CSV is written
+    there; a run that stops on any exception inside the step loop still
+    writes the steps before it, and an unwritable `out` fails before step 1.
 
     Deterministic for a given (config, seed): the master seed splits into
     independent init and batch-order streams, so optimizer comparisons at
@@ -291,9 +282,12 @@ def run(config: RunConfig) -> Trace:
     problem = build_problem(cfg)
     ids, segments = zip(*problem.segments)
     trace = Trace(ids, cfg.steps)
-    out = _out_file(cfg.out, "trace.csv")
     init_ss, batch_ss = np.random.SeedSequence(cfg.seed).spawn(2)
-    x = problem.initial_point(np.random.default_rng(init_ss)).astype(np.float64)
+    try:
+        x = problem.initial_point(np.random.default_rng(init_ss)).astype(np.float64)
+    except (MemoryError, ValueError) as exc:
+        raise ConfigError(f"{cfg.problem}: its {problem.dim} weights cannot "
+                          f"be allocated ({exc})") from exc
 
     sampler = None
     if problem.n_samples:
@@ -305,6 +299,7 @@ def run(config: RunConfig) -> Trace:
                          [0.0] * len(ids), np.zeros(x.size), cfg.eta,
                          cfg.alpha_min, cfg.alpha_max)
     fixed = [cfg.alpha0] * len(ids), [0.0] * len(ids), [False] * len(ids)
+    out = _out_file(cfg.out, "trace.csv")
     # The gradient-noise stream follows problem_seed, not seed, so every run
     # of one problem (each optimizer, each seed) sees the same perturbations.
     noise = (np.random.default_rng(cfg.problem_seed + 1)
@@ -566,8 +561,7 @@ def emit_plot_data(traces, out_path):
         raise ConfigError("emit_plot_data needs at least one trace")
     lines = ["run_id,step,series,value"]
     for run_id, trace in traces:
-        labels = [f"alpha.{i}" if len(trace.ids) > 1 else "alpha"
-                  for i in trace.ids]
+        labels = trace_columns(trace.ids)[4::4]
         for step, loss, full, alphas in zip(
                 trace.step.astype(np.int64).tolist(), trace.loss.tolist(),
                 trace.full_loss.tolist(), trace.alpha.tolist()):

@@ -348,7 +348,7 @@ def _median_final(optimizer, seeds=range(1, 6), **overrides):
         kwargs = dict(optimizer=optimizer, seed=s, problem_seed=s,
                       eta=None, alpha_max=None)
         kwargs.update(overrides)
-        finals.append(run(dataclasses.replace(FIG2_BASE, **kwargs))[-1].full_loss)
+        finals.append(run(dataclasses.replace(FIG2_BASE, **kwargs)).full_loss[-1])
     return float(np.median(finals))
 
 
@@ -374,7 +374,7 @@ def test_criterion_10_revert_beats_plain_schedule_under_noise():
     for s in range(1, 6):
         cfg = dataclasses.replace(FIG2_BASE, optimizer="rdbd", seed=s,
                                   problem_seed=s, **noise)
-        reverts += sum(any(r.reverted.values()) for r in run(cfg))
+        reverts += int(run(cfg).reverted.any(axis=1).sum())
     dbd = _median_final("dbd", **noise)
     rdbd = _median_final("rdbd", **noise)
     ok = rdbd <= dbd and reverts >= 1
@@ -393,10 +393,9 @@ def test_criterion_11_real_data_tier():
     def steps_to_half(optimizer, seed):
         cfg = dataclasses.replace(base, optimizer=optimizer, seed=seed,
                                   eta=None if optimizer == "sgd" else 0.01)
-        for rec in run(cfg):
-            if rec.full_loss is not None and rec.full_loss <= 0.5:
-                return float(rec.step)
-        return math.inf
+        trace = run(cfg)
+        hits = np.flatnonzero(trace.full_loss <= 0.5)
+        return float(trace.step[hits[0]]) if hits.size else math.inf
 
     rdbd = float(np.median([steps_to_half("rdbd", s) for s in (1, 2, 3)]))
     sgd = float(np.median([steps_to_half("sgd", s) for s in (1, 2, 3)]))

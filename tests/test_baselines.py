@@ -19,15 +19,16 @@ def one_group(n, alpha, eta, alpha_max):
 
 def test_sgd_step_basic():
     # x = 1, g = 1: one step at rate 0.25 lands on 0.75, where f = 0.28125.
-    first, second = scalar_sgd(0.25, 2)
-    assert first.loss == 0.5 and first.grad_norms == {"x": 1.0}
-    assert first.full_loss == 0.28125 == second.loss
+    trace = scalar_sgd(0.25, 2)
+    assert trace.ids == ("x",) and trace.grad_norm[0].tolist() == [1.0]
+    assert trace.loss[0] == 0.5
+    assert trace.full_loss[0] == 0.28125 == trace.loss[1]
 
 
 def test_sgd_one_step_to_optimum_on_scalar_quadratic():
     # f(x) = x^2/2, g = x: with alpha=1 the iterate lands on 0 immediately.
     records = scalar_sgd(1.0, 3)
-    assert [rec.full_loss for rec in records] == [0.0, 0.0, 0.0]
+    assert records.full_loss.tolist() == [0.0, 0.0, 0.0]
 
 
 def test_adam_first_step_bias_correction():

@@ -59,14 +59,14 @@ def test_run_is_deterministic_and_csv_bytes_match(tmp_path):
 def test_trace_contents_single_vector(tmp_path):
     records = run(QUICK)
     assert len(records) == 120
-    assert [r.step for r in records] == list(range(1, 121))
+    steps = records.step.tolist()
+    assert steps == list(range(1, 121))
     # full loss present exactly on eval steps and the final step
-    for r in records:
-        expected = r.step % 25 == 0 or r.step == 120
-        assert (r.full_loss is not None) == expected
+    assert (~np.isnan(records.full_loss)).tolist() == [
+        s % 25 == 0 or s == 120 for s in steps]
     assert check_revert_flags(records) == []
     path = tmp_path / "t.csv"
-    write_trace_csv(records, list(records[0].grad_norms), str(path))
+    write_trace_csv(records, records.ids, str(path))
     header = path.read_text().splitlines()[0]
     assert header == "step,loss,full_loss,grad_norm,alpha,h,reverted"
 
@@ -76,15 +76,15 @@ def test_trace_multi_vector_columns(tmp_path):
                     n_samples=64, layer_sizes=(6, 5, 3), batch_size=8,
                     seed=2, problem_seed=5, eval_every=10)
     records = run(cfg)
-    ids = list(records[0].grad_norms)
+    ids = list(records.ids)
     assert ids == ["W1", "b1", "W2", "b2"]
     path = tmp_path / "m.csv"
     write_trace_csv(records, ids, str(path))
     header = path.read_text().splitlines()[0].split(",")
     assert "alpha.W1" in header and "reverted.b2" in header
     # independent per-vector schedules diverge
-    alphas = records[-1].alphas
-    assert len({round(a, 12) for a in alphas.values()}) > 1
+    alphas = records.alpha[-1].tolist()
+    assert len({round(a, 12) for a in alphas}) > 1
 
 
 def test_trace_is_one_float64_array_in_csv_column_order(tmp_path):
@@ -103,15 +103,38 @@ def test_trace_is_one_float64_array_in_csv_column_order(tmp_path):
     assert np.isnan(trace.full_loss).tolist() == [
         t % 10 != 0 for t in range(1, 31)]
     assert set(trace.reverted.ravel().tolist()) <= {0.0, 1.0}
-    # Row views read the same row, and cannot be written.
-    last = trace[-1]
-    assert last.step == 30 and last.full_loss == trace.full_loss[-1]
-    assert trace[0].full_loss is None
-    assert last.alphas == dict(zip(trace.ids, trace.alpha[-1].tolist()))
-    assert all(type(v) is bool for v in last.reverted.values())
+
+
+def test_trace_row_view_is_the_benchmarks_contract():
+    """Exactly the reads the benchmark makes of `TraceRecord` row views, on
+    a multi-group run: group ids from the first row's `grad_norms`, every
+    row's `loss` and `full_loss`, the last row's `full_loss`, the
+    `reverted` flags, the length, and iteration. Nothing else reads rows."""
+    cfg = dataclasses.replace(QUICK, problem="mlp-blobs", n_samples=64,
+                              layer_sizes=(6, 5, 3), batch_size=8, steps=30,
+                              eval_every=10)
+    t = run(cfg)
+    assert {name for name in dir(t[0]) if not name.startswith("_")} == {
+        "loss", "full_loss", "grad_norms", "reverted"}
+    assert list(t[0].grad_norms) == list(t.ids) == ["W1", "b1", "W2", "b2"]
+    assert list(t[0].grad_norms.values()) == t.grad_norm[0].tolist()
+    assert [r.loss for r in t] == t.loss.tolist()
+    # full_loss is None exactly off the eval steps, and the eval otherwise.
+    assert [r.full_loss for r in t] == [
+        None if s % 10 else f
+        for s, f in zip(range(1, 31), t.full_loss.tolist())]
+    assert t[-1].full_loss == t.full_loss[-1]
+    flags = [r.reverted for r in t]
+    assert all(list(f) == list(t.ids) for f in flags)
+    assert all(type(v) is bool for f in flags for v in f.values())
+    assert sum(sum(f.values()) for f in flags) == t.reverted.sum() > 0
+    assert len(t) == 30
     with pytest.raises(AttributeError):
-        last.loss = 0.0
-    assert [r.step for r in trace] == list(range(1, 31))
+        t[-1].loss = 0.0
+    # Iteration follows len: a truncated trace stops at its n.
+    t.n = 7
+    assert len(t) == len(list(t)) == 7
+    assert [r.loss for r in t] == t.data[:7, 1].tolist()
 
 
 def test_trace_equality_is_ids_and_written_rows():
@@ -129,7 +152,7 @@ def test_trace_equality_is_ids_and_written_rows():
     assert a != trace(["x"], 3, [1.0, 2.5])
     b = trace(["x"], 3, [1.0, 2.0])
     b.data[1, 2] = 0.25
-    assert a != b and a != list(a)
+    assert a != b and a != a.rows.tolist()
 
 
 def test_trace_checks_find_the_rows_a_per_row_check_finds():
@@ -147,16 +170,19 @@ def test_trace_checks_find_the_rows_a_per_row_check_finds():
     trace.alpha[[3, 30], [2, 0]] = [1.0, -1.0]
     flags, outside = [], []
     prev_h = dict.fromkeys(trace.ids, 0.0)
-    gmax = {i: max(r.grad_norms[i] for r in trace) for i in trace.ids}
-    for rec in trace:
-        for i in trace.ids:
-            if rec.reverted[i] and not rec.hs[i] * prev_h[i] < 0.0:
-                flags.append((rec.step, i))
-            prev_h[i] = rec.hs[i]
-            drift = rec.step * cfg.resolved().eta * gmax[i] ** 2
-            if not (cfg.alpha0 - drift - 1e-10 <= rec.alphas[i]
+    gmax = {i: max(norms)
+            for i, norms in zip(trace.ids, trace.grad_norm.T.tolist())}
+    for step, hs, alphas, reverted in zip(
+            trace.step.astype(int).tolist(), trace.h.tolist(),
+            trace.alpha.tolist(), trace.reverted.tolist()):
+        for i, h, alpha, flag in zip(trace.ids, hs, alphas, reverted):
+            if flag and not h * prev_h[i] < 0.0:
+                flags.append((step, i))
+            prev_h[i] = h
+            drift = step * cfg.resolved().eta * gmax[i] ** 2
+            if not (cfg.alpha0 - drift - 1e-10 <= alpha
                     <= cfg.alpha0 + drift + 1e-10):
-                outside.append((rec.step, i))
+                outside.append((step, i))
     assert (1, "b1") in flags and (13, "b1") not in flags
     assert check_revert_flags(trace) == flags
     assert outside == [(4, "W2"), (31, "W1")]
@@ -192,8 +218,9 @@ def test_alpha_envelope_checker_on_unclamped_runs():
 def test_sgd_and_adam_have_constant_alpha():
     for opt in ("sgd", "adam"):
         records = run(dataclasses.replace(QUICK, optimizer=opt))
-        assert all(r.alphas["x"] == QUICK.alpha0 for r in records)
-        assert not any(any(r.reverted.values()) for r in records)
+        assert records.ids == ("x",)
+        assert (records.alpha == QUICK.alpha0).all()
+        assert not records.reverted.any()
 
 
 def test_compare_identical_configs_identical_rows():
@@ -305,12 +332,12 @@ def test_config_grid_cells():
 def test_metric_values():
     records = run(QUICK)
     final = metric_value(records, "final_loss")
-    assert final == records[-1].full_loss
+    assert final == records.full_loss[-1]
     steps = metric_value(records, "steps_to_threshold", threshold=final + 1.0)
     assert steps == 25.0  # first eval step already under a generous threshold
     assert metric_value(records, "steps_to_threshold", threshold=-1.0) == math.inf
     gmin = metric_value(records, "min_grad_norm")
-    assert gmin <= min(r.grad_norms["x"] for r in records) + 1e-15
+    assert gmin <= records.grad_norm[:, 0].min() + 1e-15
     with pytest.raises(ConfigError):
         metric_value(records, "accuracy")
 
@@ -319,7 +346,7 @@ def test_emit_plot_data_shape_and_round_trip(tmp_path):
     records = run(QUICK)
     path = tmp_path / "plot.csv"
     rows = emit_plot_data([("run0", records)], str(path))
-    evals = sum(r.full_loss is not None for r in records)
+    evals = int((~np.isnan(records.full_loss)).sum())
     assert rows == 2 * len(records) + evals
     lines = path.read_text().splitlines()
     assert lines[0] == "run_id,step,series,value"
@@ -327,11 +354,29 @@ def test_emit_plot_data_shape_and_round_trip(tmp_path):
     # round trip: min of the loss series matches the trace
     losses = [float(l.split(",")[3]) for l in lines[1:]
               if l.split(",")[2] == "loss"]
-    assert min(losses) == min(r.loss for r in records)
+    assert min(losses) == records.loss.min()
     # sparse series are filtered, not written as blanks
     assert sum(l.split(",")[2] == "full_loss" for l in lines[1:]) == evals
     with pytest.raises(ConfigError):
         emit_plot_data([], str(path))
+
+
+def test_emit_plot_data_labels_each_group_of_a_multi_group_trace(tmp_path):
+    cfg = dataclasses.replace(QUICK, problem="mlp-blobs", n_samples=64,
+                              layer_sizes=(6, 5, 3), batch_size=8, steps=30,
+                              eval_every=10)
+    trace = run(cfg)
+    path = tmp_path / "plot.csv"
+    rows = emit_plot_data([("mlp", trace)], str(path))
+    assert rows == 30 * (1 + 4) + 3
+    cells = [line.split(",") for line in path.read_text().splitlines()[1:]]
+    labels = ["alpha.W1", "alpha.b1", "alpha.W2", "alpha.b2"]
+    alphas = [c for c in cells if c[2].startswith("alpha")]
+    assert [c[2] for c in alphas] == labels * 30
+    assert [int(c[1]) for c in alphas] == [t for t in range(1, 31)
+                                           for _ in labels]
+    assert [float(c[3]) for c in alphas] == trace.alpha.ravel().tolist()
+    assert {c[2] for c in cells} == {"loss", "full_loss", *labels}
 
 
 def test_presets_and_reserved():
@@ -423,8 +468,8 @@ def test_mnist_pipeline_with_synthetic_idx_files(tmp_path, monkeypatch):
                               mnist_dir=str(tmp_path), eval_every=4)
     records = run(cfg)
     assert len(records) == 8
-    assert list(records[0].grad_norms) == ["W1", "b1", "W2", "b2", "W3", "b3"]
-    assert records[-1].full_loss is not None
+    assert list(records.ids) == ["W1", "b1", "W2", "b2", "W3", "b3"]
+    assert not math.isnan(records.full_loss[-1])
 
 
 @pytest.mark.parametrize("settings", [
@@ -549,6 +594,28 @@ def test_cli_run_with_a_huge_steps_exits_2_before_step_1(tmp_path, capsys):
     assert err.startswith(f"config error: steps={2 ** 62} is too large: "
                           f"its trace of {2 ** 62} rows x 7 float64 columns "
                           f"cannot be allocated (")
+    assert "Traceback" not in err
+    assert not (tmp_path / "new").exists()
+
+
+# Each needs more than the 2**48 bytes a 64-bit address space can map, so
+# no allocation succeeds on any machine. They fail in numpy's allocator
+# (MemoryError) or its shape check (ValueError), while building the
+# dataset or the weights.
+@pytest.mark.parametrize("problem, setting", [
+    ("quadratic", f"dim = {2 ** 46}"),
+    ("logistic", f"n_samples = {10 ** 17}"),
+    ("mlp-blobs", f"layer_sizes = 10,{2 ** 24},{2 ** 24},3"),
+    ("mlp-blobs", f"layer_sizes = 10,{2 ** 32},{2 ** 32},3"),
+], ids=["quadratic-dim", "logistic-samples", "mlp-width", "mlp-shape"])
+def test_cli_run_with_a_problem_too_large_exits_2_before_step_1(
+        tmp_path, capsys, problem, setting):
+    path = tmp_path / "huge.cfg"
+    path.write_text(f"problem = {problem}\n{setting}\n")
+    out = tmp_path / "new" / "t.csv"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {problem}: ")
     assert "Traceback" not in err
     assert not (tmp_path / "new").exists()
 
@@ -1270,20 +1337,21 @@ def test_flat_kernel_matches_per_group_reference(optimizer, alpha_max):
     cfg = dataclasses.replace(preset("mlp-blobs-demo"), optimizer=optimizer,
                               eta=None, alpha_max=alpha_max, steps=60)
     records = run(cfg)
-    assert len(records[0].alphas) == 6
+    assert len(records.ids) == 6
     rows = []
-    for rec in records:
-        row = [rec.loss]
-        for vec_id in rec.alphas:
-            row += [rec.grad_norms[vec_id], rec.alphas[vec_id],
-                    rec.hs[vec_id], rec.reverted[vec_id]]
-        if rec.full_loss is not None:
-            row.append(rec.full_loss)
+    for loss, full, groups in zip(
+            records.loss.tolist(), records.full_loss.tolist(),
+            records.rows[:, 3:].reshape(len(records), 6, 4).tolist()):
+        row = [loss]
+        for norm, alpha, h, reverted in groups:
+            row += [norm, alpha, h, bool(reverted)]
+        if not math.isnan(full):
+            row.append(full)
         rows.append([v.hex() if isinstance(v, float) else v for v in row])
     reference, clamp_reverts = _per_group_reference(cfg)
     assert rows == reference
     if optimizer in ("rdbd", "adam_rdbd"):
         # Some step reverts in one group but not in another.
-        assert any(len(set(rec.reverted.values())) > 1 for rec in records)
+        assert any(len(set(flags)) > 1 for flags in records.reverted.tolist())
     if alpha_max is not None:
         assert clamp_reverts == 11
