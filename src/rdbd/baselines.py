@@ -4,34 +4,26 @@ that the harness applies at a fixed rate (`adam`) or feeds to
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
 
-@dataclass
 class AdamState:
-    """First/second moment accumulators plus the decay constants."""
+    """First/second moment accumulators of `dim` weights, zero before the
+    first step, and the decay constants. Raises ValueError unless beta1
+    and beta2 lie in [0, 1) and eps_hat is finite and > 0."""
 
-    m: np.ndarray
-    v: np.ndarray
-    beta1: float = 0.05
-    beta2: float = 0.99
-    eps_hat: float = 1e-8
-    step: int = 0
-
-    def __post_init__(self):
-        if not (0 <= self.beta1 < 1) or not (0 <= self.beta2 < 1):
-            raise ValueError("beta1 and beta2 must lie in [0, 1)")
-        if self.eps_hat <= 0:
-            raise ValueError("eps_hat must be > 0")
-        self.m = np.asarray(self.m, dtype=np.float64)
-        self.v = np.asarray(self.v, dtype=np.float64)
-
-    @classmethod
-    def fresh(cls, dim, beta1=0.05, beta2=0.99, eps_hat=1e-8):
-        return cls(m=np.zeros(int(dim)), v=np.zeros(int(dim)),
-                   beta1=beta1, beta2=beta2, eps_hat=eps_hat, step=0)
+    def __init__(self, dim, beta1, beta2, eps_hat):
+        if not 0 <= beta1 < 1:
+            raise ValueError("beta1 must lie in [0, 1)")
+        if not 0 <= beta2 < 1:
+            raise ValueError("beta2 must lie in [0, 1)")
+        if not 0 < eps_hat < math.inf:
+            raise ValueError("eps_hat must be finite and > 0")
+        self.m, self.v = np.zeros(dim), np.zeros(dim)
+        self.beta1, self.beta2, self.eps_hat = beta1, beta2, eps_hat
+        self.step = 0
 
 
 def adam_advance(state: AdamState, g) -> np.ndarray:

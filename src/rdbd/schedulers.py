@@ -9,40 +9,39 @@ weight displacement it caused, before the current step proceeds.
 
 `FlatSchedule.step` is the one kernel for both rules, over every weight
 group of a flat vector; the direction it is fed is the gradient or an Adam
-direction. A single group is `FlatSchedule([slice(None)], ...)`.
+direction. A schedule is built from a run's settings and owns its state; a
+single group is `FlatSchedule([slice(None)], n, alpha0, eta, lo, hi)`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
 
-@dataclass
 class FlatSchedule:
     """Scheduler state of every weight group of one flat weight vector.
 
     Entry k of `alpha`, `prev_dot` and `applied` belongs to the weights
     `x[segments[k]]`; `prev_update` is the previous direction over the
-    whole vector. Construction checks that eta >= 0 and alpha_min <=
-    alpha_max.
+    whole `dim`-long vector. A new schedule has every rate at `alpha0`,
+    `prev_dot` and `applied` at 0.0 and a zero `prev_update`. Raises
+    ValueError unless eta is finite and >= 0 and alpha_min <= alpha_max.
     """
 
-    segments: list
-    alpha: list
-    prev_dot: list
-    applied: list
-    prev_update: np.ndarray
-    eta: float
-    alpha_min: float
-    alpha_max: float
-
-    def __post_init__(self):
-        if not self.eta >= 0:
+    def __init__(self, segments, dim, alpha0, eta, alpha_min, alpha_max):
+        if not math.isfinite(eta):
+            raise ValueError("eta must be finite")
+        if not eta >= 0:
             raise ValueError("eta must be >= 0")
-        if not self.alpha_min <= self.alpha_max:
+        if not alpha_min <= alpha_max:
             raise ValueError("alpha_min must be <= alpha_max")
+        self.segments = segments
+        self.alpha = [alpha0] * len(segments)
+        self.prev_dot, self.applied = [0.0] * len(segments), [0.0] * len(segments)
+        self.prev_update = np.zeros(dim)
+        self.eta, self.alpha_min, self.alpha_max = eta, alpha_min, alpha_max
 
     def step(self, x, d, revert):
         """One delta-bar-delta step of every group; x descends in place.

@@ -29,9 +29,11 @@ from reference import (estimate_sigma, finite_difference_gradient,
 def one_group(alpha, eta, prev_update=(0.0, 0.0), prev_dot=0.0,
               alpha_min=-math.inf, alpha_max=math.inf):
     """A one-group schedule whose previous step applied eta*prev_dot."""
-    return FlatSchedule([slice(None)], [alpha], [prev_dot], [eta * prev_dot],
-                        np.array(prev_update, float), eta, alpha_min,
-                        alpha_max)
+    sched = FlatSchedule([slice(None)], len(prev_update), alpha, eta,
+                         alpha_min, alpha_max)
+    sched.prev_update = np.array(prev_update, float)
+    sched.prev_dot, sched.applied = [prev_dot], [eta * prev_dot]
+    return sched
 
 
 def report(criterion, ok, detail):

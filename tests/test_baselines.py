@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -13,8 +15,7 @@ def scalar_sgd(alpha0, steps):
 
 
 def one_group(n, alpha, eta, alpha_max):
-    return FlatSchedule([slice(None)], [alpha], [0.0], [0.0], np.zeros(n),
-                        eta, 0.0, alpha_max)
+    return FlatSchedule([slice(None)], n, alpha, eta, 0.0, alpha_max)
 
 
 def test_sgd_step_basic():
@@ -32,7 +33,7 @@ def test_sgd_one_step_to_optimum_on_scalar_quadratic():
 
 
 def test_adam_first_step_bias_correction():
-    st = AdamState.fresh(1, beta1=0.05, beta2=0.99, eps_hat=1e-8)
+    st = AdamState(1, 0.05, 0.99, 1e-8)
     x = np.array([0.0])
     u = adam_advance(st, np.array([1.0]))
     x -= 0.1 * u
@@ -42,7 +43,7 @@ def test_adam_first_step_bias_correction():
 
 
 def test_adam_zero_gradient_is_identity():
-    st = AdamState.fresh(3)
+    st = AdamState(3, 0.05, 0.99, 1e-8)
     x = np.array([1.0, -2.0, 0.5])
     u = adam_advance(st, np.zeros(3))
     assert np.all(u == 0.0)
@@ -52,7 +53,7 @@ def test_adam_zero_gradient_is_identity():
 def test_adam_constant_gradient_sign_limit():
     # Under a constant update the direction is c/(|c|+eps) from step one on.
     for c in (0.3, -2.0):
-        st = AdamState.fresh(1)
+        st = AdamState(1, 0.05, 0.99, 1e-8)
         for _ in range(200):
             u = adam_advance(st, np.array([c]))
             expected = c / (abs(c) + st.eps_hat)
@@ -60,7 +61,7 @@ def test_adam_constant_gradient_sign_limit():
 
 
 def test_adam_zero_betas_is_normalized_sgd():
-    st = AdamState.fresh(1, beta1=0.0, beta2=0.0, eps_hat=1e-8)
+    st = AdamState(1, 0.0, 0.0, 1e-8)
     for c in (1.5, -0.25, 3.0):
         u = adam_advance(st, np.array([c]))
         assert abs(u[0] - c / (abs(c) + 1e-8)) < 1e-15
@@ -68,17 +69,24 @@ def test_adam_zero_betas_is_normalized_sgd():
 
 def test_adam_state_validation():
     with pytest.raises(ValueError):
-        AdamState.fresh(2, beta1=1.0)
+        AdamState(2, 1.0, 0.99, 1e-8)
     with pytest.raises(ValueError):
-        AdamState.fresh(2, eps_hat=0.0)
-    st = AdamState.fresh(2)
+        AdamState(2, 0.05, 0.99, 0.0)
+    st = AdamState(2, 0.05, 0.99, 1e-8)
     with pytest.raises(ValueError):
         adam_advance(st, np.array([1.0]))
 
 
+@pytest.mark.parametrize("eps_hat", [math.nan, math.inf])
+def test_adam_state_rejects_a_non_finite_eps_hat(eps_hat):
+    # A NaN eps_hat made every direction NaN, an infinite one every one 0.
+    with pytest.raises(ValueError, match=r"eps_hat must be finite and > 0"):
+        AdamState(2, 0.05, 0.99, eps_hat)
+
+
 def test_adam_v_stays_nonnegative():
     rng = np.random.default_rng(0)
-    st = AdamState.fresh(4)
+    st = AdamState(4, 0.05, 0.99, 1e-8)
     for t in range(50):
         adam_advance(st, rng.normal(size=4))
         assert np.all(st.v >= 0.0)
@@ -87,8 +95,8 @@ def test_adam_v_stays_nonnegative():
 def test_adam_rdbd_first_step_is_plain_adam():
     g = np.array([0.4, -1.0])
     x = np.array([1.0, 2.0])
-    plain_x = x - 0.005 * adam_advance(AdamState.fresh(2), g)
-    adam = AdamState.fresh(2)
+    plain_x = x - 0.005 * adam_advance(AdamState(2, 0.05, 0.99, 1e-8), g)
+    adam = AdamState(2, 0.05, 0.99, 1e-8)
     sched = one_group(2, 0.005, 5e-7, alpha_max=0.05)
     (h,), (reverted,) = sched.step(x, adam_advance(adam, g), revert=True)
     assert not reverted
@@ -101,9 +109,9 @@ def test_adam_rdbd_eta_zero_reproduces_adam():
     rng = np.random.default_rng(21)
     grads = [rng.normal(size=3) for _ in range(50)]
     x_a = np.array([0.5, -0.5, 1.0])
-    adam_a = AdamState.fresh(3)
+    adam_a = AdamState(3, 0.05, 0.99, 1e-8)
     x_b = x_a.copy()
-    adam_b = AdamState.fresh(3)
+    adam_b = AdamState(3, 0.05, 0.99, 1e-8)
     sched = one_group(3, 0.01, 0.0, alpha_max=0.1)
     for g in grads:
         x_a -= 0.01 * adam_advance(adam_a, g)
@@ -114,7 +122,7 @@ def test_adam_rdbd_eta_zero_reproduces_adam():
 
 def test_adam_rdbd_cap_engages():
     # Persistent agreement with a large meta rate drives alpha into the cap.
-    adam = AdamState.fresh(2)
+    adam = AdamState(2, 0.05, 0.99, 1e-8)
     sched = one_group(2, 0.005, 1e-3, alpha_max=0.05)
     x = np.array([5.0, 5.0])
     hit = False
@@ -127,7 +135,7 @@ def test_adam_rdbd_cap_engages():
 
 def test_adam_rdbd_deterministic():
     def trajectory():
-        adam = AdamState.fresh(2)
+        adam = AdamState(2, 0.05, 0.99, 1e-8)
         sched = one_group(2, 0.005, 5e-7, alpha_max=0.05)
         x = np.array([1.0, -1.0])
         rng = np.random.default_rng(9)

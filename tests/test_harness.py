@@ -9,17 +9,38 @@ import warnings
 import numpy as np
 import pytest
 
+from rdbd.baselines import AdamState
 from rdbd.cli import main, parse_config_file
 from rdbd.harness import (ConfigError, MissingDataError, NumericError,
                           OPTIMIZERS, PRESETS, RunConfig, SWEEPS, Trace,
                           check_alpha_envelope, check_revert_flags, compare,
                           config_grid, emit_plot_data, metric_value, preset,
                           run, trace_columns, write_trace_csv)
+from rdbd.schedulers import FlatSchedule
 from reference import serialize_idx
 
 QUICK = RunConfig(problem="logistic", optimizer="rdbd", alpha0=0.005,
                   eta=0.01, batch_size=16, steps=120, seed=1, n_samples=256,
                   dim=8, problem_seed=3, eval_every=25)
+
+
+@pytest.mark.parametrize("setting, text", [
+    (dict(eta=math.inf), "eta must be finite"),
+    (dict(eta=-1e-3), "eta must be >= 0"),
+    (dict(alpha_min=1.0, alpha_max=0.5), "alpha_min must be <= alpha_max"),
+    (dict(beta1=1.0), "beta1 must lie in [0, 1)"),
+    (dict(beta2=-0.1), "beta2 must lie in [0, 1)"),
+    (dict(eps_hat=math.nan), "eps_hat must be finite and > 0"),
+], ids=["eta-finite", "eta-sign", "alpha-bounds", "beta1", "beta2",
+        "eps_hat"])
+def test_resolved_reports_the_rule_of_the_kernel(setting, text):
+    cfg = dataclasses.replace(QUICK.resolved(), **setting)
+    with pytest.raises(ValueError) as kernel:
+        FlatSchedule((), 0, cfg.alpha0, cfg.eta, cfg.alpha_min, cfg.alpha_max)
+        AdamState(0, cfg.beta1, cfg.beta2, cfg.eps_hat)
+    with pytest.raises(ConfigError) as config:
+        cfg.resolved()
+    assert str(config.value) == str(kernel.value) == text
 
 
 def test_config_validation_errors():
@@ -384,8 +405,6 @@ def test_presets_and_reserved():
     assert cfg.steps == 2000 and cfg.alpha0 == 0.005 and cfg.eta == 0.01
     cfg.steps = 10
     assert preset("logistic-default").steps == 2000  # copies are isolated
-    with pytest.raises(ConfigError, match="reserved"):
-        preset("cifar-default")
     with pytest.raises(ConfigError, match="unknown preset"):
         preset("imagenet")
 
@@ -620,6 +639,22 @@ def test_cli_run_with_a_problem_too_large_exits_2_before_step_1(
     assert not (tmp_path / "new").exists()
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["compare", "--problem", "quadratic", "--steps", str(2 ** 62),
+      "--optimizers", "sgd,rdbd", "--seeds", "1"], 2),
+    (["compare", "--preset", "mnist-default", "--optimizers", "rdbd",
+      "--seeds", "1"], 3),
+    (["sweep", "--preset", "lr-robustness"], 3),
+], ids=["compare-huge-steps", "compare-no-mnist", "sweep-no-mnist"])
+def test_cli_failed_command_leaves_no_directory(tmp_path, monkeypatch,
+                                                capsys, argv, code):
+    monkeypatch.delenv("MNIST_DIR", raising=False)
+    out = str(tmp_path / "new" / "a") + os.sep
+    assert main(argv + ["--out", out]) == code
+    assert "Traceback" not in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
 def test_cli_run_with_config_file(tmp_path, capsys):
     cfg = tmp_path / "c.cfg"
     cfg.write_text("problem = logistic\noptimizer = sgd\nsteps = 40\n"
@@ -827,6 +862,9 @@ def test_cli_compare_accepts_eta_where_it_applies(capsys, argv):
       "--optimizers", "sgd,dbd", "--seeds", "1"], None),
     # Finite, but X'X overflows, so the logistic constant L cannot be had.
     (["run"], "problem = logistic\nseparation = 1e160\n"),
+    # numpy cannot draw from a range 2 * grad_noise wide once that overflows
+    (["run"], "problem = logistic\ngrad_noise = 1e308\n"),
+    (["run"], "problem = quadratic\ngrad_noise = 1e308\n"),
 ])
 def test_cli_bad_input_exits_with_config_error(tmp_path, capsys, argv,
                                                 config_text):
@@ -1288,8 +1326,8 @@ def _per_group_reference(cfg):
         n = sl.stop - sl.start
         groups.append(dict(sl=sl, alpha=cfg.alpha0, prev=np.zeros(n),
                            prev_dot=0.0, applied=0.0, clamped=False,
-                           adam=AdamState.fresh(n, cfg.beta1, cfg.beta2,
-                                                cfg.eps_hat)))
+                           adam=AdamState(n, cfg.beta1, cfg.beta2,
+                                          cfg.eps_hat)))
     clamp_reverts = 0
     rows = []
     for t in range(1, cfg.steps + 1):

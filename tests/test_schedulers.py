@@ -11,9 +11,11 @@ from reference import revert_exactness_check
 def make_sched(alpha=0.005, eta=0.01, prev_update=(0.0, 0.0), prev_dot=0.0,
                alpha_min=-math.inf, alpha_max=math.inf):
     """A one-group schedule whose previous step applied eta*prev_dot."""
-    return FlatSchedule([slice(None)], [alpha], [prev_dot], [eta * prev_dot],
-                        np.asarray(prev_update, float), eta, alpha_min,
-                        alpha_max)
+    sched = FlatSchedule([slice(None)], len(prev_update), alpha, eta,
+                         alpha_min, alpha_max)
+    sched.prev_update = np.asarray(prev_update, float)
+    sched.prev_dot, sched.applied = [prev_dot], [eta * prev_dot]
+    return sched
 
 
 def one_step(sched, x, g, revert):
@@ -28,6 +30,12 @@ def test_flat_schedule_validation():
         make_sched(alpha=0.1, eta=-1e-3)
     with pytest.raises(ValueError):
         make_sched(alpha=0.1, eta=0.0, alpha_min=1.0, alpha_max=0.5)
+
+
+@pytest.mark.parametrize("eta", [math.inf, -math.inf, math.nan])
+def test_flat_schedule_rejects_a_non_finite_eta(eta):
+    with pytest.raises(ValueError, match="eta must be finite"):
+        FlatSchedule([slice(None)], 2, 0.1, eta, 0.0, 1.0)
 
 
 def test_dbd_first_step_rate_unchanged():
