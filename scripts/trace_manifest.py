@@ -1,5 +1,6 @@
-"""Print the sha256 of the trace CSV of a fixed list of seeded runs, and of
-the files four CLI commands write.
+"""Print the sha256 of the trace CSV of a fixed list of seeded runs, of
+the files six CLI commands write, and of the two datasets the benchmark
+builds.
 
     python3 scripts/trace_manifest.py > manifest.txt
 
@@ -28,7 +29,7 @@ matrix, so the backward pass never propagates through a ReLU) and
 and 2. The capped runs revert increments that a clamp cut (hundreds of
 times per run), so they guard the applied-increment path of the revert.
 
-The last fifteen lines guard the CLI write path: the six files of
+The fifteen lines after the runs guard the CLI write path: the six files of
 `rdbd sweep --preset lr-robustness-logistic --seed 0 --out <dir>`, the
 `comparison.csv` of `rdbd compare --problem logistic --optimizers
 sgd,adam,dbd,rdbd,adam_rdbd --seeds 2 --steps 300 --out <dir>/`, the
@@ -45,6 +46,13 @@ problem signature, so the two guard both kinds of sweep axis. The last
 two guard the other two metric readers on a six-group trace; every one
 of their four runs reaches the threshold, at steps 50 to 200, so their
 values are finite. Their label is `<label>/<file name>`, at seed 0.
+
+The last four lines hash the bytes of the features and the labels of the
+`synthetic_blobs` datasets behind the benchmark's `mlp-784`
+(2048, 784, 10, 7, 4.0) and `logistic-default` (2048, 20, 2, 7, 4.0), so
+they guard the dataset builder directly. Their label is
+`dataset-<name>/features` or `dataset-<name>/labels`, and their seed is
+the problem seed, 7.
 """
 
 import contextlib
@@ -63,6 +71,7 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 from rdbd import cli, harness  # noqa: E402
+from rdbd.data import synthetic_blobs  # noqa: E402
 from rdbd.harness import RunConfig  # noqa: E402
 from workloads import HERMETIC_PRESETS, MLP_784  # noqa: E402
 
@@ -119,6 +128,11 @@ CLI_COMMANDS = (
 )
 
 
+# (name, synthetic_blobs arguments) of each dataset the benchmark builds
+DATASETS = (("mlp-784", (2048, 784, 10, 7, 4.0)),
+            ("logistic-default", (2048, 20, 2, 7, 4.0)))
+
+
 def digest(path):
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
@@ -139,6 +153,12 @@ def main():
             for name in sorted(os.listdir(out_dir)):
                 print(f"{label}/{name} seed=0 {digest(out_dir / name)}",
                       flush=True)
+    for name, args in DATASETS:
+        dataset = synthetic_blobs(*args)
+        for part in ("features", "labels"):
+            data = getattr(dataset, part).tobytes()
+            print(f"dataset-{name}/{part} seed={args[3]} "
+                  f"{hashlib.sha256(data).hexdigest()}", flush=True)
     return 0
 
 

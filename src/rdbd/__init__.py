@@ -5,8 +5,8 @@ and a seeded benchmark harness."""
 from .schedulers import FlatSchedule
 from .baselines import AdamState, adam_advance
 from .problems import Problem
-from .data import (BatchSampler, Dataset, load_mnist, mnist_subset,
-                   parse_idx, synthetic_blobs)
+from .data import (BatchSampler, Dataset, load_mnist, parse_idx,
+                   stratified_rows, synthetic_blobs)
 from .theory import (BoundReport, TheoryParams, alpha_envelope,
                      dbd_hypergradient, dbd_iteration_bound,
                      descent_coefficient_bound, measure_tau,

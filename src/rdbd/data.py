@@ -1,5 +1,6 @@
-"""Dataset ingestion: IDX container parsing, deterministic subsetting,
-synthetic cluster generators, and the without-replacement batch sampler."""
+"""Dataset ingestion: IDX container parsing, deterministic stratified row
+choice, synthetic cluster generators, and the without-replacement batch
+sampler. Each dataset is built at its final size."""
 
 from __future__ import annotations
 
@@ -48,9 +49,10 @@ def parse_idx(data: bytes) -> np.ndarray:
 
     Big-endian header: magic, then one dimension per header slot
     (0x00000801 = 1-D labels, 0x00000803 = 3-D images), then the uint8
-    payload, whose length must equal the product of the dimensions. Every
-    malformed stream, a corrupt or truncated gzip one included, raises
-    ValueError.
+    payload, whose length must equal the product of the dimensions. The
+    array is a read-only view of the (decompressed) bytes, not a copy.
+    Every malformed stream, a corrupt or truncated gzip one included,
+    raises ValueError.
     """
     if data[:2] == b"\x1f\x8b":
         try:
@@ -70,14 +72,13 @@ def parse_idx(data: bytes) -> np.ndarray:
     count = math.prod(dims)
     if count > 2 ** 40:
         raise ValueError(f"IDX dims {dims} overflow any sane payload")
-    payload = data[header_len:]
-    if len(payload) < count:
+    payload = len(data) - header_len
+    if payload < count:
         raise ValueError(
-            f"IDX payload truncated: header claims {count} bytes, got {len(payload)}")
-    if len(payload) > count:
-        raise ValueError(
-            f"IDX payload has {len(payload) - count} trailing bytes")
-    return np.frombuffer(payload, dtype=np.uint8).reshape(dims)
+            f"IDX payload truncated: header claims {count} bytes, got {payload}")
+    if payload > count:
+        raise ValueError(f"IDX payload has {payload - count} trailing bytes")
+    return np.frombuffer(data, np.uint8, count, offset=header_len).reshape(dims)
 
 
 class BatchSampler:
@@ -108,21 +109,22 @@ class BatchSampler:
         return batch
 
 
-def mnist_subset(dataset: Dataset, n: int, seed) -> Dataset:
-    """Deterministic stratified subsample of n rows.
+def stratified_rows(labels, num_classes, n, seed) -> np.ndarray:
+    """Sorted indices of a deterministic stratified sample of n rows.
 
-    Per-class counts follow largest-remainder apportionment of the source
-    class proportions (balance within +-1); selected indices are returned
-    in their original order, so n == len(dataset) is the identity.
+    Per-class counts follow largest-remainder apportionment of the class
+    proportions in `labels` (balance within +-1); the indices come back in
+    their original order, so n == len(labels) selects every row.
     """
-    total = len(dataset)
+    total = len(labels)
     if n > total:
         raise ValueError(f"subset size {n} exceeds dataset size {total}")
-    if n < dataset.num_classes:
-        raise ValueError(
-            f"subset size {n} below class count {dataset.num_classes}")
+    if n < num_classes:
+        raise ValueError(f"subset size {n} below class count {num_classes}")
+    if labels.min() < 0 or labels.max() >= num_classes:
+        raise ValueError("labels must lie in [0, num_classes)")
 
-    counts = np.bincount(dataset.labels, minlength=dataset.num_classes)
+    counts = np.bincount(labels, minlength=num_classes)
     quotas = n * counts / total
     take = np.floor(quotas).astype(int)
     remainder = n - take.sum()
@@ -136,15 +138,13 @@ def mnist_subset(dataset: Dataset, n: int, seed) -> Dataset:
 
     rng = np.random.default_rng(seed)
     chosen = []
-    for c in range(dataset.num_classes):
-        idx = np.flatnonzero(dataset.labels == c)
+    for c in range(num_classes):
+        idx = np.flatnonzero(labels == c)
         if take[c] == idx.size:
             chosen.append(idx)
         else:
             chosen.append(rng.choice(idx, size=take[c], replace=False))
-    keep = np.sort(np.concatenate(chosen))
-    return Dataset(dataset.features[keep], dataset.labels[keep],
-                   dataset.num_classes)
+    return np.sort(np.concatenate(chosen))
 
 
 def synthetic_blobs(n, dim, num_classes, seed, separation=4.0) -> Dataset:
@@ -153,6 +153,10 @@ def synthetic_blobs(n, dim, num_classes, seed, separation=4.0) -> Dataset:
     For two classes the cluster means sit at +-separation/2 along a random
     unit direction, so the mean gap is exactly `separation`. Row order is
     a seeded permutation. Deterministic for a given seed.
+
+    The dataset is built at its final size: each class block is drawn
+    into the one (n, dim) feature matrix, and the rows are permuted in
+    place, one row of scratch at a time.
     """
     if n < num_classes:
         raise ValueError("need at least one sample per class")
@@ -170,13 +174,32 @@ def synthetic_blobs(n, dim, num_classes, seed, separation=4.0) -> Dataset:
 
     counts = np.full(num_classes, n // num_classes)
     counts[: n % num_classes] += 1
-    features = np.vstack([
-        means[c] + rng.normal(size=(counts[c], dim))
-        for c in range(num_classes)
-    ])
+    features = np.empty((n, dim))
+    for block, mean in zip(np.split(features, np.cumsum(counts)[:-1]), means):
+        rng.standard_normal(out=block)  # the draws of normal(size=block.shape)
+        block += mean
     labels = np.repeat(np.arange(num_classes), counts)
     perm = rng.permutation(n)
-    return Dataset(features[perm], labels[perm], num_classes)
+    _permute_rows(features, perm)
+    return Dataset(features, labels[perm], num_classes)
+
+
+def _permute_rows(a, perm):
+    """Set a[i] = a[perm[i]] for every row i in place, walking each cycle
+    of perm with one row of scratch."""
+    perm = perm.tolist()  # a row is marked done by perm[i] = i
+    for first in range(len(perm)):
+        if perm[first] == first:
+            continue
+        saved = a[first].copy()
+        i = first
+        while perm[i] != first:
+            source = perm[i]
+            a[i] = a[source]
+            perm[i] = i
+            i = source
+        a[i] = saved
+        perm[i] = i
 
 
 def _find_file(directory, stem):
@@ -188,9 +211,14 @@ def _find_file(directory, stem):
     return None
 
 
-def load_mnist(mnist_dir=None):
+def load_mnist(mnist_dir=None, n=None, seed=None):
     """Load the MNIST training set under mnist_dir (or $MNIST_DIR) as a
     Dataset with pixels scaled to [0,1] by /255.
+
+    Given n, only the `stratified_rows(labels, 10, n, seed)` subset is
+    loaded: its rows are chosen from the labels first and only they are
+    converted, so no float64 copy of every image is made. The image array
+    is a view of the file's bytes.
 
     Returns None when the files cannot be found, so callers can skip
     real-data tiers instead of failing.
@@ -205,8 +233,10 @@ def load_mnist(mnist_dir=None):
     with open(images_path, "rb") as f:
         images = parse_idx(f.read())
     with open(labels_path, "rb") as f:
-        labels = parse_idx(f.read())
+        labels = parse_idx(f.read()).astype(np.int64)
     if images.shape[0] != labels.shape[0]:
         raise ValueError("image/label counts disagree")
-    features = images.reshape(images.shape[0], -1).astype(np.float64) / 255.0
-    return Dataset(features, labels.astype(np.int64), 10)
+    rows = slice(None) if n is None else stratified_rows(labels, 10, n, seed)
+    features = images.reshape(images.shape[0], -1)[rows].astype(np.float64)
+    features /= 255.0
+    return Dataset(features, labels[rows], 10)

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .baselines import AdamState, adam_advance
-from .data import BatchSampler, load_mnist, mnist_subset, synthetic_blobs
+from .data import BatchSampler, load_mnist, synthetic_blobs
 from .problems import (LogisticProblem, MlpProblem, QuadraticProblem,
                        RosenbrockProblem)
 from .schedulers import FlatSchedule
@@ -226,16 +226,21 @@ class TraceRecord:
 
 
 @functools.lru_cache(maxsize=1)
-def _shared_blobs(*args):
-    """synthetic_blobs(*args), kept read-only for every run that asks again.
+def _shared_dataset(build, *args):
+    """build(*args), `synthetic_blobs` or `load_mnist`, kept read-only for
+    every run that asks again; MissingDataError when the loader finds no
+    files, which is not kept.
 
     Runs sharing a problem signature (a seed sweep, `compare`) would each
-    regenerate identical data. Rebuilding a large dataset per run also made
-    peak memory vary: once the first copy is freed, malloc puts later ones
-    on the heap, which numpy advises for huge pages that the kernel may or
-    may not supply.
+    regenerate or reload identical data. Rebuilding a large dataset per run
+    also made peak memory vary: once the first copy is freed, malloc puts
+    later ones on the heap, which numpy advises for huge pages that the
+    kernel may or may not supply.
     """
-    dataset = synthetic_blobs(*args)
+    dataset = build(*args)
+    if dataset is None:
+        raise MissingDataError("MNIST IDX files not found; pass "
+                               "--mnist-dir or set MNIST_DIR")
     dataset.features.flags.writeable = False
     dataset.labels.flags.writeable = False
     return dataset
@@ -249,18 +254,17 @@ def build_problem(config: RunConfig):
         if cfg.problem == "rosenbrock":
             return RosenbrockProblem()
         if cfg.problem == "logistic":
-            return LogisticProblem(_shared_blobs(
-                cfg.n_samples, cfg.dim, 2, cfg.problem_seed, cfg.separation))
+            return LogisticProblem(_shared_dataset(
+                synthetic_blobs, cfg.n_samples, cfg.dim, 2, cfg.problem_seed,
+                cfg.separation))
         if cfg.problem == "mlp-blobs":
-            return MlpProblem(cfg.layer_sizes, _shared_blobs(
-                cfg.n_samples, cfg.layer_sizes[0], cfg.layer_sizes[-1],
-                cfg.problem_seed, cfg.separation))
-        full = load_mnist(cfg.mnist_dir)  # mlp-mnist, the last of PROBLEMS
-        if full is None:
-            raise MissingDataError("MNIST IDX files not found; pass "
-                                   "--mnist-dir or set MNIST_DIR")
-        return MlpProblem(cfg.layer_sizes, mnist_subset(
-            full, cfg.subset_n, cfg.problem_seed))
+            return MlpProblem(cfg.layer_sizes, _shared_dataset(
+                synthetic_blobs, cfg.n_samples, cfg.layer_sizes[0],
+                cfg.layer_sizes[-1], cfg.problem_seed, cfg.separation))
+        # mlp-mnist, the last of PROBLEMS; the directory is part of the key
+        return MlpProblem(cfg.layer_sizes, _shared_dataset(
+            load_mnist, cfg.mnist_dir or os.environ.get("MNIST_DIR"),
+            cfg.subset_n, cfg.problem_seed))
     except (MemoryError, ValueError) as exc:
         raise ConfigError(f"{cfg.problem}: {exc}") from exc
 
@@ -296,9 +300,11 @@ def run(config: RunConfig) -> Trace:
         sampler = BatchSampler(problem.n_samples, cfg.batch_size, batch_ss)
 
     direction, rule, _ = OPTIMIZER_TABLE[cfg.optimizer]
-    adam = AdamState(x.size, cfg.beta1, cfg.beta2, cfg.eps_hat)
-    sched = FlatSchedule(segments, x.size, cfg.alpha0, cfg.eta,
-                         cfg.alpha_min, cfg.alpha_max)
+    adam = (AdamState(x.size, cfg.beta1, cfg.beta2, cfg.eps_hat)
+            if direction == "adam" else None)
+    sched = (FlatSchedule(segments, x.size, cfg.alpha0, cfg.eta,
+                          cfg.alpha_min, cfg.alpha_max)
+             if rule != "fixed" else None)
     fixed = [cfg.alpha0] * len(ids), [0.0] * len(ids), [False] * len(ids)
     out = _out_file(cfg.out, "trace.csv")
     # The gradient-noise stream follows problem_seed, not seed, so every run

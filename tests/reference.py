@@ -1,12 +1,13 @@
 """Reference oracles the tests check the library against: a finite-difference
-gradient, an empirical update-norm bound, a revert-exactness predicate and
-an IDX serializer. Nothing in a run calls them."""
+gradient, an empirical update-norm bound, a revert-exactness predicate, an
+IDX serializer, and the dataset builders as they were before each dataset
+was built at its final size. Nothing in a run calls them."""
 
 import struct
 
 import numpy as np
 
-from rdbd.data import IMAGES_MAGIC, LABELS_MAGIC
+from rdbd.data import IMAGES_MAGIC, LABELS_MAGIC, Dataset, stratified_rows
 
 
 def finite_difference_gradient(problem, x, step) -> np.ndarray:
@@ -83,3 +84,38 @@ def serialize_idx(arr) -> bytes:
     header = struct.pack(">I", magic) + struct.pack(
         f">{arr.ndim}I", *arr.shape)
     return header + arr.tobytes()
+
+
+def stacked_blobs(n, dim, num_classes, seed, separation=4.0):
+    """`synthetic_blobs` as first written: every class block drawn on its
+    own, stacked, then copied in permuted order. Returns (features,
+    labels)."""
+    rng = np.random.default_rng(seed)
+    if num_classes == 1:
+        means = np.zeros((1, dim))
+    elif num_classes == 2:
+        u = rng.normal(size=dim)
+        u /= np.linalg.norm(u)
+        means = np.vstack([-u, u]) * (separation / 2.0)
+    else:
+        dirs = rng.normal(size=(num_classes, dim))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        means = dirs * (separation / 2.0)
+    counts = np.full(num_classes, n // num_classes)
+    counts[: n % num_classes] += 1
+    features = np.vstack([
+        means[c] + rng.normal(size=(counts[c], dim))
+        for c in range(num_classes)
+    ])
+    labels = np.repeat(np.arange(num_classes), counts)
+    perm = rng.permutation(n)
+    return features[perm], labels[perm]
+
+
+def mnist_subset(dataset, n, seed):
+    """The stratified subset of n rows of an in-memory Dataset, chosen by
+    `stratified_rows` after every row was converted, as the MNIST loader
+    did before it chose the rows from the labels first."""
+    keep = stratified_rows(dataset.labels, dataset.num_classes, n, seed)
+    return Dataset(dataset.features[keep], dataset.labels[keep],
+                   dataset.num_classes)

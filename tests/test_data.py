@@ -1,13 +1,14 @@
 import gzip
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from rdbd.data import (BatchSampler, Dataset, load_mnist, mnist_subset,
-                       parse_idx, synthetic_blobs)
-from reference import serialize_idx
+from rdbd.data import (BatchSampler, Dataset, load_mnist, parse_idx,
+                       synthetic_blobs)
+from reference import mnist_subset, serialize_idx, stacked_blobs
 
 
 def test_parse_idx_labels():
@@ -21,6 +22,13 @@ def test_parse_idx_images():
     assert img.shape == (1, 2, 2)
     assert img.dtype == np.uint8
     assert list(img.ravel()) == [0, 1, 2, 3]
+
+
+def test_parse_idx_returns_a_view_of_the_bytes():
+    data = serialize_idx(np.arange(24, dtype=np.uint8).reshape(2, 3, 4))
+    img = parse_idx(data)
+    assert not img.flags.owndata
+    assert np.shares_memory(img, np.frombuffer(data, np.uint8))
 
 
 def test_parse_idx_rejects_bad_magic():
@@ -101,6 +109,27 @@ def test_synthetic_blobs_single_class():
     assert np.all(ds.labels == 0)
     with pytest.raises(ValueError):
         synthetic_blobs(2, 4, 3, seed=0)
+
+
+@pytest.mark.parametrize("n, dim, classes, seed", [
+    (10, 4, 1, 0), (7, 3, 2, 5), (400, 6, 2, 1), (2048, 20, 2, 7),
+    (13, 5, 3, 2), (101, 8, 10, 3), (10, 3, 10, 1), (2, 5, 2, 9)])
+def test_synthetic_blobs_equals_the_stacked_construction(n, dim, classes,
+                                                         seed):
+    ds = synthetic_blobs(n, dim, classes, seed)
+    features, labels = stacked_blobs(n, dim, classes, seed)
+    assert ds.features.tobytes() == features.tobytes()
+    assert np.array_equal(ds.labels, labels)
+
+
+def test_synthetic_blobs_is_built_at_its_final_size():
+    tracemalloc.start()
+    try:
+        ds = synthetic_blobs(2048, 784, 10, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * ds.features.nbytes
 
 
 def test_synthetic_blobs_two_class_gap():

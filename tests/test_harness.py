@@ -4,20 +4,23 @@ import math
 import os
 import struct
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from rdbd import harness
 from rdbd.baselines import AdamState
 from rdbd.cli import main, parse_config_file
+from rdbd.data import Dataset
 from rdbd.harness import (ConfigError, MissingDataError, NumericError,
                           OPTIMIZERS, PRESETS, RunConfig, SWEEPS, Trace,
                           check_alpha_envelope, check_revert_flags, compare,
                           config_grid, emit_plot_data, metric_value, preset,
                           run, trace_columns, write_trace_csv)
 from rdbd.schedulers import FlatSchedule
-from reference import serialize_idx
+from reference import mnist_subset, serialize_idx
 
 QUICK = RunConfig(problem="logistic", optimizer="rdbd", alpha0=0.005,
                   eta=0.01, batch_size=16, steps=120, seed=1, n_samples=256,
@@ -467,15 +470,15 @@ def test_numeric_failure_aborts_and_flushes(tmp_path):
     assert len(path.read_text().splitlines()) > 1
 
 
-def _write_synthetic_mnist(directory):
-    """Fabricated 28x28 MNIST IDX files: 80 images (gzipped) and labels."""
+def _write_synthetic_mnist(directory, n=80):
+    """Fabricated 28x28 MNIST IDX files: n images (gzipped) and labels."""
     rng = np.random.default_rng(6)
-    n = 80
     images = rng.integers(0, 256, size=(n, 28, 28), dtype=np.uint8)
     labels = (np.arange(n) % 10).astype(np.uint8)
     (directory / "train-images-idx3-ubyte.gz").write_bytes(
         gzip.compress(serialize_idx(images)))
     (directory / "train-labels-idx1-ubyte").write_bytes(serialize_idx(labels))
+    return images, labels
 
 
 def test_mnist_pipeline_with_synthetic_idx_files(tmp_path, monkeypatch):
@@ -489,6 +492,39 @@ def test_mnist_pipeline_with_synthetic_idx_files(tmp_path, monkeypatch):
     assert len(records) == 8
     assert list(records.ids) == ["W1", "b1", "W2", "b2", "W3", "b3"]
     assert not math.isnan(records.full_loss[-1])
+
+
+def test_mnist_subset_converts_only_its_rows(tmp_path):
+    images, labels = _write_synthetic_mnist(tmp_path, n=3000)
+    cfg = dataclasses.replace(preset("mnist-default"), subset_n=256,
+                              problem_seed=4, mnist_dir=str(tmp_path))
+    tracemalloc.start()
+    try:
+        dataset = harness.build_problem(cfg).dataset
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    full = Dataset(images.reshape(3000, -1).astype(np.float64) / 255.0,
+                   labels, 10)
+    expected = mnist_subset(full, 256, 4)
+    assert dataset.features.tobytes() == expected.features.tobytes()
+    assert np.array_equal(dataset.labels, expected.labels)
+    assert peak < full.features.nbytes
+
+
+def test_mnist_runs_share_one_read_only_subset(tmp_path):
+    _write_synthetic_mnist(tmp_path)
+    cfg = dataclasses.replace(preset("mnist-default"), subset_n=40,
+                              mnist_dir=str(tmp_path))
+    first = harness.build_problem(cfg)
+    again = harness.build_problem(dataclasses.replace(cfg, seed=cfg.seed + 1))
+    assert again.dataset is first.dataset
+    assert not first.dataset.features.flags.writeable
+    assert not first.dataset.labels.flags.writeable
+    other = harness.build_problem(dataclasses.replace(
+        cfg, problem_seed=cfg.problem_seed + 1))
+    assert other.dataset is not first.dataset
+    assert not np.array_equal(other.dataset.features, first.dataset.features)
 
 
 @pytest.mark.parametrize("settings", [
@@ -515,7 +551,9 @@ def test_bad_mnist_settings_exit_with_config_error(tmp_path, monkeypatch,
      lambda data: struct.pack(">II", 0x801, 79) + data[8:-1]),
     ("train-images-idx3-ubyte.gz",              # truncated gzip stream
      lambda data: data[:len(data) // 2]),
-], ids=["bad-magic", "count-mismatch", "truncated-gzip"])
+    ("train-labels-idx1-ubyte",                 # a label of 10
+     lambda data: data[:-1] + bytes([10])),
+], ids=["bad-magic", "count-mismatch", "truncated-gzip", "label-range"])
 def test_corrupt_mnist_files_exit_with_config_error(tmp_path, monkeypatch,
                                                     capsys, name, corrupt):
     monkeypatch.delenv("MNIST_DIR", raising=False)
@@ -1301,6 +1339,24 @@ def test_mlp_blobs_runs_share_one_read_only_dataset(name):
     assert not np.array_equal(other.dataset.features, first.dataset.features)
     # A repeated run still reproduces its trace exactly.
     assert run(cfg) == run(cfg)
+
+
+@pytest.mark.parametrize("optimizer, kernels", [
+    ("sgd", []), ("adam", ["AdamState"]), ("dbd", ["FlatSchedule"]),
+    ("rdbd", ["FlatSchedule"]), ("adam_rdbd", ["AdamState", "FlatSchedule"]),
+], ids=["sgd", "adam", "dbd", "rdbd", "adam_rdbd"])
+def test_run_builds_only_the_kernels_its_optimizer_reads(monkeypatch,
+                                                         optimizer, kernels):
+    built = []
+    for name in ("AdamState", "FlatSchedule"):
+        def counting(*args, name=name, kernel=getattr(harness, name)):
+            if args[0]:  # resolved() checks the settings on zero-width kernels
+                built.append(name)
+            return kernel(*args)
+
+        monkeypatch.setattr(harness, name, counting)
+    run(dataclasses.replace(QUICK, optimizer=optimizer, eta=None, steps=5))
+    assert sorted(built) == kernels
 
 
 def _per_group_reference(cfg):
