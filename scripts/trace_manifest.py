@@ -7,7 +7,8 @@ builds.
 Run it from two checkouts and diff the outputs: a change that must keep
 traces byte-identical shows no difference, and a change that alters the
 arithmetic shows exactly which runs moved. rdbd is imported from the
-`src/` next to this script. Each output line is `<label> seed=<n> <sha256>`.
+`src/` next to this script, and the IDX writer from `tests/reference.py`.
+Each output line is `<label> seed=<n> <sha256>`.
 BLAS is pinned to one thread before numpy loads, as in `perfbench/run.py`:
 the last bits of the MLP gradient depend on OpenBLAS's thread count, so
 without the pin the MLP lines would differ between machines.
@@ -47,12 +48,18 @@ two guard the other two metric readers on a six-group trace; every one
 of their four runs reaches the threshold, at steps 50 to 200, so their
 values are finite. Their label is `<label>/<file name>`, at seed 0.
 
-The last four lines hash the bytes of the features and the labels of the
+The next four lines hash the bytes of the features and the labels of the
 `synthetic_blobs` datasets behind the benchmark's `mlp-784`
 (2048, 784, 10, 7, 4.0) and `logistic-default` (2048, 20, 2, 7, 4.0), so
 they guard the dataset builder directly. Their label is
 `dataset-<name>/features` or `dataset-<name>/labels`, and their seed is
 the problem seed, 7.
+
+The last line, `mlp-mnist seed=0`, is the trace of the `mnist-default`
+preset cut down to a 16-8-10 network, 300 steps and batches of 8, on the
+`n_samples = 40` stratified subset of a seeded IDX pair of 80 4x4 images
+that the script writes into a temporary directory. It guards the MNIST
+path: reading the IDX files, choosing the subset and converting its rows.
 """
 
 import contextlib
@@ -69,10 +76,13 @@ os.environ.update({var: "1" for var in ("OPENBLAS_NUM_THREADS",
                                         "OMP_NUM_THREADS", "MKL_NUM_THREADS")})
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
+sys.path.insert(0, str(ROOT / "tests"))
 
+import numpy as np  # noqa: E402
 from rdbd import cli, harness  # noqa: E402
 from rdbd.data import synthetic_blobs  # noqa: E402
 from rdbd.harness import RunConfig  # noqa: E402
+from reference import serialize_idx  # noqa: E402
 from workloads import HERMETIC_PRESETS, MLP_784  # noqa: E402
 
 
@@ -133,6 +143,17 @@ DATASETS = (("mlp-784", (2048, 784, 10, 7, 4.0)),
             ("logistic-default", (2048, 20, 2, 7, 4.0)))
 
 
+def write_mnist(directory, rows=80):
+    """Write a seeded IDX pair of `rows` 4x4 images and their labels, which
+    run through 0-9 in turn, as the MNIST training files."""
+    images = np.random.default_rng(6).integers(0, 256, (rows, 4, 4),
+                                               dtype=np.uint8)
+    labels = (np.arange(rows) % 10).astype(np.uint8)
+    for name, array in (("train-images-idx3-ubyte", images),
+                        ("train-labels-idx1-ubyte", labels)):
+        Path(directory, name).write_bytes(serialize_idx(array))
+
+
 def digest(path):
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
@@ -153,12 +174,20 @@ def main():
             for name in sorted(os.listdir(out_dir)):
                 print(f"{label}/{name} seed=0 {digest(out_dir / name)}",
                       flush=True)
-    for name, args in DATASETS:
-        dataset = synthetic_blobs(*args)
-        for part in ("features", "labels"):
-            data = getattr(dataset, part).tobytes()
-            print(f"dataset-{name}/{part} seed={args[3]} "
-                  f"{hashlib.sha256(data).hexdigest()}", flush=True)
+        for name, args in DATASETS:
+            dataset = synthetic_blobs(*args)
+            for part in ("features", "labels"):
+                data = getattr(dataset, part).tobytes()
+                print(f"dataset-{name}/{part} seed={args[3]} "
+                      f"{hashlib.sha256(data).hexdigest()}", flush=True)
+        mnist_dir = Path(tmp) / "mnist"
+        mnist_dir.mkdir()
+        write_mnist(mnist_dir)
+        harness.run(dataclasses.replace(
+            harness.preset("mnist-default"), layer_sizes=(16, 8, 10),
+            n_samples=40, steps=300, batch_size=8, mnist_dir=str(mnist_dir),
+            seed=0, out=path))
+        print(f"mlp-mnist seed=0 {digest(path)}", flush=True)
     return 0
 
 

@@ -7,6 +7,7 @@ from __future__ import annotations
 import gzip
 import math
 import os
+import pathlib
 import struct
 import zlib
 
@@ -30,7 +31,9 @@ class Dataset:
             raise ValueError("num_classes must be >= 1")
         if labels.min() < 0 or labels.max() >= num_classes:
             raise ValueError("labels must lie in [0, num_classes)")
-        if not np.all(np.isfinite(features)):
+        # min and max copy nothing, and are NaN or infinite when an entry is
+        if features.size and not (np.isfinite(features.min())
+                                  and np.isfinite(features.max())):
             raise ValueError("features contain non-finite entries")
         self.features = features
         self.labels = labels
@@ -211,32 +214,32 @@ def _find_file(directory, stem):
     return None
 
 
-def load_mnist(mnist_dir=None, n=None, seed=None):
-    """Load the MNIST training set under mnist_dir (or $MNIST_DIR) as a
-    Dataset with pixels scaled to [0,1] by /255.
+def mnist_files(mnist_dir):
+    """The paths of the MNIST training images and labels under mnist_dir,
+    raw or gzipped, found without reading them; None when either is not."""
+    paths = [mnist_dir and _find_file(mnist_dir, stem)
+             for stem in ("train-images-idx3-ubyte", "train-labels-idx1-ubyte")]
+    return paths if all(paths) else None
 
-    Given n, only the `stratified_rows(labels, 10, n, seed)` subset is
-    loaded: its rows are chosen from the labels first and only they are
-    converted, so no float64 copy of every image is made. The image array
-    is a view of the file's bytes.
 
-    Returns None when the files cannot be found, so callers can skip
-    real-data tiers instead of failing.
+def load_mnist(mnist_dir, n, seed):
+    """The `stratified_rows(labels, 10, n, seed)` subset of the MNIST
+    training set under mnist_dir, pixels scaled to [0,1] by /255, as a
+    Dataset (n = the files' row count keeps every row); None when
+    `mnist_files` finds no files, so callers can skip real-data tiers.
+
+    Only the chosen rows are converted, from a view of the file's bytes,
+    so no float64 copy of every image is made.
     """
-    directory = mnist_dir or os.environ.get("MNIST_DIR")
-    if not directory:
+    paths = mnist_files(mnist_dir)
+    if paths is None:
         return None
-    images_path = _find_file(directory, "train-images-idx3-ubyte")
-    labels_path = _find_file(directory, "train-labels-idx1-ubyte")
-    if images_path is None or labels_path is None:
-        return None
-    with open(images_path, "rb") as f:
-        images = parse_idx(f.read())
-    with open(labels_path, "rb") as f:
-        labels = parse_idx(f.read()).astype(np.int64)
+    images, labels = (parse_idx(pathlib.Path(path).read_bytes())
+                      for path in paths)
+    labels = labels.astype(np.int64)
     if images.shape[0] != labels.shape[0]:
         raise ValueError("image/label counts disagree")
-    rows = slice(None) if n is None else stratified_rows(labels, 10, n, seed)
+    rows = stratified_rows(labels, 10, n, seed)
     features = images.reshape(images.shape[0], -1)[rows].astype(np.float64)
     features /= 255.0
     return Dataset(features, labels[rows], 10)

@@ -91,7 +91,6 @@ class RunConfig:
     grad_noise: float = 0.0
     grad_noise_prob: float = 1.0
     layer_sizes: tuple = (784, 128, 64, 10)
-    subset_n: int = 2048
     mnist_dir: str | None = None
     out: str | None = None
 
@@ -110,8 +109,7 @@ class RunConfig:
             cfg.alpha_max = 10.0 * cfg.alpha0 if cfg.optimizer == "adam_rdbd" else math.inf
         cfg.layer_sizes = tuple(int(s) for s in cfg.layer_sizes)
         classes = cfg.layer_sizes[-1] if cfg.layer_sizes else 0
-        samples = {"logistic": cfg.n_samples, "mlp-blobs": cfg.n_samples,
-                   "mlp-mnist": cfg.subset_n}.get(cfg.problem, math.inf)
+        samples = math.inf if cfg.problem in ("quadratic", "rosenbrock") else cfg.n_samples
         for ok, message in (
                 (cfg.steps >= 1, "steps must be >= 1"),
                 (cfg.seed >= 0, "seed must be >= 0"),
@@ -148,7 +146,7 @@ class RunConfig:
         """Fields that must agree for runs to be comparable."""
         return (self.problem, self.n_samples, self.dim, self.problem_seed,
                 self.separation, self.grad_noise, self.grad_noise_prob,
-                self.layer_sizes, self.subset_n, self.batch_size, self.steps)
+                self.layer_sizes, self.batch_size, self.steps)
 
 
 class Trace:
@@ -264,7 +262,7 @@ def build_problem(config: RunConfig):
         # mlp-mnist, the last of PROBLEMS; the directory is part of the key
         return MlpProblem(cfg.layer_sizes, _shared_dataset(
             load_mnist, cfg.mnist_dir or os.environ.get("MNIST_DIR"),
-            cfg.subset_n, cfg.problem_seed))
+            cfg.n_samples, cfg.problem_seed))
     except (MemoryError, ValueError) as exc:
         raise ConfigError(f"{cfg.problem}: {exc}") from exc
 
@@ -352,10 +350,12 @@ def run(config: RunConfig) -> Trace:
 
                 d = adam_advance(adam, grad) if direction == "adam" else grad
                 # A non-finite entry makes its group's norm non-finite (for
-                # Adam too: inf/inf is NaN), so only then check every entry.
+                # Adam too: inf/inf is NaN), so only then check every entry;
+                # finite entries whose squares overflow get their norm anew.
                 norms = [math.sqrt(np.dot(d[sl], d[sl])) for sl in segments]
                 if not all(map(math.isfinite, norms)):
                     check_groups(t, grad, "gradient")
+                    norms = [_norm(d[sl]) for sl in segments]
                 if direction == "adam":  # v overflows on entries > ~1e154
                     check_groups(t, adam.v, "Adam second moment")
                 if rule == "fixed":
@@ -388,6 +388,18 @@ def _all_finite(v) -> bool:
     """Whether every entry of v is finite. A finite sum of squares proves it;
     only a sum that overflows pays for the exact check."""
     return math.isfinite(np.dot(v, v)) or bool(np.isfinite(v).all())
+
+
+def _norm(v) -> float:
+    """sqrt(v . v), rescaled by the largest magnitude of v where v . v
+    overflows, so that finite entries get their finite norm."""
+    norm = math.sqrt(np.dot(v, v))
+    if norm == math.inf:
+        scale = float(np.abs(v).max())
+        if math.isfinite(scale):
+            v = v / scale
+            norm = scale * math.sqrt(np.dot(v, v))
+    return norm
 
 
 def _fmt(value) -> str:
@@ -470,11 +482,19 @@ def metric_value(records, metric, threshold=0.5):
         hits = np.flatnonzero(records.full_loss <= threshold)
         return float(records.step[hits[0]]) if hits.size else math.inf
     if metric == "min_grad_norm":
-        # Row by row in Python floats: numpy's `v * v` can differ from
-        # libm's `v ** 2` in the last bit, and `sum` rounds as Python does.
-        return min(math.sqrt(sum(v ** 2 for v in row))
-                   for row in records.grad_norm.tolist())
+        return min(map(_row_norm, records.grad_norm.tolist()))
     raise ConfigError(f"unknown metric {metric!r}; choose from {', '.join(METRICS)}")
+
+
+def _row_norm(values) -> float:
+    """The norm of a row of Python floats, as sqrt(sum(v ** 2)): numpy's
+    `v * v` can differ from libm's `v ** 2` in the last bit, and `sum`
+    rounds as Python does. `**` raises where a square overflows, and only
+    then is math.hypot, which does not overflow, used instead."""
+    try:
+        return math.sqrt(sum(v ** 2 for v in values))
+    except OverflowError:
+        return math.hypot(*values)
 
 
 @dataclass
@@ -645,8 +665,7 @@ PRESETS = {
                                 layer_sizes=(10, 16, 8, 3), problem_seed=7),
     "mnist-default": RunConfig(problem="mlp-mnist", optimizer="rdbd",
                                alpha0=0.005, eta=0.01, batch_size=16,
-                               steps=3750, subset_n=2048,
-                               layer_sizes=(784, 128, 64, 10)),
+                               steps=3750, layer_sizes=(784, 128, 64, 10)),
 }
 
 # Sweeps: (base preset, swept field, values).

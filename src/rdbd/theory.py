@@ -97,7 +97,9 @@ def rdbd_theoretical_hyperparams(p: TheoryParams, T: int) -> tuple[float, float]
 def alpha_envelope(alpha0: float, eta: float, sigma: float, t: int) -> tuple[float, float]:
     """Widest possible rate drift after t unclamped steps with update norms
     bounded by sigma: (alpha0 - t*eta*sigma^2, alpha0 + t*eta*sigma^2)."""
-    drift = t * eta * sigma ** 2
+    # sigma * sigma overflows to inf where sigma ** 2 raises, and (t * eta)
+    # first keeps a zero eta's drift at zero however large sigma is.
+    drift = t * eta * sigma * sigma
     return alpha0 - drift, alpha0 + drift
 
 

@@ -6,8 +6,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rdbd.data import (BatchSampler, Dataset, load_mnist, parse_idx,
-                       synthetic_blobs)
+from rdbd.data import (BatchSampler, Dataset, load_mnist, mnist_files,
+                       parse_idx, synthetic_blobs)
+from rdbd.harness import MissingDataError, RunConfig, build_problem
 from reference import mnist_subset, serialize_idx, stacked_blobs
 
 
@@ -123,13 +124,14 @@ def test_synthetic_blobs_equals_the_stacked_construction(n, dim, classes,
 
 
 def test_synthetic_blobs_is_built_at_its_final_size():
+    synthetic_blobs(10, 2, 10, 7)   # the first call imports modules lazily
     tracemalloc.start()
     try:
         ds = synthetic_blobs(2048, 784, 10, 7)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.25 * ds.features.nbytes
+    assert peak <= 1.05 * ds.features.nbytes
 
 
 def test_synthetic_blobs_two_class_gap():
@@ -189,21 +191,35 @@ def _write_fake_mnist(directory, n=32, compress=False):
 
 def test_load_mnist_from_dir_and_env(tmp_path, monkeypatch):
     images, labels = _write_fake_mnist(str(tmp_path), compress=True)
-    ds = load_mnist(str(tmp_path))
+    ds = load_mnist(str(tmp_path), 32, seed=0)   # n = 32 keeps every row
     assert len(ds) == 32
     assert ds.dim == 16
     assert np.array_equal(ds.labels, labels)
     # exact /255 scaling
     assert np.array_equal(ds.features,
                           images.reshape(32, 16).astype(float) / 255.0)
+    # $MNIST_DIR is applied by build_problem alone, not by the loader
+    cfg = RunConfig(problem="mlp-mnist", layer_sizes=(16, 10), n_samples=32,
+                    batch_size=4)
     monkeypatch.setenv("MNIST_DIR", str(tmp_path))
-    assert load_mnist() is not None
+    assert load_mnist(None, 32, 0) is None
+    assert build_problem(cfg).dataset.features.tobytes() == \
+        ds.features.tobytes()
     monkeypatch.setenv("MNIST_DIR", str(tmp_path / "nope"))
-    assert load_mnist() is None
+    with pytest.raises(MissingDataError):
+        build_problem(cfg)
 
 
 def test_load_mnist_missing_returns_none(tmp_path):
-    assert load_mnist(str(tmp_path)) is None
+    assert mnist_files(str(tmp_path)) is None
+    assert load_mnist(str(tmp_path), 10, 0) is None
+    _write_fake_mnist(str(tmp_path))
+    assert mnist_files(None) is None
+    assert mnist_files(str(tmp_path)) == [
+        str(tmp_path / "train-images-idx3-ubyte"),
+        str(tmp_path / "train-labels-idx1-ubyte")]
+    os.remove(tmp_path / "train-labels-idx1-ubyte")
+    assert mnist_files(str(tmp_path)) is None
 
 
 def test_dataset_validation():

@@ -366,6 +366,35 @@ def test_metric_values():
         metric_value(records, "accuracy")
 
 
+def test_a_finite_direction_whose_squares_overflow_keeps_a_finite_norm(
+        tmp_path, capsys):
+    # Noise of 1e160 per entry: each entry is finite, its square is not.
+    path = tmp_path / "huge-noise.cfg"
+    path.write_text("problem = logistic\noptimizer = sgd\nsteps = 3\n"
+                    "grad_noise = 1e160\n")
+    cfg = parse_config_file(str(path))
+    trace = run(cfg)
+    norms = trace.grad_norm[:, 0]
+    assert np.isfinite(norms).all() and norms.min() > 1e160
+    noise = np.random.default_rng(cfg.problem_seed + 1)
+    noise.uniform()
+    first = noise.uniform(-cfg.grad_noise, cfg.grad_noise, cfg.dim)
+    assert math.isclose(norms[0], math.hypot(*first.tolist()), rel_tol=1e-12)
+    assert metric_value(trace, "min_grad_norm") == norms.min()
+    assert check_alpha_envelope(trace, cfg.alpha0, 0.0) == []
+    assert main(["compare", "--config", str(path), "--optimizers", "sgd",
+                 "--seeds", "2", "--metric", "min_grad_norm"]) == 0
+    assert "winner by min_grad_norm: sgd" in capsys.readouterr().out
+
+
+def test_trace_readers_take_a_norm_whose_square_overflows():
+    trace = run(QUICK)
+    least = metric_value(trace, "min_grad_norm")
+    trace.grad_norm[5, 0] = 2e160
+    assert metric_value(trace, "min_grad_norm") == least
+    assert check_alpha_envelope(trace, QUICK.alpha0, QUICK.eta) == []
+
+
 def test_emit_plot_data_shape_and_round_trip(tmp_path):
     records = run(QUICK)
     path = tmp_path / "plot.csv"
@@ -486,7 +515,7 @@ def test_mnist_pipeline_with_synthetic_idx_files(tmp_path, monkeypatch):
     # loader -> stratified subset -> network problem -> trace.
     monkeypatch.delenv("MNIST_DIR", raising=False)
     _write_synthetic_mnist(tmp_path)
-    cfg = dataclasses.replace(preset("mnist-default"), steps=8, subset_n=40,
+    cfg = dataclasses.replace(preset("mnist-default"), steps=8, n_samples=40,
                               mnist_dir=str(tmp_path), eval_every=4)
     records = run(cfg)
     assert len(records) == 8
@@ -496,7 +525,7 @@ def test_mnist_pipeline_with_synthetic_idx_files(tmp_path, monkeypatch):
 
 def test_mnist_subset_converts_only_its_rows(tmp_path):
     images, labels = _write_synthetic_mnist(tmp_path, n=3000)
-    cfg = dataclasses.replace(preset("mnist-default"), subset_n=256,
+    cfg = dataclasses.replace(preset("mnist-default"), n_samples=256,
                               problem_seed=4, mnist_dir=str(tmp_path))
     tracemalloc.start()
     try:
@@ -514,7 +543,7 @@ def test_mnist_subset_converts_only_its_rows(tmp_path):
 
 def test_mnist_runs_share_one_read_only_subset(tmp_path):
     _write_synthetic_mnist(tmp_path)
-    cfg = dataclasses.replace(preset("mnist-default"), subset_n=40,
+    cfg = dataclasses.replace(preset("mnist-default"), n_samples=40,
                               mnist_dir=str(tmp_path))
     first = harness.build_problem(cfg)
     again = harness.build_problem(dataclasses.replace(cfg, seed=cfg.seed + 1))
@@ -528,11 +557,11 @@ def test_mnist_runs_share_one_read_only_subset(tmp_path):
 
 
 @pytest.mark.parametrize("settings", [
-    "subset_n = 81\n",                         # above the file's 80 rows
-    "subset_n = 9\nbatch_size = 4\n",          # below the 10 classes
-    "subset_n = 40\nlayer_sizes = 100,32,10\n",
-    "subset_n = 40\nlayer_sizes = 784,32,9\n",
-])
+    "n_samples = 81\n",                        # above the file's 80 rows
+    "n_samples = 9\nbatch_size = 4\n",         # below the 10 classes
+    "n_samples = 40\nlayer_sizes = 100,32,10\n",
+    "n_samples = 40\nlayer_sizes = 784,32,9\n",
+], ids=["above-rows", "below-classes", "input-width", "output-width"])
 def test_bad_mnist_settings_exit_with_config_error(tmp_path, monkeypatch,
                                                    capsys, settings):
     monkeypatch.delenv("MNIST_DIR", raising=False)
@@ -542,6 +571,17 @@ def test_bad_mnist_settings_exit_with_config_error(tmp_path, monkeypatch,
     assert main(["run", "--config", str(path), "--steps", "5",
                  "--mnist-dir", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith("config error: mlp-mnist:")
+
+
+def test_a_config_file_that_sets_subset_n_exits_2(tmp_path, capsys):
+    # n_samples sizes every sampled problem, the MNIST subset included.
+    _write_synthetic_mnist(tmp_path)
+    path = tmp_path / "old.cfg"
+    path.write_text("problem = mlp-mnist\nsubset_n = 40\n")
+    assert main(["run", "--config", str(path), "--steps", "5",
+                 "--mnist-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: {path}:2: unknown key 'subset_n'\n")
 
 
 @pytest.mark.parametrize("name, corrupt", [
@@ -609,8 +649,8 @@ def test_config_file_sets_every_field(tmp_path):
         batch_size=4, steps=7, seed=3, alpha_min=0.125, alpha_max=2.5,
         eval_every=2, beta1=0.5, beta2=0.75, eps_hat=1e-6, n_samples=64,
         dim=5, problem_seed=9, separation=2.5, grad_noise=0.5,
-        grad_noise_prob=0.25, layer_sizes=(6, 5, 3), subset_n=32,
-        mnist_dir="data/mnist", out="runs/t.csv")
+        grad_noise_prob=0.25, layer_sizes=(6, 5, 3), mnist_dir="data/mnist",
+        out="runs/t.csv")
     fields = dataclasses.fields(RunConfig)
     assert all(getattr(expected, f.name) != f.default for f in fields)
     lines = [f"{f.name.replace('_', '-')} = {getattr(expected, f.name)}"
@@ -1098,7 +1138,8 @@ def test_non_finite_step_names_the_failure_and_flushes_overlapped(
 def test_finite_gradient_whose_norm_overflows_is_not_non_finite(
         tmp_path, monkeypatch, optimizer, detail):
     # Every entry is finite, but the sum of squares of b1 overflows, so the
-    # norm is inf and the exact check must find the entries finite.
+    # exact check must find the entries finite, and the trace gets b1's
+    # finite norm: 1e200 times the root of its 16 entries.
     _set_b1_gradient_at_step_3(monkeypatch, 1e200)
     path = tmp_path / "t.csv"
     cfg = dataclasses.replace(preset("mlp-blobs-demo"), optimizer=optimizer,
@@ -1106,7 +1147,8 @@ def test_finite_gradient_whose_norm_overflows_is_not_non_finite(
     if detail is None:
         run(cfg)
         header, _, _, row = path.read_text().splitlines()[:4]
-        assert row.split(",")[header.split(",").index("grad_norm.b1")] == "inf"
+        assert row.split(",")[header.split(",").index("grad_norm.b1")] == \
+            "4e+200"
     else:
         with pytest.raises(NumericError, match=detail):
             run(cfg)
