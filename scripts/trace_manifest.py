@@ -2,16 +2,20 @@
 the files six CLI commands write, and of the two datasets the benchmark
 builds.
 
-    python3 scripts/trace_manifest.py > manifest.txt
+    python3 scripts/trace_manifest.py > tests/golden/trace_manifest.txt
 
-Run it from two checkouts and diff the outputs: a change that must keep
-traces byte-identical shows no difference, and a change that alters the
-arithmetic shows exactly which runs moved. rdbd is imported from the
-`src/` next to this script, and the IDX writer from `tests/reference.py`.
-Each output line is `<label> seed=<n> <sha256>`.
+A change that must keep traces byte-identical prints the same lines as its
+parent, and a change that alters the arithmetic shows exactly which runs
+moved. `tests/test_trace_manifest.py` compares every line with
+`tests/golden/trace_manifest.txt`. The first line, `# python ...`, names
+the Python, numpy and BLAS versions and the machine type, which the hashes
+depend on; every other line is `<label> seed=<n> <sha256>`. rdbd is
+imported from the `src/` next to this script, and the IDX writer from
+`tests/reference.py`.
 BLAS is pinned to one thread before numpy loads, as in `perfbench/run.py`:
 the last bits of the MLP gradient depend on OpenBLAS's thread count, so
-without the pin the MLP lines would differ between machines.
+without the pin the MLP lines would differ between machines. The lines are
+computed on up to two worker processes and printed in the order below.
 
 The configs are the five hermetic presets, the benchmark's MNIST-shaped
 `mlp-784`, the same network under `adam_rdbd` (`mlp-784-adam_rdbd`: the
@@ -66,9 +70,12 @@ import contextlib
 import dataclasses
 import hashlib
 import io
+import multiprocessing
 import os
+import platform
 import sys
 import tempfile
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -158,36 +165,73 @@ def digest(path):
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def main():
+def header():
+    """The first line: the versions and the machine the hashes depend on."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas['name']} {blas['version']}"
+    except (KeyError, TypeError, ValueError):
+        blas = "unknown"
+    return (f"# python {platform.python_version()}, numpy {np.__version__}, "
+            f"blas {blas}, machine {platform.machine()}")
+
+
+def run_lines(label, cfg, seed):
     with tempfile.TemporaryDirectory() as tmp:
         path = str(Path(tmp) / "trace.csv")
-        for label, cfg in configs():
-            for seed in range(3):
-                harness.run(dataclasses.replace(cfg, seed=seed, out=path))
-                print(f"{label} seed={seed} {digest(path)}", flush=True)
-        for label, argv in CLI_COMMANDS:
-            out_dir = Path(tmp) / label
-            with contextlib.redirect_stdout(io.StringIO()):
-                status = cli.main(argv + [str(out_dir) + os.sep])
-            if status != 0:
-                raise SystemExit(f"rdbd {label} exited with {status}")
-            for name in sorted(os.listdir(out_dir)):
-                print(f"{label}/{name} seed=0 {digest(out_dir / name)}",
-                      flush=True)
-        for name, args in DATASETS:
-            dataset = synthetic_blobs(*args)
-            for part in ("features", "labels"):
-                data = getattr(dataset, part).tobytes()
-                print(f"dataset-{name}/{part} seed={args[3]} "
-                      f"{hashlib.sha256(data).hexdigest()}", flush=True)
+        harness.run(dataclasses.replace(cfg, seed=seed, out=path))
+        return [f"{label} seed={seed} {digest(path)}"]
+
+
+def cli_lines(label, argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        out_dir = Path(tmp) / label
+        with contextlib.redirect_stdout(io.StringIO()):
+            status = cli.main(argv + [str(out_dir) + os.sep])
+        if status != 0:
+            raise SystemExit(f"rdbd {label} exited with {status}")
+        return [f"{label}/{name} seed=0 {digest(out_dir / name)}"
+                for name in sorted(os.listdir(out_dir))]
+
+
+def dataset_lines(name, args):
+    dataset = synthetic_blobs(*args)
+    return [f"dataset-{name}/{part} seed={args[3]} "
+            f"{hashlib.sha256(getattr(dataset, part).tobytes()).hexdigest()}"
+            for part in ("features", "labels")]
+
+
+def mnist_lines():
+    with tempfile.TemporaryDirectory() as tmp:
         mnist_dir = Path(tmp) / "mnist"
         mnist_dir.mkdir()
         write_mnist(mnist_dir)
+        path = str(Path(tmp) / "trace.csv")
         harness.run(dataclasses.replace(
             harness.preset("mnist-default"), layer_sizes=(16, 8, 10),
             n_samples=40, steps=300, batch_size=8, mnist_dir=str(mnist_dir),
             seed=0, out=path))
-        print(f"mlp-mnist seed=0 {digest(path)}", flush=True)
+        return [f"mlp-mnist seed=0 {digest(path)}"]
+
+
+def tasks():
+    """(function, arguments) of each block of output lines, in output
+    order."""
+    out = [(run_lines, (label, cfg, seed))
+           for label, cfg in configs() for seed in range(3)]
+    out += [(cli_lines, command) for command in CLI_COMMANDS]
+    out += [(dataset_lines, dataset) for dataset in DATASETS]
+    out.append((mnist_lines, ()))
+    return out
+
+
+def main():
+    print(header(), flush=True)
+    spawn = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(min(2, os.cpu_count() or 1), spawn) as pool:
+        blocks = [pool.submit(function, *args) for function, args in tasks()]
+        for block in blocks:
+            print("\n".join(block.result()), flush=True)
     return 0
 
 

@@ -1,6 +1,6 @@
 """The Adam baseline: moment accumulators and the bias-corrected direction
-that the harness applies at a fixed rate (`adam`) or feeds to
-`schedulers.FlatSchedule` as the update direction (`adam_rdbd`)."""
+that the harness feeds to `schedulers.FlatSchedule` as the update direction,
+at a fixed rate (`adam`) or a scheduled one (`adam_rdbd`)."""
 
 from __future__ import annotations
 

@@ -153,9 +153,11 @@ def _cmd_compare(args) -> int:
     rows, winner = compare(base, optimizers, args.seeds, metric=args.metric,
                            threshold=args.threshold, out=base.out)
     print(render_comparison(rows))
-    if winner is None:
-        print(f"no winner by {args.metric}: no optimizer reached "
-              f"{args.threshold} on every seed")
+    if winner is None:  # only steps_to_threshold reads the threshold
+        reason = (f"no optimizer reached {args.threshold} on every seed"
+                  if args.metric == "steps_to_threshold"
+                  else "no optimizer has a finite median")
+        print(f"no winner by {args.metric}: {reason}")
     else:
         print(f"winner by {args.metric}: {winner}")
     if base.out:

@@ -8,12 +8,12 @@ benchmark's four-attribute contract, and go once it reads columns.
 
 Trace CSV schema (one row per step): `step,loss,full_loss` followed by
 `grad_norm,alpha,h,reverted` per weight group (suffixed `.<id>` when the
-problem has more than one group). `grad_norm` is the norm of the update
-direction (the gradient, or Adam's `u`), so `min_grad_norm` compares
-direction norms. `loss` is the mini-batch loss at the pre-step point;
-`full_loss` is the whole-dataset loss after the step, filled every
-`eval_every` steps and at the final step, blank otherwise.
-Identical (config, seed) pairs produce byte-identical files.
+problem has more than one group), each as `FlatSchedule.step` reports it
+under the run's rate rule, a fixed rate included; `grad_norm` is the norm
+of the update direction (the gradient, or Adam's `u`). `loss` is the
+mini-batch loss at the pre-step point; `full_loss` is the whole-dataset
+loss after the step, filled every `eval_every` steps and at the last step,
+else blank. Identical (config, seed) pairs produce byte-identical files.
 A large problem runs its full-dataset evals on one worker thread, each
 overlapping the steps after it, with the same traces and failure steps; a
 small or deterministic problem starts no thread.
@@ -39,10 +39,10 @@ from .schedulers import FlatSchedule
 from .theory import alpha_envelope
 
 # optimizer -> (direction, rate rule, default eta). The direction is the
-# gradient or Adam's bias-corrected u; the rule holds every rate at alpha0
-# ("fixed") or schedules one rate per weight group ("dbd", "rdbd"). Default
-# meta rates: 0.01 for gradient-fed schedulers, 5e-7 when the schedule
-# rides on Adam directions.
+# gradient or Adam's bias-corrected u; the rule, which FlatSchedule applies,
+# holds every rate at alpha0 ("fixed") or schedules one rate per weight
+# group ("dbd", "rdbd"). Default meta rates: 0.01 for gradient-fed
+# schedulers, 5e-7 when the schedule rides on Adam directions.
 OPTIMIZER_TABLE = {
     "sgd": ("gradient", "fixed", 0.0),
     "adam": ("adam", "fixed", 0.0),
@@ -136,7 +136,8 @@ class RunConfig:
             if not ok:
                 raise ConfigError(message)
         try:  # the rate and Adam rules live in the kernels that apply them
-            FlatSchedule((), 0, cfg.alpha0, cfg.eta, cfg.alpha_min, cfg.alpha_max)
+            FlatSchedule((), 0, cfg.alpha0, cfg.eta, cfg.alpha_min,
+                         cfg.alpha_max, OPTIMIZER_TABLE[cfg.optimizer][1])
             AdamState(0, cfg.beta1, cfg.beta2, cfg.eps_hat)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
@@ -300,10 +301,8 @@ def run(config: RunConfig) -> Trace:
     direction, rule, _ = OPTIMIZER_TABLE[cfg.optimizer]
     adam = (AdamState(x.size, cfg.beta1, cfg.beta2, cfg.eps_hat)
             if direction == "adam" else None)
-    sched = (FlatSchedule(segments, x.size, cfg.alpha0, cfg.eta,
-                          cfg.alpha_min, cfg.alpha_max)
-             if rule != "fixed" else None)
-    fixed = [cfg.alpha0] * len(ids), [0.0] * len(ids), [False] * len(ids)
+    sched = FlatSchedule(segments, x.size, cfg.alpha0, cfg.eta, cfg.alpha_min,
+                         cfg.alpha_max, rule)
     out = _out_file(cfg.out, "trace.csv")
     # The gradient-noise stream follows problem_seed, not seed, so every run
     # of one problem (each optimizer, each seed) sees the same perturbations.
@@ -349,21 +348,13 @@ def run(config: RunConfig) -> Trace:
                     fail(t, f"batch loss {batch_loss}")
 
                 d = adam_advance(adam, grad) if direction == "adam" else grad
+                norms, alphas, hs, reverted = sched.step(x, d)
                 # A non-finite entry makes its group's norm non-finite (for
-                # Adam too: inf/inf is NaN), so only then check every entry;
-                # finite entries whose squares overflow get their norm anew.
-                norms = [math.sqrt(np.dot(d[sl], d[sl])) for sl in segments]
+                # Adam too: inf/inf is NaN), so only then check every entry.
                 if not all(map(math.isfinite, norms)):
                     check_groups(t, grad, "gradient")
-                    norms = [_norm(d[sl]) for sl in segments]
                 if direction == "adam":  # v overflows on entries > ~1e154
                     check_groups(t, adam.v, "Adam second moment")
-                if rule == "fixed":
-                    x -= cfg.alpha0 * d
-                    alphas, hs, reverted = fixed
-                else:
-                    hs, reverted = sched.step(x, d, revert=rule == "rdbd")
-                    alphas = sched.alpha
                 check_groups(t, x, "weights")
 
                 trace.append(batch_loss, norms, alphas, hs, reverted)
@@ -388,18 +379,6 @@ def _all_finite(v) -> bool:
     """Whether every entry of v is finite. A finite sum of squares proves it;
     only a sum that overflows pays for the exact check."""
     return math.isfinite(np.dot(v, v)) or bool(np.isfinite(v).all())
-
-
-def _norm(v) -> float:
-    """sqrt(v . v), rescaled by the largest magnitude of v where v . v
-    overflows, so that finite entries get their finite norm."""
-    norm = math.sqrt(np.dot(v, v))
-    if norm == math.inf:
-        scale = float(np.abs(v).max())
-        if math.isfinite(scale):
-            v = v / scale
-            norm = scale * math.sqrt(np.dot(v, v))
-    return norm
 
 
 def _fmt(value) -> str:

@@ -28,10 +28,10 @@ from reference import (estimate_sigma, finite_difference_gradient,
 
 
 def one_group(alpha, eta, prev_update=(0.0, 0.0), prev_dot=0.0,
-              alpha_min=-math.inf, alpha_max=math.inf):
+              alpha_min=-math.inf, alpha_max=math.inf, rule="rdbd"):
     """A one-group schedule whose previous step applied eta*prev_dot."""
     sched = FlatSchedule([slice(None)], len(prev_update), alpha, eta,
-                         alpha_min, alpha_max)
+                         alpha_min, alpha_max, rule)
     sched.prev_update = np.array(prev_update, float)
     sched.prev_dot, sched.applied = [prev_dot], [eta * prev_dot]
     return sched
@@ -59,14 +59,14 @@ def test_criterion_01_full_batch_dbd_iteration_bound():
                            rng=np.random.default_rng(11))
     eta = gamma / (T * sigma ** 2 * L)
     x = x0.copy()
-    sched = one_group(1.0 / L, eta)
+    sched = one_group(1.0 / L, eta, rule="dbd")
     min_norm = math.inf
     for t in range(1, T + 1):
         g = prob.loss_and_grad(x, None)[1]
         norm = float(np.linalg.norm(g))
         assert norm <= sigma             # the measured bound really bounds
         min_norm = min(min_norm, norm)
-        sched.step(x, g, revert=False)
+        sched.step(x, g)
     report(1, min_norm <= eps,
            f"min grad norm {min_norm:.3e} <= {eps} within {T} iterations")
 
@@ -125,7 +125,7 @@ def test_criterion_03_revert_exactness_randomized():
         x = x0.copy()
         # choose the next update so the product is negative (fires) ...
         g_now = -math.copysign(1.0, h_prev) * g_prev if h_prev else g_prev
-        (h_t,), (reverted,) = sched.step(x, g_now, revert=True)
+        _, _, (h_t,), (reverted,) = sched.step(x, g_now)
         if h_prev == 0.0:
             assert not reverted        # zero product can never fire
             continue
@@ -156,11 +156,11 @@ def test_criterion_03_revert_exactness_randomized():
         sched = one_group(alpha0, eta, prev_update=prev, prev_dot=h0,
                           alpha_min=lo, alpha_max=hi)
         x = rng.normal(size=n)
-        _, (reverted,) = sched.step(x, g1, revert=True)
+        *_, (reverted,) = sched.step(x, g1)
         assert not reverted and sched.alpha[0] == bound
         after_step = (x.copy(), sched.alpha[0])
         g2 = -math.copysign(rng.uniform(0.5, 2.0), h1) * g1
-        _, (reverted,) = sched.step(x, g2, revert=True)
+        *_, (reverted,) = sched.step(x, g2)
         assert reverted
         # undo step 2's own descent and (possibly clamped) increment
         after_revert = (x + sched.alpha[0] * g2,
@@ -191,8 +191,9 @@ def test_criterion_04_part2_equality_and_trajectory_match():
             h_t = float(g @ st.prev_update)
             if h_t * st.prev_dot[0] >= 0:
                 st_d, x_d = copy.deepcopy(st), x.copy()
-                st_d.step(x_d, g, revert=False)
-                _, (reverted,) = st.step(x, g, revert=True)
+                st_d.rule = "dbd"
+                st_d.step(x_d, g)
+                *_, (reverted,) = st.step(x, g)
                 assert not reverted
                 assert abs(st.alpha[0] - st_d.alpha[0]) <= 1e-12 * max(
                     1.0, abs(st_d.alpha[0]))
@@ -200,19 +201,19 @@ def test_criterion_04_part2_equality_and_trajectory_match():
                               <= 1e-12 * np.maximum(1.0, np.abs(x_d)))
                 checked_steps += 1
             else:
-                _, (reverted,) = st.step(x, g, revert=True)
+                *_, (reverted,) = st.step(x, g)
                 assert reverted
     # (b) all-nonnegative products: full trajectories match
     for _ in range(10):
         scalars = rng.uniform(0.1, 2.0, size=40)     # same sign throughout
-        st_d = one_group(0.005, 0.01)
+        st_d = one_group(0.005, 0.01, rule="dbd")
         st_r = one_group(0.005, 0.01)
         x_d = np.zeros(2)
         x_r = np.zeros(2)
         for s in scalars:
             g = np.array([s, -0.7 * s])
-            st_d.step(x_d, g, revert=False)
-            _, (reverted,) = st_r.step(x_r, g, revert=True)
+            st_d.step(x_d, g)
+            *_, (reverted,) = st_r.step(x_r, g)
             assert not reverted
             assert np.all(np.abs(x_r - x_d)
                           <= 1e-12 * np.maximum(1.0, np.abs(x_d)))
@@ -237,7 +238,7 @@ def test_criterion_05_per_step_steeper_descent_full_batch():
         g = prob.loss_and_grad(x, None)[1]
         assert np.linalg.norm(g) <= sigma
         alpha_before, x_t = sched.alpha[0], x.copy()
-        (h_t,), (reverted,) = sched.step(x, g, revert=True)
+        _, _, (h_t,), (reverted,) = sched.step(x, g)
         hist.append((x_t, g.copy(), alpha_before, sched.alpha[0], h_t,
                      reverted))
     checked, worst = 0, -math.inf

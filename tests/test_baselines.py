@@ -15,7 +15,7 @@ def scalar_sgd(alpha0, steps):
 
 
 def one_group(n, alpha, eta, alpha_max):
-    return FlatSchedule([slice(None)], n, alpha, eta, 0.0, alpha_max)
+    return FlatSchedule([slice(None)], n, alpha, eta, 0.0, alpha_max, "rdbd")
 
 
 def test_sgd_step_basic():
@@ -98,7 +98,7 @@ def test_adam_rdbd_first_step_is_plain_adam():
     plain_x = x - 0.005 * adam_advance(AdamState(2, 0.05, 0.99, 1e-8), g)
     adam = AdamState(2, 0.05, 0.99, 1e-8)
     sched = one_group(2, 0.005, 5e-7, alpha_max=0.05)
-    (h,), (reverted,) = sched.step(x, adam_advance(adam, g), revert=True)
+    _, _, (h,), (reverted,) = sched.step(x, adam_advance(adam, g))
     assert not reverted
     assert h == 0.0
     assert np.allclose(x, plain_x, rtol=1e-15)
@@ -115,7 +115,7 @@ def test_adam_rdbd_eta_zero_reproduces_adam():
     sched = one_group(3, 0.01, 0.0, alpha_max=0.1)
     for g in grads:
         x_a -= 0.01 * adam_advance(adam_a, g)
-        sched.step(x_b, adam_advance(adam_b, g), revert=True)
+        sched.step(x_b, adam_advance(adam_b, g))
         assert sched.alpha == [0.01]
         assert np.allclose(x_a, x_b, rtol=1e-15, atol=0.0)
 
@@ -127,7 +127,7 @@ def test_adam_rdbd_cap_engages():
     x = np.array([5.0, 5.0])
     hit = False
     for t in range(200):
-        sched.step(x, adam_advance(adam, np.array([1.0, 1.0])), revert=True)
+        sched.step(x, adam_advance(adam, np.array([1.0, 1.0])))
         assert sched.alpha[0] <= 0.05 + 1e-15
         hit = hit or sched.alpha[0] == 0.05
     assert hit
@@ -141,7 +141,7 @@ def test_adam_rdbd_deterministic():
         rng = np.random.default_rng(9)
         vals = []
         for t in range(30):
-            sched.step(x, adam_advance(adam, rng.normal(size=2)), revert=True)
+            sched.step(x, adam_advance(adam, rng.normal(size=2)))
             vals.append(x.copy())
         return vals
     for a, b in zip(trajectory(), trajectory()):

@@ -31,19 +31,31 @@ QUICK = RunConfig(problem="logistic", optimizer="rdbd", alpha0=0.005,
     (dict(eta=math.inf), "eta must be finite"),
     (dict(eta=-1e-3), "eta must be >= 0"),
     (dict(alpha_min=1.0, alpha_max=0.5), "alpha_min must be <= alpha_max"),
+    (dict(alpha_min=math.nan), "alpha_min must not be NaN"),
+    (dict(alpha_max=math.nan), "alpha_max must not be NaN"),
     (dict(beta1=1.0), "beta1 must lie in [0, 1)"),
     (dict(beta2=-0.1), "beta2 must lie in [0, 1)"),
     (dict(eps_hat=math.nan), "eps_hat must be finite and > 0"),
-], ids=["eta-finite", "eta-sign", "alpha-bounds", "beta1", "beta2",
-        "eps_hat"])
+], ids=["eta-finite", "eta-sign", "alpha-bounds", "alpha_min-nan",
+        "alpha_max-nan", "beta1", "beta2", "eps_hat"])
 def test_resolved_reports_the_rule_of_the_kernel(setting, text):
     cfg = dataclasses.replace(QUICK.resolved(), **setting)
     with pytest.raises(ValueError) as kernel:
-        FlatSchedule((), 0, cfg.alpha0, cfg.eta, cfg.alpha_min, cfg.alpha_max)
+        FlatSchedule((), 0, cfg.alpha0, cfg.eta, cfg.alpha_min, cfg.alpha_max,
+                     "rdbd")
         AdamState(0, cfg.beta1, cfg.beta2, cfg.eps_hat)
     with pytest.raises(ConfigError) as config:
         cfg.resolved()
     assert str(config.value) == str(kernel.value) == text
+
+
+@pytest.mark.parametrize("flag", ["--alpha-min", "--alpha-max"])
+def test_cli_names_a_nan_rate_bound(capsys, flag):
+    assert main(["run", "--problem", "logistic", "--steps", "3", flag,
+                 "nan"]) == 2
+    name = flag[2:].replace("-", "_")
+    assert capsys.readouterr().err == \
+        f"config error: {name} must not be NaN\n"
 
 
 def test_config_validation_errors():
@@ -839,6 +851,24 @@ def test_compare_names_no_winner_when_no_median_is_finite(tmp_path, capsys):
     assert winner is None and rows[0].median == math.inf
 
 
+@pytest.mark.parametrize("metric", ["final_loss", "min_grad_norm"])
+def test_compare_without_a_finite_median_names_no_threshold_its_metric_ignores(
+        monkeypatch, capsys, metric):
+    from rdbd import cli
+
+    def infinite(base, optimizers, seeds, metric, threshold, out):
+        return [harness.ComparisonRow(opt, metric, math.inf, math.inf,
+                                      [math.inf] * seeds)
+                for opt in optimizers], None
+
+    monkeypatch.setattr(cli, "compare", infinite)
+    assert main(["compare", "--problem", "logistic", "--optimizers",
+                 "sgd,rdbd", "--seeds", "2", "--metric", metric]) == 0
+    out = capsys.readouterr().out
+    assert f"no winner by {metric}: no optimizer has a finite median" in out
+    assert "reached" not in out and "0.5" not in out
+
+
 @pytest.mark.parametrize("flags, code", [
     (["--problem", "rosenbrock", "--optimizer", "sgd", "--optimizers", "sgd",
       "--alpha0", "1.0", "--steps", "200"], 4),
@@ -1384,8 +1414,9 @@ def test_mlp_blobs_runs_share_one_read_only_dataset(name):
 
 
 @pytest.mark.parametrize("optimizer, kernels", [
-    ("sgd", []), ("adam", ["AdamState"]), ("dbd", ["FlatSchedule"]),
-    ("rdbd", ["FlatSchedule"]), ("adam_rdbd", ["AdamState", "FlatSchedule"]),
+    ("sgd", ["FlatSchedule"]), ("adam", ["AdamState", "FlatSchedule"]),
+    ("dbd", ["FlatSchedule"]), ("rdbd", ["FlatSchedule"]),
+    ("adam_rdbd", ["AdamState", "FlatSchedule"]),
 ], ids=["sgd", "adam", "dbd", "rdbd", "adam_rdbd"])
 def test_run_builds_only_the_kernels_its_optimizer_reads(monkeypatch,
                                                          optimizer, kernels):
