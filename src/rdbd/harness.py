@@ -14,9 +14,10 @@ of the update direction (the gradient, or Adam's `u`). `loss` is the
 mini-batch loss at the pre-step point; `full_loss` is the whole-dataset
 loss after the step, filled every `eval_every` steps and at the last step,
 else blank. Identical (config, seed) pairs produce byte-identical files.
-A large problem runs its full-dataset evals on one worker thread, each
-overlapping the steps after it, with the same traces and failure steps; a
-small or deterministic problem starts no thread.
+Each full-dataset eval takes a copy of the weights and is recorded at the
+next eval or at the run's end: a large problem computes it meanwhile on one
+worker thread, and a small or deterministic one computes it when it is
+recorded, starting no thread.
 """
 
 from __future__ import annotations
@@ -320,7 +321,7 @@ def run(config: RunConfig) -> Trace:
                        if not _all_finite(v[sl]))
             fail(step, f"{what} of group {bad!r}")
 
-    def settle():  # an eval that fails keeps the steps before it, as in order
+    def settle():  # an eval that fails keeps only the steps before it
         nonlocal pending
         if pending:
             (step, result), pending = pending, None
@@ -333,9 +334,10 @@ def run(config: RunConfig) -> Trace:
                 raise
 
     # Divergence is detected by the explicit finiteness checks below, so the
-    # overflow that precedes an abort does not need to warn as well. The
-    # worker sets the same errstate itself, as errstate is context-local.
+    # overflow that precedes an abort does not need to warn as well. The eval
+    # sets that errstate itself: it may run on the worker or after the loop.
     quiet = dict(over="ignore", invalid="ignore")
+    evaluate = np.errstate(**quiet)(problem.loss)
     try:
         with np.errstate(**quiet), (ThreadPoolExecutor(1) if overlap
                                     else contextlib.nullcontext()) as pool:
@@ -360,12 +362,8 @@ def run(config: RunConfig) -> Trace:
                 trace.append(batch_loss, norms, alphas, hs, reverted)
                 if t % cfg.eval_every == 0 or t == cfg.steps:
                     settle()
-                    if pool:
-                        pending = t, pool.submit(np.errstate(**quiet)(
-                            problem.loss), x.copy()).result
-                    else:
-                        pending = t, functools.partial(problem.loss, x)
-                        settle()
+                    pending = t, (pool.submit(evaluate, x.copy()).result if pool
+                                  else functools.partial(evaluate, x.copy()))
     finally:
         try:
             settle()
@@ -416,7 +414,7 @@ def _out_file(path, name=None):
             os.remove(path)
         for directory in made[:-1]:
             os.rmdir(directory)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
         raise ConfigError(f"cannot write {path}: {exc}") from exc
     return path
 

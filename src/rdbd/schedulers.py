@@ -27,12 +27,15 @@ class FlatSchedule:
     `x[segments[k]]`; `prev_update`, the previous direction over the whole
     `dim`-long vector, starts at zero (None under `fixed`), every rate at
     `alpha0`, `prev_dot` and `applied` at 0.0. ValueError unless the rule
-    is known, eta is finite and >= 0, and alpha_min <= alpha_max, not NaN.
+    is known, alpha0 is finite, eta is finite and >= 0, and alpha_min <=
+    alpha_max, not NaN.
     """
 
     def __init__(self, segments, dim, alpha0, eta, alpha_min, alpha_max, rule):
         if rule not in ("fixed", "dbd", "rdbd"):
             raise ValueError(f"unknown rate rule {rule!r}")
+        if not math.isfinite(alpha0):
+            raise ValueError("alpha0 must be finite")
         if not math.isfinite(eta):
             raise ValueError("eta must be finite")
         if not eta >= 0:

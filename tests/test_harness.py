@@ -814,6 +814,21 @@ def test_cli_unwritable_out_exits_with_config_error_before_any_step(
     assert file.read_text() == "kept\n"
 
 
+@pytest.mark.parametrize("name", ["a\x00b.csv", "a\x00b/c.csv"])
+def test_out_with_a_nul_byte_is_a_config_error(tmp_path, monkeypatch, capsys,
+                                               name):
+    # Only a config file can carry a NUL byte; a command line cannot.
+    cfg = tmp_path / "nul.cfg"
+    cfg.write_text(f"problem = rosenbrock\nsteps = 5\nout = {tmp_path}/{name}\n")
+    for argv in (["run"], ["compare", "--seeds", "1"]):
+        assert main(argv + ["--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("config error: cannot write")
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(ConfigError, match="cannot write"):
+        run(RunConfig(problem="rosenbrock", steps=5, out=name))
+    assert os.listdir(tmp_path) == ["nul.cfg"]
+
+
 def test_run_and_compare_out_directory_name_their_file(tmp_path):
     run(dataclasses.replace(QUICK, out=str(tmp_path / "file.csv")))
     run(dataclasses.replace(QUICK, out=str(tmp_path)))
@@ -1274,6 +1289,32 @@ def test_overlapped_eval_keeps_every_trace_byte(tmp_path, monkeypatch, cfg):
     assert threading.active_count() == threads
 
 
+@pytest.mark.parametrize("name", ["quadratic-dbd", "logistic-default"])
+def test_no_eval_sees_its_weights_change_after_it_starts(monkeypatch,
+                                                         overlapped, name):
+    # Every eval is deferred, so each must get weights the steps after it
+    # cannot move.
+    build = harness.build_problem
+    evals = []
+
+    def build_recording_evals(config):
+        problem = build(config)
+        loss = problem.loss
+
+        def recording_loss(x):
+            evals.append((x, x.copy()))
+            return loss(x)
+
+        monkeypatch.setattr(problem, "loss", recording_loss)
+        return problem
+
+    monkeypatch.setattr(harness, "build_problem", build_recording_evals)
+    trace = run(preset(name))
+    assert len(evals) == np.count_nonzero(~np.isnan(trace.full_loss))
+    for x, snapshot in evals:
+        assert np.array_equal(x, snapshot)
+
+
 HERMETIC_PRESETS = ("quadratic-dbd", "rosenbrock-rdbd", "logistic-default",
                     "logistic-adam-rdbd", "mlp-blobs-demo")
 
@@ -1321,7 +1362,7 @@ def test_failure_while_an_eval_is_pending_flushes_its_full_loss(
 
         def slow_loss(x):
             # On a thread, the step-25 eval is still running when step 30
-            # fails; in order, step 30 never starts before it returns.
+            # fails; in order, it starts only once step 30 has failed.
             if overlapped:
                 evals.append(failed.wait(timeout=30))
             return math.inf if eval_fails else loss(x)

@@ -38,6 +38,15 @@ def test_flat_schedule_rejects_a_non_finite_eta(eta):
         FlatSchedule([slice(None)], 2, 0.1, eta, 0.0, 1.0, "dbd")
 
 
+@pytest.mark.parametrize("rule", ["fixed", "dbd", "rdbd"])
+@pytest.mark.parametrize("alpha0", [math.nan, math.inf, -math.inf])
+def test_flat_schedule_rejects_a_non_finite_alpha0(rule, alpha0):
+    # Checked before the bounds, since adam_rdbd's default alpha_max is
+    # 10 * alpha0: a NaN or -inf alpha0 must not be reported as a bound.
+    with pytest.raises(ValueError, match="^alpha0 must be finite$"):
+        FlatSchedule([slice(None)], 2, alpha0, 0.01, 0.0, 10 * alpha0, rule)
+
+
 def test_flat_schedule_rejects_an_unknown_rule():
     with pytest.raises(ValueError, match="unknown rate rule 'adam'"):
         FlatSchedule([slice(None)], 2, 0.1, 0.0, 0.0, 1.0, "adam")
