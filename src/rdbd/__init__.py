@@ -5,7 +5,7 @@ and a seeded benchmark harness."""
 from .schedulers import FlatSchedule
 from .baselines import AdamState, adam_advance
 from .problems import Problem
-from .data import (BatchSampler, Dataset, load_mnist, parse_idx,
+from .data import (Dataset, batch_stream, load_mnist, parse_idx,
                    stratified_rows, synthetic_blobs)
 from .theory import (BoundReport, TheoryParams, alpha_envelope,
                      dbd_hypergradient, dbd_iteration_bound,

@@ -1,6 +1,6 @@
 """Dataset ingestion: IDX container parsing, deterministic stratified row
 choice, synthetic cluster generators, and the without-replacement batch
-sampler. Each dataset is built at its final size."""
+stream. Each dataset is built at its final size."""
 
 from __future__ import annotations
 
@@ -84,32 +84,21 @@ def parse_idx(data: bytes) -> np.ndarray:
     return np.frombuffer(data, np.uint8, count, offset=header_len).reshape(dims)
 
 
-class BatchSampler:
-    """Without-replacement mini-batch index stream.
+def batch_stream(n, batch_size, seed):
+    """Without-replacement mini-batch index stream: each epoch walks a
+    fresh seeded permutation of [0, n) in batch_size chunks (the last may
+    be short), one chunk per next(). Deterministic for a given seed; a
+    batch_size outside [1, n] raises ValueError at once."""
+    if batch_size < 1 or batch_size > n:
+        raise ValueError(f"batch_size must be in [1, {n}], got {batch_size}")
+    rng = np.random.default_rng(seed)
 
-    Each epoch is a fresh seeded permutation of [0, n); consecutive
-    next_batch() calls walk it in batch_size chunks (the last chunk of an
-    epoch may be short). Deterministic for a given seed.
-    """
-
-    def __init__(self, n, batch_size, seed):
-        if batch_size < 1 or batch_size > n:
-            raise ValueError(f"batch_size must be in [1, {n}], got {batch_size}")
-        self.n = int(n)
-        self.batch_size = int(batch_size)
-        self._rng = np.random.default_rng(seed)
-        self.order = self._rng.permutation(self.n)
-        self._pos = 0
-        self.epoch = 0
-
-    def next_batch(self) -> np.ndarray:
-        if self._pos >= self.n:
-            self.order = self._rng.permutation(self.n)
-            self._pos = 0
-            self.epoch += 1
-        batch = self.order[self._pos:self._pos + self.batch_size]
-        self._pos += batch.size
-        return batch
+    def stream():
+        while True:
+            order = rng.permutation(n)
+            for start in range(0, n, batch_size):
+                yield order[start:start + batch_size]
+    return stream()
 
 
 def stratified_rows(labels, num_classes, n, seed) -> np.ndarray:

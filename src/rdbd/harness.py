@@ -25,6 +25,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import functools
+import itertools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -33,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .baselines import AdamState, adam_advance
-from .data import BatchSampler, load_mnist, synthetic_blobs
+from .data import batch_stream, load_mnist, synthetic_blobs
 from .problems import (LogisticProblem, MlpProblem, QuadraticProblem,
                        RosenbrockProblem)
 from .schedulers import FlatSchedule
@@ -109,7 +110,6 @@ class RunConfig:
         if cfg.alpha_max is None:
             cfg.alpha_max = 10.0 * cfg.alpha0 if cfg.optimizer == "adam_rdbd" else math.inf
         cfg.layer_sizes = tuple(int(s) for s in cfg.layer_sizes)
-        classes = cfg.layer_sizes[-1] if cfg.layer_sizes else 0
         samples = math.inf if cfg.problem in ("quadratic", "rosenbrock") else cfg.n_samples
         for ok, message in (
                 (cfg.steps >= 1, "steps must be >= 1"),
@@ -128,18 +128,16 @@ class RunConfig:
                 (all(s >= 1 for s in cfg.layer_sizes), "every layer width must be >= 1"),
                 (not cfg.problem.startswith("mlp") or len(cfg.layer_sizes) >= 2,
                  "layer_sizes needs an input and an output width"),
-                (cfg.problem != "logistic" or cfg.n_samples >= cfg.dim,
-                 "logistic needs n_samples >= dim"),
-                (cfg.problem != "mlp-blobs" or cfg.n_samples >= classes,
-                 "mlp-blobs needs n_samples >= the number of classes"),
                 (cfg.batch_size <= samples,
                  f"batch_size must be <= the {samples} samples of {cfg.problem}")):
             if not ok:
                 raise ConfigError(message)
-        try:  # the rate and Adam rules live in the kernels that apply them
+        try:  # these rules live where they apply; none builds a dataset
             FlatSchedule((), 0, cfg.alpha0, cfg.eta, cfg.alpha_min,
                          cfg.alpha_max, OPTIMIZER_TABLE[cfg.optimizer][1])
             AdamState(0, cfg.beta1, cfg.beta2, cfg.eps_hat)
+            if cfg.problem == "logistic":
+                LogisticProblem.check_shape(cfg.n_samples, cfg.dim)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         return cfg
@@ -295,9 +293,8 @@ def run(config: RunConfig) -> Trace:
         raise ConfigError(f"{cfg.problem}: its {problem.dim} weights cannot "
                           f"be allocated ({exc})") from exc
 
-    sampler = None
-    if problem.n_samples:
-        sampler = BatchSampler(problem.n_samples, cfg.batch_size, batch_ss)
+    batches = (batch_stream(problem.n_samples, cfg.batch_size, batch_ss)
+               if problem.n_samples else itertools.repeat(None))
 
     direction, rule, _ = OPTIMIZER_TABLE[cfg.optimizer]
     adam = (AdamState(x.size, cfg.beta1, cfg.beta2, cfg.eps_hat)
@@ -342,7 +339,7 @@ def run(config: RunConfig) -> Trace:
         with np.errstate(**quiet), (ThreadPoolExecutor(1) if overlap
                                     else contextlib.nullcontext()) as pool:
             for t in range(1, cfg.steps + 1):
-                batch = sampler.next_batch() if sampler else None
+                batch = next(batches)
                 batch_loss, grad = problem.loss_and_grad(x, batch)
                 if noise and noise.uniform() < cfg.grad_noise_prob:
                     grad = grad + noise.uniform(-cfg.grad_noise, cfg.grad_noise, x.size)
@@ -435,15 +432,17 @@ def _optional_cell(value) -> str:
 
 
 def write_trace_csv(records, vector_ids, path):
-    """Write the Trace `records` as a trace CSV whose groups are
-    `vector_ids`, in that order; a NaN full loss is a blank cell."""
-    groups = [records.ids.index(vec_id) for vec_id in vector_ids]
-    picked = [0, 1, 2] + [3 + 4 * g + j for g in groups for j in range(4)]
+    """Write the Trace `records` as a trace CSV, its rows as they are; a
+    NaN full loss is a blank cell. `vector_ids` must be the trace's own
+    group ids, in order (ValueError otherwise)."""
+    if tuple(vector_ids) != records.ids:
+        raise ValueError(f"vector_ids {list(vector_ids)} are not the "
+                         f"trace's group ids {list(records.ids)}")
     formats = [_int_cell, repr, _optional_cell]
-    formats += [repr, repr, repr, _int_cell] * len(groups)
-    lines = [",".join(trace_columns(vector_ids))]
+    formats += [repr, repr, repr, _int_cell] * len(records.ids)
+    lines = [",".join(trace_columns(records.ids))]
     for start in range(0, records.n, 64):  # bounds the floats alive at once
-        columns = records.rows[start:start + 64, picked].T.tolist()
+        columns = records.rows[start:start + 64].T.tolist()
         lines += map(",".join, zip(*map(map, formats, columns)))
     _write_lines(path, lines)
     return path
@@ -491,7 +490,8 @@ def config_grid(base, optimizers, seeds, axis=None, values=()):
     replaced, and no trace, so differences come from those alone. Without
     an axis the grid is optimizer x seed. `eta` and `alpha_max` carry over
     only to `base.optimizer`; the others get their defaults. Every cell is
-    resolved here, so a bad setting fails before any run or file.
+    resolved here, so a setting that `resolved` rejects fails before any
+    run or file; a dataset that cannot be built fails at its own run.
     """
     if not optimizers or seeds < 1:
         raise ConfigError("compare needs at least one optimizer and one seed")

@@ -113,8 +113,7 @@ class LogisticProblem(Problem):
         n, dim = X.shape
         if dataset.num_classes != 2:
             raise ValueError(f"need two classes, got {dataset.num_classes}")
-        if n < dim:
-            raise ValueError("need n_samples >= dim")
+        self.check_shape(n, dim)
         # sigmoid' <= 1/4 makes lambda_max(X'X)/(4n) a Lipschitz constant.
         with np.errstate(over="ignore"):
             gram = X.T @ X
@@ -123,6 +122,12 @@ class LogisticProblem(Problem):
         L = float(np.linalg.eigvalsh(gram)[-1] / (4.0 * n))
         super().__init__(dim, known_constants={"L": L}, dataset=dataset)
         self._y = dataset.labels.astype(np.float64)
+
+    @staticmethod
+    def check_shape(n, dim):
+        """The dataset shape rule, checkable before any row is drawn."""
+        if n < dim:
+            raise ValueError("logistic needs n_samples >= dim")
 
     def _loss_grad(self, w, batch, need_grad=True):
         X, y = self.dataset.features, self._y

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rdbd.data import (BatchSampler, Dataset, load_mnist, mnist_files,
+from rdbd.data import (Dataset, batch_stream, load_mnist, mnist_files,
                        parse_idx, synthetic_blobs)
 from rdbd.harness import MissingDataError, RunConfig, build_problem
 from reference import mnist_subset, serialize_idx, stacked_blobs
@@ -74,27 +74,28 @@ def test_parse_idx_transparent_gzip():
     assert np.array_equal(parse_idx(packed), arr)
 
 
-def test_batch_sampler_epoch_is_permutation():
-    sampler = BatchSampler(37, 5, seed=3)
-    batches = [sampler.next_batch() for _ in range(8)]
+def test_batch_stream_epoch_is_permutation():
+    stream = batch_stream(37, 5, seed=3)
+    batches = [next(stream) for _ in range(8)]
     assert [len(b) for b in batches] == [5, 5, 5, 5, 5, 5, 5, 2]
     flat = np.sort(np.concatenate(batches))
     assert np.array_equal(flat, np.arange(37))
     # next epoch reshuffles but stays a permutation
-    batches2 = [sampler.next_batch() for _ in range(8)]
+    batches2 = [next(stream) for _ in range(8)]
     assert np.array_equal(np.sort(np.concatenate(batches2)), np.arange(37))
-    assert sampler.epoch == 1
+    assert not np.array_equal(np.concatenate(batches2),
+                              np.concatenate(batches))
 
 
-def test_batch_sampler_deterministic():
-    a = BatchSampler(100, 16, seed=9)
-    b = BatchSampler(100, 16, seed=9)
+def test_batch_stream_deterministic():
+    a = batch_stream(100, 16, seed=9)
+    b = batch_stream(100, 16, seed=9)
     for _ in range(20):
-        assert np.array_equal(a.next_batch(), b.next_batch())
+        assert np.array_equal(next(a), next(b))
     with pytest.raises(ValueError):
-        BatchSampler(10, 0, seed=0)
+        batch_stream(10, 0, seed=0)
     with pytest.raises(ValueError):
-        BatchSampler(10, 11, seed=0)
+        batch_stream(10, 11, seed=0)
 
 
 def test_synthetic_blobs_deterministic():

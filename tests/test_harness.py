@@ -3,9 +3,12 @@ import gzip
 import math
 import os
 import struct
+import subprocess
+import sys
 import threading
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +25,7 @@ from rdbd.harness import (ConfigError, MissingDataError, NumericError,
 from rdbd.schedulers import FlatSchedule
 from reference import mnist_subset, serialize_idx
 
+ROOT = Path(__file__).resolve().parent.parent
 QUICK = RunConfig(problem="logistic", optimizer="rdbd", alpha0=0.005,
                   eta=0.01, batch_size=16, steps=120, seed=1, n_samples=256,
                   dim=8, problem_seed=3, eval_every=25)
@@ -121,6 +125,19 @@ def test_trace_multi_vector_columns(tmp_path):
     # independent per-vector schedules diverge
     alphas = records.alpha[-1].tolist()
     assert len({round(a, 12) for a in alphas}) > 1
+
+
+@pytest.mark.parametrize("ids", [["b1", "W1", "W2", "b2"], ["W1", "b1"],
+                                 ["W1", "b1", "W2", "b2", "W3"]],
+                         ids=["reordered", "subset", "extra"])
+def test_write_trace_csv_rejects_ids_that_are_not_the_traces(tmp_path, ids):
+    cfg = RunConfig(problem="mlp-blobs", optimizer="rdbd", steps=3,
+                    n_samples=64, layer_sizes=(6, 5, 3), batch_size=8)
+    records = run(cfg)
+    path = tmp_path / "m.csv"
+    with pytest.raises(ValueError, match="are not the trace's group ids"):
+        write_trace_csv(records, ids, str(path))
+    assert not path.exists()
 
 
 def test_trace_is_one_float64_array_in_csv_column_order(tmp_path):
@@ -242,6 +259,26 @@ def test_a_trace_holds_its_array_and_little_else():
         tracemalloc.stop()
     assert len(trace) == cfg.steps == 2000
     assert held <= cfg.steps * len(trace_columns(trace.ids)) * 8 + 16384
+
+
+def test_a_logistic_n_samples_below_dim_fails_before_any_data(tmp_path):
+    # resolved() applies LogisticProblem's shape rule, so neither a run nor
+    # a compare draws the 100 x 50000 matrix (40 MB) or caches it first.
+    cfg = RunConfig(problem="logistic", n_samples=100, dim=50000,
+                    batch_size=4, steps=5)
+    out = tmp_path / "c.csv"
+    tracemalloc.start()
+    try:
+        for call in (lambda: run(cfg), lambda: harness.build_problem(cfg),
+                     lambda: compare(cfg, ["rdbd", "dbd"], 2, out=str(out))):
+            with pytest.raises(ConfigError,
+                               match=r"^logistic needs n_samples >= dim$"):
+                call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert not out.exists()
 
 
 def test_alpha_envelope_checker_on_unclamped_runs():
@@ -682,6 +719,30 @@ def test_cli_run_ok(tmp_path, capsys):
     assert code == 0
     assert out.exists()
     assert "run complete" in capsys.readouterr().out
+
+
+def test_cli_takes_a_negative_value_in_the_equals_form(capsys):
+    # argparse reads "-inf" after a space as an option, so README gives
+    # negative values as --flag=value.
+    assert main(["run", "--steps", "3", "--alpha-min=-inf"]) == 0
+    assert "run complete" in capsys.readouterr().out
+
+
+def test_module_entry_point_exits_with_the_cli_codes(tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+
+    def module(*argv):
+        return subprocess.run([sys.executable, "-m", "rdbd", *argv],
+                              capture_output=True, text=True, cwd=tmp_path,
+                              env=env, timeout=120)
+
+    bad = module("run", "--steps", "0")
+    assert bad.returncode == 2
+    assert bad.stderr == "config error: steps must be >= 1\n"
+    ok = module("run", "--steps", "3")
+    assert ok.returncode == 0, ok.stderr
+    assert ok.stdout.startswith("run complete:")
 
 
 def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
@@ -1483,14 +1544,14 @@ def _per_group_reference(cfg):
     many reverts took back an increment that a clamp had cut.
     """
     from rdbd.baselines import AdamState, adam_advance
-    from rdbd.data import BatchSampler
+    from rdbd.data import batch_stream
     from rdbd.harness import build_problem
 
     cfg = cfg.resolved()
     problem = build_problem(cfg)
     init_ss, batch_ss = np.random.SeedSequence(cfg.seed).spawn(2)
     x = problem.initial_point(np.random.default_rng(init_ss))
-    sampler = BatchSampler(problem.n_samples, cfg.batch_size, batch_ss)
+    batches = batch_stream(problem.n_samples, cfg.batch_size, batch_ss)
     groups = []
     for _, sl in problem.segments:
         n = sl.stop - sl.start
@@ -1501,7 +1562,7 @@ def _per_group_reference(cfg):
     clamp_reverts = 0
     rows = []
     for t in range(1, cfg.steps + 1):
-        loss, grad = problem.loss_and_grad(x, sampler.next_batch())
+        loss, grad = problem.loss_and_grad(x, next(batches))
         row = [loss]
         for group in groups:
             sl = group["sl"]

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from rdbd.data import BatchSampler, synthetic_blobs
+from rdbd.data import batch_stream, synthetic_blobs
 from rdbd.problems import (LogisticProblem, MlpProblem, QuadraticProblem,
                            RosenbrockProblem)
 from reference import estimate_sigma, finite_difference_gradient
@@ -107,8 +107,8 @@ def test_unbiasedness_over_epoch_partition():
                  MlpProblem((4, 5, 3), synthetic_blobs(32, 4, 3, seed=6))):
         rng = np.random.default_rng(1)
         x = prob.initial_point(rng)
-        sampler = BatchSampler(prob.n_samples, 8, seed=4)
-        batches = [sampler.next_batch() for _ in range(prob.n_samples // 8)]
+        stream = batch_stream(prob.n_samples, 8, seed=4)
+        batches = [next(stream) for _ in range(prob.n_samples // 8)]
         mean = np.mean([prob.loss_and_grad(x, b)[1] for b in batches],
                        axis=0)
         full = prob.loss_and_grad(x, None)[1]
@@ -131,9 +131,9 @@ def test_logistic_sgd_run_decreases_loss():
     prob = LogisticProblem(synthetic_blobs(2048, 20, 2, seed=7))
     w = np.zeros(20)
     initial = prob.loss(w)
-    sampler = BatchSampler(2048, 16, seed=7)
+    stream = batch_stream(2048, 16, seed=7)
     for _ in range(2000):
-        _, g = prob.loss_and_grad(w, sampler.next_batch())
+        _, g = prob.loss_and_grad(w, next(stream))
         w = w - 0.1 * g
     final = prob.loss(w)
     assert final < initial
