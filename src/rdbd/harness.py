@@ -248,7 +248,7 @@ def build_problem(config: RunConfig):
     cfg = config.resolved()
     try:
         if cfg.problem == "quadratic":
-            return QuadraticProblem(np.diag(np.arange(1.0, cfg.dim + 1.0)))
+            return QuadraticProblem(np.arange(1.0, cfg.dim + 1.0))
         if cfg.problem == "rosenbrock":
             return RosenbrockProblem()
         if cfg.problem == "logistic":
@@ -263,7 +263,7 @@ def build_problem(config: RunConfig):
         return MlpProblem(cfg.layer_sizes, _shared_dataset(
             load_mnist, cfg.mnist_dir or os.environ.get("MNIST_DIR"),
             cfg.n_samples, cfg.problem_seed))
-    except (MemoryError, ValueError) as exc:
+    except (MemoryError, OSError, ValueError) as exc:
         raise ConfigError(f"{cfg.problem}: {exc}") from exc
 
 

@@ -1,7 +1,7 @@
-"""Loss/gradient oracles with known constants, so bound formulas have
-something checkable to run against: closed-form quadratics, the classic
-banana valley, mini-batch logistic regression over a two-class dataset,
-and a small ReLU network with a hand-derived backward pass."""
+"""Loss/gradient oracles, with their gradient Lipschitz constant `L` where
+known, so bound formulas have something checkable to run against: a
+diagonal quadratic, the classic banana valley, mini-batch logistic
+regression, and a small ReLU network with a hand-derived backward pass."""
 
 from __future__ import annotations
 
@@ -17,6 +17,7 @@ class Problem:
     from `layout`'s (id, size) pairs; by default one group, ("x", dim).
     `dim` is the total length of the segments, so a layout gives it alone.
     `n_samples` is the length of `dataset`, 0 for deterministic problems.
+    `L` is the gradient's Lipschitz constant, None where it is not known.
 
     Subclasses implement the one oracle, _loss_grad(x, batch,
     need_grad=True): the per-sample mean loss and gradient over the dataset
@@ -28,15 +29,14 @@ class Problem:
     whole-dataset loss.
     """
 
-    def __init__(self, dim=None, layout=None, known_constants=None,
-                 dataset=None):
+    def __init__(self, dim=None, layout=None, L=None, dataset=None):
         self.segments = []
         offset = 0
         for name, size in layout or [("x", int(dim))]:
             self.segments.append((name, slice(offset, offset + size)))
             offset += size
         self.dim = offset
-        self.known_constants = dict(known_constants or {})
+        self.L = L
         self.dataset = dataset
         self.n_samples = 0 if dataset is None else len(dataset)
 
@@ -54,42 +54,31 @@ class Problem:
 
 
 class QuadraticProblem(Problem):
-    """f(x) = x'Ax/2 - b'x with A symmetric PSD; gradient Ax - b."""
+    """f(x) = x'diag(a)x/2 - b'x over curvatures a, each finite and >= 0;
+    gradient a*x - b; L = max(a). Any PSD quadratic rotated into its
+    eigenbasis is one: with one weight group the schedules read only dot
+    products and norms, which the rotation keeps."""
 
-    def __init__(self, A, b=None):
-        A = np.asarray(A, dtype=np.float64)
-        if A.ndim != 2 or A.shape[0] != A.shape[1]:
-            raise ValueError("A must be square")
-        if not np.allclose(A, A.T, atol=1e-12):
-            raise ValueError("A must be symmetric")
-        eigs = np.linalg.eigvalsh(A)
-        if eigs[0] < -1e-10:
-            raise ValueError("A must be positive semidefinite")
-        dim = A.shape[0]
-        b = np.zeros(dim) if b is None else np.asarray(b, dtype=np.float64)
-        if b.shape != (dim,):
-            raise ValueError("b length must match A")
-
-        constants = {"L": float(eigs[-1])}
-        if eigs[0] > 1e-12:
-            minimizer = np.linalg.solve(A, b)
-            constants["minimizer"] = minimizer
-            constants["f_star"] = float(0.5 * minimizer @ A @ minimizer - b @ minimizer)
-        super().__init__(dim, known_constants=constants)
-        self.A = A
-        self.b = b
+    def __init__(self, a, b=None):
+        a = np.asarray(a, dtype=np.float64)
+        if a.ndim != 1 or not (np.isfinite(a) & (a >= 0)).all():
+            raise ValueError("a must be a vector of finite curvatures >= 0")
+        b = np.zeros(a.size) if b is None else np.asarray(b, dtype=np.float64)
+        if b.shape != a.shape:
+            raise ValueError("b length must match a")
+        super().__init__(a.size, L=float(a.max()))
+        self.a, self.b = a, b
 
     def _loss_grad(self, x, batch, need_grad=True):
-        loss = float(0.5 * x @ self.A @ x - self.b @ x)
-        return loss, (self.A @ x - self.b if need_grad else None)
+        loss = float(0.5 * x * self.a @ x - self.b @ x)
+        return loss, (self.a * x - self.b if need_grad else None)
 
 
 class RosenbrockProblem(Problem):
     """f(x, y) = (1-x)^2 + 100(y - x^2)^2; minimum 0 at (1, 1)."""
 
     def __init__(self):
-        super().__init__(2, known_constants={"f_star": 0.0,
-                                             "minimizer": np.array([1.0, 1.0])})
+        super().__init__(2)
 
     def _loss_grad(self, p, batch, need_grad=True):
         x, y = p
@@ -120,7 +109,7 @@ class LogisticProblem(Problem):
         if not np.isfinite(gram).all():
             raise ValueError("features too large: X'X overflows")
         L = float(np.linalg.eigvalsh(gram)[-1] / (4.0 * n))
-        super().__init__(dim, known_constants={"L": L}, dataset=dataset)
+        super().__init__(dim, L=L, dataset=dataset)
         self._y = dataset.labels.astype(np.float64)
 
     @staticmethod

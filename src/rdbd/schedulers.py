@@ -28,7 +28,7 @@ class FlatSchedule:
     `dim`-long vector, starts at zero (None under `fixed`), every rate at
     `alpha0`, `prev_dot` and `applied` at 0.0. ValueError unless the rule
     is known, alpha0 is finite, eta is finite and >= 0, and alpha_min <=
-    alpha_max, not NaN.
+    alpha_max, neither NaN, alpha_min not +inf and alpha_max not -inf.
     """
 
     def __init__(self, segments, dim, alpha0, eta, alpha_min, alpha_max, rule):
@@ -40,9 +40,12 @@ class FlatSchedule:
             raise ValueError("eta must be finite")
         if not eta >= 0:
             raise ValueError("eta must be >= 0")
-        for name, bound in (("alpha_min", alpha_min), ("alpha_max", alpha_max)):
+        for name, bound, wrong in (("alpha_min", alpha_min, math.inf),
+                                   ("alpha_max", alpha_max, -math.inf)):
             if math.isnan(bound):
                 raise ValueError(f"{name} must not be NaN")
+            if bound == wrong:
+                raise ValueError(f"{name} must not be {wrong:+}")
         if not alpha_min <= alpha_max:
             raise ValueError("alpha_min must be <= alpha_max")
         self.segments, self.dim, self.rule = segments, dim, rule

@@ -46,8 +46,8 @@ def report(criterion, ok, detail):
 def test_criterion_01_full_batch_dbd_iteration_bound():
     """Full-batch scheduled descent meets its closed-form iteration bound
     with zero slack on the count."""
-    prob = QuadraticProblem(np.diag([1.0, 2.0]))
-    L = prob.known_constants["L"]
+    prob = QuadraticProblem([1.0, 2.0])
+    L = prob.L
     x0 = np.array([1.0, math.sqrt(0.5)])         # f(x0) - f* = 1 exactly
     assert abs(prob.loss(x0) - 1.0) < 1e-15
     gamma, eps, f_gap = 0.5, 0.1, 1.0
@@ -227,8 +227,8 @@ def test_criterion_04_part2_equality_and_trajectory_match():
 def test_criterion_05_per_step_steeper_descent_full_batch():
     """On a full-batch quadratic with eta <= 2/(L sigma^2), every step whose
     increment survives descends at least as much as the plain step."""
-    prob = QuadraticProblem(np.diag([1.0, 2.0]), np.array([1.0, -0.5]))
-    L = prob.known_constants["L"]
+    prob = QuadraticProblem([1.0, 2.0], np.array([1.0, -0.5]))
+    L = prob.L
     sigma = 6.0
     eta = 1.0 / (L * sigma ** 2)              # within the admissible range
     x = np.array([2.0, 1.5])
@@ -266,7 +266,7 @@ def test_criterion_06_hypergradient_matches_rate_derivative():
 
     rng = np.random.default_rng(3)
     worst = 0.0
-    cases = ((QuadraticProblem(np.diag([1.0, 4.0]), np.array([0.3, -1.0])), 2.0, 0.3),
+    cases = ((QuadraticProblem([1.0, 4.0], np.array([0.3, -1.0])), 2.0, 0.3),
              (RosenbrockProblem(), 1.5, 0.02))
     for prob, box, a_max in cases:
         for _ in range(50):
@@ -318,8 +318,8 @@ def test_criterion_08_gradient_oracles_match_finite_differences():
     1e-6 relative for the smooth analytic problems, 1e-4 for the network."""
     rng = np.random.default_rng(31)
     smooth = [
-        ("quadratic", QuadraticProblem(np.diag([0.5, 2.0, 4.0]),
-                                       np.array([1.0, 0.0, -1.0])),
+        ("quadratic", QuadraticProblem([0.5, 2.0, 4.0],
+                                      np.array([1.0, 0.0, -1.0])),
          lambda: rng.uniform(-3, 3, 3), 1e-6, 1e-6),
         ("rosenbrock", RosenbrockProblem(),
          lambda: rng.uniform(-2, 2, 2), 1e-6, 1e-6),

@@ -37,11 +37,15 @@ QUICK = RunConfig(problem="logistic", optimizer="rdbd", alpha0=0.005,
     (dict(alpha_min=1.0, alpha_max=0.5), "alpha_min must be <= alpha_max"),
     (dict(alpha_min=math.nan), "alpha_min must not be NaN"),
     (dict(alpha_max=math.nan), "alpha_max must not be NaN"),
+    (dict(alpha_min=math.inf), "alpha_min must not be +inf"),
+    (dict(alpha_min=-math.inf, alpha_max=-math.inf),
+     "alpha_max must not be -inf"),
     (dict(beta1=1.0), "beta1 must lie in [0, 1)"),
     (dict(beta2=-0.1), "beta2 must lie in [0, 1)"),
     (dict(eps_hat=math.nan), "eps_hat must be finite and > 0"),
 ], ids=["eta-finite", "eta-sign", "alpha-bounds", "alpha_min-nan",
-        "alpha_max-nan", "beta1", "beta2", "eps_hat"])
+        "alpha_max-nan", "alpha_min-inf", "alpha_max-minus-inf", "beta1",
+        "beta2", "eps_hat"])
 def test_resolved_reports_the_rule_of_the_kernel(setting, text):
     cfg = dataclasses.replace(QUICK.resolved(), **setting)
     with pytest.raises(ValueError) as kernel:
@@ -60,6 +64,18 @@ def test_cli_names_a_nan_rate_bound(capsys, flag):
     name = flag[2:].replace("-", "_")
     assert capsys.readouterr().err == \
         f"config error: {name} must not be NaN\n"
+
+
+@pytest.mark.parametrize("flags, text", [
+    (["--alpha-min=inf"], "alpha_min must not be +inf"),
+    (["--alpha-max=-inf", "--alpha-min=-inf"], "alpha_max must not be -inf"),
+    (["--optimizer", "sgd", "--alpha-min=inf"], "alpha_min must not be +inf"),
+], ids=["alpha_min", "alpha_max", "sgd"])
+def test_cli_rejects_an_infinite_rate_bound_on_the_wrong_side(capsys, flags,
+                                                              text):
+    # Every rule checks the bounds, a fixed rate that never reads them too.
+    assert main(["run", "--steps", "3", *flags]) == 2
+    assert capsys.readouterr().err == f"config error: {text}\n"
 
 
 def test_config_validation_errors():
@@ -590,6 +606,18 @@ def test_mnist_subset_converts_only_its_rows(tmp_path):
     assert peak < full.features.nbytes
 
 
+def test_a_large_quadratic_builds_without_a_dense_matrix():
+    tracemalloc.start()
+    try:
+        problem = harness.build_problem(RunConfig(problem="quadratic",
+                                                  dim=2000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20          # a 2000 x 2000 float64 matrix is 32 MB
+    assert problem.dim == 2000 and problem.L == 2000.0
+
+
 def test_mnist_runs_share_one_read_only_subset(tmp_path):
     _write_synthetic_mnist(tmp_path)
     cfg = dataclasses.replace(preset("mnist-default"), n_samples=40,
@@ -654,6 +682,22 @@ def test_corrupt_mnist_files_exit_with_config_error(tmp_path, monkeypatch,
     assert capsys.readouterr().err.startswith("config error: mlp-mnist:")
 
 
+def test_an_unreadable_mnist_file_exits_with_config_error(tmp_path,
+                                                         monkeypatch, capsys):
+    # A chmod does not deny root a read, so the read itself fails here.
+    monkeypatch.delenv("MNIST_DIR", raising=False)
+    _write_synthetic_mnist(tmp_path)
+
+    def denied(path):
+        raise PermissionError(13, "Permission denied", str(path))
+
+    monkeypatch.setattr(Path, "read_bytes", denied)
+    assert main(["run", "--preset", "mnist-default", "--steps", "2",
+                 "--mnist-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: mlp-mnist: [Errno 13] Permission denied")
+
+
 def test_mnist_problem_reports_missing_data(tmp_path, monkeypatch):
     monkeypatch.delenv("MNIST_DIR", raising=False)
     cfg = dataclasses.replace(preset("mnist-default"), steps=5,
@@ -690,6 +734,21 @@ def test_config_file_parsing(tmp_path):
     not_utf8.write_bytes(b"\xff\xfes\x00t\x00e\x00p\x00s\x00")  # UTF-16
     with pytest.raises(ConfigError, match="bad4.cfg: not UTF-8"):
         parse_config_file(str(not_utf8))
+
+
+def test_an_unreadable_config_file_exits_2(tmp_path, monkeypatch, capsys):
+    # A chmod does not deny root a read, so the open itself fails here.
+    path = tmp_path / "run.cfg"
+    path.write_text("steps = 3\n")
+
+    def denied(name, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", name)
+
+    monkeypatch.setattr("rdbd.cli.open", denied, raising=False)
+    assert main(["run", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: cannot read config file {path}: "
+        f"[Errno 13] Permission denied: '{path}'\n")
 
 
 def test_config_file_sets_every_field(tmp_path):

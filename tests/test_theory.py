@@ -121,7 +121,7 @@ def test_steeper_descent_conditions():
     lambda: steeper_descent_conditions(TheoryParams(mu=math.inf), 0.1, 0.1),
     lambda: descent_coefficient_bound(0.1, 0.0, 0.5),
     lambda: descent_coefficient_bound(
-        0.1, QuadraticProblem(np.zeros((2, 2))).known_constants["L"], 0.5),
+        0.1, QuadraticProblem(np.zeros(2)).L, 0.5),
     lambda: descent_coefficient_bound(0.1, -1.0, 0.5),
     lambda: descent_coefficient_bound(0.1, math.inf, 0.5),
     lambda: descent_coefficient_bound(0.1, math.nan, 0.5),
@@ -145,7 +145,7 @@ def test_dbd_hypergradient_values():
 
 def test_dbd_hypergradient_matches_rate_derivative():
     # d/d alpha of f(x - alpha grad f(x)) at alpha=0.1, x=[1,1], A=diag(1,4).
-    prob = QuadraticProblem(np.diag([1.0, 4.0]))
+    prob = QuadraticProblem([1.0, 4.0])
     x = np.array([1.0, 1.0])
     alpha = 0.1
     g = prob.loss_and_grad(x, None)[1]
@@ -166,10 +166,10 @@ def test_measure_tau():
 def test_smoothness_inequality_on_known_L_problems():
     # f(x) <= f(y) + <grad f(y), x - y> + L/2 ||x-y||^2 on random pairs.
     rng = np.random.default_rng(17)
-    quad = QuadraticProblem(np.diag([1.0, 3.0, 0.5]), np.array([1.0, 0.0, -2.0]))
+    quad = QuadraticProblem([1.0, 3.0, 0.5], np.array([1.0, 0.0, -2.0]))
     logi = LogisticProblem(synthetic_blobs(256, 6, 2, seed=5))
     for prob, scale in ((quad, 3.0), (logi, 2.0)):
-        L = prob.known_constants["L"]
+        L = prob.L
         for _ in range(100):
             x = rng.normal(size=prob.dim) * scale
             y = rng.normal(size=prob.dim) * scale
