@@ -2,8 +2,7 @@
 baseline optimizers they wrap, closed-form convergence-bound calculators,
 and a seeded benchmark harness."""
 
-from .schedulers import FlatSchedule
-from .baselines import AdamState, adam_advance
+from .schedulers import AdamState, FlatSchedule
 from .problems import Problem
 from .data import (Dataset, batch_stream, load_mnist, parse_idx,
                    stratified_rows, synthetic_blobs)

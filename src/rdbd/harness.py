@@ -33,24 +33,24 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .baselines import AdamState, adam_advance
 from .data import batch_stream, load_mnist, synthetic_blobs
 from .problems import (LogisticProblem, MlpProblem, QuadraticProblem,
                        RosenbrockProblem)
-from .schedulers import FlatSchedule
+from .schedulers import AdamState, FlatSchedule
 from .theory import alpha_envelope
 
-# optimizer -> (direction, rate rule, default eta). The direction is the
-# gradient or Adam's bias-corrected u; the rule, which FlatSchedule applies,
-# holds every rate at alpha0 ("fixed") or schedules one rate per weight
-# group ("dbd", "rdbd"). Default meta rates: 0.01 for gradient-fed
-# schedulers, 5e-7 when the schedule rides on Adam directions.
+# optimizer -> (direction, rate rule, default eta, default alpha_max as a
+# multiple of alpha0). The direction is the gradient or Adam's
+# bias-corrected u; the rule, which FlatSchedule applies, holds every rate
+# at alpha0 ("fixed") or schedules one rate per weight group ("dbd",
+# "rdbd"). Default meta rates: 0.01 for gradient-fed schedulers, 5e-7 when
+# the schedule rides on Adam directions, which also need a cap.
 OPTIMIZER_TABLE = {
-    "sgd": ("gradient", "fixed", 0.0),
-    "adam": ("adam", "fixed", 0.0),
-    "dbd": ("gradient", "dbd", 0.01),
-    "rdbd": ("gradient", "rdbd", 0.01),
-    "adam_rdbd": ("adam", "rdbd", 5e-7),
+    "sgd": ("gradient", "fixed", 0.0, math.inf),
+    "adam": ("adam", "fixed", 0.0, math.inf),
+    "dbd": ("gradient", "dbd", 0.01, math.inf),
+    "rdbd": ("gradient", "rdbd", 0.01, math.inf),
+    "adam_rdbd": ("adam", "rdbd", 5e-7, 10.0),
 }
 OPTIMIZERS = tuple(OPTIMIZER_TABLE)
 PROBLEMS = ("quadratic", "rosenbrock", "logistic", "mlp-blobs", "mlp-mnist")
@@ -81,7 +81,7 @@ class RunConfig:
     steps: int = 2000
     seed: int = 0
     alpha_min: float = 0.0
-    alpha_max: float | None = None  # None -> +inf (10*alpha0 for adam_rdbd)
+    alpha_max: float | None = None  # None -> optimizer default * alpha0
     eval_every: int = 25
     beta1: float = 0.05
     beta2: float = 0.99
@@ -105,10 +105,11 @@ class RunConfig:
         if cfg.problem not in PROBLEMS:
             raise ConfigError(f"unknown problem {cfg.problem!r}; "
                               f"choose from {', '.join(PROBLEMS)}")
+        _, rule, eta, max_ratio = OPTIMIZER_TABLE[cfg.optimizer]
         if cfg.eta is None:
-            cfg.eta = OPTIMIZER_TABLE[cfg.optimizer][2]
+            cfg.eta = eta
         if cfg.alpha_max is None:
-            cfg.alpha_max = 10.0 * cfg.alpha0 if cfg.optimizer == "adam_rdbd" else math.inf
+            cfg.alpha_max = max_ratio * cfg.alpha0
         cfg.layer_sizes = tuple(int(s) for s in cfg.layer_sizes)
         samples = math.inf if cfg.problem in ("quadratic", "rosenbrock") else cfg.n_samples
         for ok, message in (
@@ -134,7 +135,7 @@ class RunConfig:
                 raise ConfigError(message)
         try:  # these rules live where they apply; none builds a dataset
             FlatSchedule((), 0, cfg.alpha0, cfg.eta, cfg.alpha_min,
-                         cfg.alpha_max, OPTIMIZER_TABLE[cfg.optimizer][1])
+                         cfg.alpha_max, rule)
             AdamState(0, cfg.beta1, cfg.beta2, cfg.eps_hat)
             if cfg.problem == "logistic":
                 LogisticProblem.check_shape(cfg.n_samples, cfg.dim)
@@ -296,7 +297,7 @@ def run(config: RunConfig) -> Trace:
     batches = (batch_stream(problem.n_samples, cfg.batch_size, batch_ss)
                if problem.n_samples else itertools.repeat(None))
 
-    direction, rule, _ = OPTIMIZER_TABLE[cfg.optimizer]
+    direction, rule, _, _ = OPTIMIZER_TABLE[cfg.optimizer]
     adam = (AdamState(x.size, cfg.beta1, cfg.beta2, cfg.eps_hat)
             if direction == "adam" else None)
     sched = FlatSchedule(segments, x.size, cfg.alpha0, cfg.eta, cfg.alpha_min,
@@ -346,13 +347,13 @@ def run(config: RunConfig) -> Trace:
                 if not math.isfinite(batch_loss):
                     fail(t, f"batch loss {batch_loss}")
 
-                d = adam_advance(adam, grad) if direction == "adam" else grad
+                d = adam.advance(grad) if adam else grad
                 norms, alphas, hs, reverted = sched.step(x, d)
                 # A non-finite entry makes its group's norm non-finite (for
                 # Adam too: inf/inf is NaN), so only then check every entry.
                 if not all(map(math.isfinite, norms)):
                     check_groups(t, grad, "gradient")
-                if direction == "adam":  # v overflows on entries > ~1e154
+                if adam:  # v overflows on entries > ~1e154
                     check_groups(t, adam.v, "Adam second moment")
                 check_groups(t, x, "weights")
 

@@ -1,4 +1,5 @@
-"""Learning-rate schedulers driven by the agreement of consecutive updates.
+"""The two step kernels of a run: the rate rule, driven by the agreement of
+consecutive updates, and the Adam direction that it may descend along.
 
 The base rule raises the rate by eta times the dot product of the current
 and previous update directions (agreement -> larger steps, opposition ->
@@ -11,6 +12,9 @@ weight displacement it caused, before the current step proceeds.
 `rdbd`) over every weight group of a flat vector; it also computes each
 group's direction norm, the trace's `grad_norm`. A schedule owns its state;
 a single group is `FlatSchedule([slice(None)], n, alpha0, eta, lo, hi, rule)`.
+The direction is the gradient, or `AdamState.advance(g)`, Adam's
+bias-corrected `u`, at a fixed rate (`adam`) or a scheduled one
+(`adam_rdbd`).
 """
 
 from __future__ import annotations
@@ -65,7 +69,7 @@ class FlatSchedule:
         the clamp (exactly eta*h when it did not bind). The segment descends
         along d at the new rate. d, computed at the un-reverted weights,
         becomes the next prev_update without a copy: do not modify it.
-        Returns the per-group lists (norm of d, alpha, h, reverted), h 0.0
+        Returns new per-group lists (norm of d, alpha, h, reverted), h 0.0
         and no flag under `fixed`. ValueError unless x, d have shape (dim,).
         """
         if not x.shape == d.shape == (self.dim,):
@@ -74,7 +78,8 @@ class FlatSchedule:
         if self.rule == "fixed":
             norms = [_norm(d[sl]) for sl in self.segments]
             x -= self.alpha0 * d
-            return norms, self.alpha, [0.0] * len(norms), [False] * len(norms)
+            return (norms, list(self.alpha), [0.0] * len(norms),
+                    [False] * len(norms))
         norms, hs, flags = [], [], []
         for k, sl in enumerate(self.segments):
             xk, dk, prev = x[sl], d[sl], self.prev_update[sl]
@@ -95,6 +100,38 @@ class FlatSchedule:
             flags.append(reverted)
         self.prev_update = d
         return norms, list(self.alpha), hs, flags
+
+
+class AdamState:
+    """First/second moment accumulators of `dim` weights, zero before the
+    first step, and the decay constants. Raises ValueError unless beta1
+    and beta2 lie in [0, 1) and eps_hat is finite and > 0."""
+
+    def __init__(self, dim, beta1, beta2, eps_hat):
+        if not 0 <= beta1 < 1:
+            raise ValueError("beta1 must lie in [0, 1)")
+        if not 0 <= beta2 < 1:
+            raise ValueError("beta2 must lie in [0, 1)")
+        if not 0 < eps_hat < math.inf:
+            raise ValueError("eps_hat must be finite and > 0")
+        self.m, self.v = np.zeros(dim), np.zeros(dim)
+        self.beta1, self.beta2, self.eps_hat = beta1, beta2, eps_hat
+        self.step = 0
+
+    def advance(self, g) -> np.ndarray:
+        """Fold the gradient g into the moments, rebinding `m` and `v` to
+        new arrays, and return the bias-corrected direction
+        u = m_hat / (sqrt(v_hat) + eps_hat). ValueError unless g has the
+        moments' shape."""
+        if g.shape != self.m.shape:
+            raise ValueError(f"gradient shape {g.shape} != moment shape "
+                             f"{self.m.shape}")
+        self.step += 1
+        self.m = self.beta1 * self.m + (1.0 - self.beta1) * g
+        self.v = self.beta2 * self.v + (1.0 - self.beta2) * g ** 2
+        m_hat = self.m / (1.0 - self.beta1 ** self.step)
+        v_hat = self.v / (1.0 - self.beta2 ** self.step)
+        return m_hat / (np.sqrt(v_hat) + self.eps_hat)
 
 
 def _norm(v) -> float:

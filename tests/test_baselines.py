@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from rdbd.baselines import AdamState, adam_advance
 from rdbd.harness import RunConfig, run
-from rdbd.schedulers import FlatSchedule
+from rdbd.schedulers import AdamState, FlatSchedule
 
 
 def scalar_sgd(alpha0, steps):
@@ -35,7 +34,7 @@ def test_sgd_one_step_to_optimum_on_scalar_quadratic():
 def test_adam_first_step_bias_correction():
     st = AdamState(1, 0.05, 0.99, 1e-8)
     x = np.array([0.0])
-    u = adam_advance(st, np.array([1.0]))
+    u = st.advance(np.array([1.0]))
     x -= 0.1 * u
     assert abs(u[0] - 1.0 / (1.0 + 1e-8)) < 1e-15
     assert st.step == 1
@@ -45,7 +44,7 @@ def test_adam_first_step_bias_correction():
 def test_adam_zero_gradient_is_identity():
     st = AdamState(3, 0.05, 0.99, 1e-8)
     x = np.array([1.0, -2.0, 0.5])
-    u = adam_advance(st, np.zeros(3))
+    u = st.advance(np.zeros(3))
     assert np.all(u == 0.0)
     assert np.array_equal(x - 0.5 * u, x)
 
@@ -55,7 +54,7 @@ def test_adam_constant_gradient_sign_limit():
     for c in (0.3, -2.0):
         st = AdamState(1, 0.05, 0.99, 1e-8)
         for _ in range(200):
-            u = adam_advance(st, np.array([c]))
+            u = st.advance(np.array([c]))
             expected = c / (abs(c) + st.eps_hat)
             assert abs(u[0] - expected) < 1e-12
 
@@ -63,7 +62,7 @@ def test_adam_constant_gradient_sign_limit():
 def test_adam_zero_betas_is_normalized_sgd():
     st = AdamState(1, 0.0, 0.0, 1e-8)
     for c in (1.5, -0.25, 3.0):
-        u = adam_advance(st, np.array([c]))
+        u = st.advance(np.array([c]))
         assert abs(u[0] - c / (abs(c) + 1e-8)) < 1e-15
 
 
@@ -74,7 +73,17 @@ def test_adam_state_validation():
         AdamState(2, 0.05, 0.99, 0.0)
     st = AdamState(2, 0.05, 0.99, 1e-8)
     with pytest.raises(ValueError):
-        adam_advance(st, np.array([1.0]))
+        st.advance(np.array([1.0]))
+
+
+def test_adam_advance_rejects_a_gradient_of_another_shape():
+    # A (3, 1) gradient has the moments' size, but would broadcast m, v
+    # and the direction to (3, 3).
+    st = AdamState(3, 0.05, 0.99, 1e-8)
+    with pytest.raises(ValueError, match=r"\(3, 1\).*\(3,\)"):
+        st.advance(np.ones((3, 1)))
+    assert st.step == 0 and st.m.shape == st.v.shape == (3,)
+    assert not st.m.any() and not st.v.any()
 
 
 @pytest.mark.parametrize("eps_hat", [math.nan, math.inf])
@@ -88,17 +97,17 @@ def test_adam_v_stays_nonnegative():
     rng = np.random.default_rng(0)
     st = AdamState(4, 0.05, 0.99, 1e-8)
     for t in range(50):
-        adam_advance(st, rng.normal(size=4))
+        st.advance(rng.normal(size=4))
         assert np.all(st.v >= 0.0)
 
 
 def test_adam_rdbd_first_step_is_plain_adam():
     g = np.array([0.4, -1.0])
     x = np.array([1.0, 2.0])
-    plain_x = x - 0.005 * adam_advance(AdamState(2, 0.05, 0.99, 1e-8), g)
+    plain_x = x - 0.005 * AdamState(2, 0.05, 0.99, 1e-8).advance(g)
     adam = AdamState(2, 0.05, 0.99, 1e-8)
     sched = one_group(2, 0.005, 5e-7, alpha_max=0.05)
-    _, _, (h,), (reverted,) = sched.step(x, adam_advance(adam, g))
+    _, _, (h,), (reverted,) = sched.step(x, adam.advance(g))
     assert not reverted
     assert h == 0.0
     assert np.allclose(x, plain_x, rtol=1e-15)
@@ -114,8 +123,8 @@ def test_adam_rdbd_eta_zero_reproduces_adam():
     adam_b = AdamState(3, 0.05, 0.99, 1e-8)
     sched = one_group(3, 0.01, 0.0, alpha_max=0.1)
     for g in grads:
-        x_a -= 0.01 * adam_advance(adam_a, g)
-        sched.step(x_b, adam_advance(adam_b, g))
+        x_a -= 0.01 * adam_a.advance(g)
+        sched.step(x_b, adam_b.advance(g))
         assert sched.alpha == [0.01]
         assert np.allclose(x_a, x_b, rtol=1e-15, atol=0.0)
 
@@ -127,7 +136,7 @@ def test_adam_rdbd_cap_engages():
     x = np.array([5.0, 5.0])
     hit = False
     for t in range(200):
-        sched.step(x, adam_advance(adam, np.array([1.0, 1.0])))
+        sched.step(x, adam.advance(np.array([1.0, 1.0])))
         assert sched.alpha[0] <= 0.05 + 1e-15
         hit = hit or sched.alpha[0] == 0.05
     assert hit
@@ -141,7 +150,7 @@ def test_adam_rdbd_deterministic():
         rng = np.random.default_rng(9)
         vals = []
         for t in range(30):
-            sched.step(x, adam_advance(adam, rng.normal(size=2)))
+            sched.step(x, adam.advance(rng.normal(size=2)))
             vals.append(x.copy())
         return vals
     for a, b in zip(trajectory(), trajectory()):

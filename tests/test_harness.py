@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from rdbd import harness
-from rdbd.baselines import AdamState
 from rdbd.cli import main, parse_config_file
 from rdbd.data import Dataset
 from rdbd.harness import (ConfigError, MissingDataError, NumericError,
@@ -22,7 +21,7 @@ from rdbd.harness import (ConfigError, MissingDataError, NumericError,
                           check_alpha_envelope, check_revert_flags, compare,
                           config_grid, emit_plot_data, metric_value, preset,
                           run, trace_columns, write_trace_csv)
-from rdbd.schedulers import FlatSchedule
+from rdbd.schedulers import AdamState, FlatSchedule
 from reference import mnist_subset, serialize_idx
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -95,13 +94,25 @@ def test_config_validation_errors():
         RunConfig(alpha_min=1.0, alpha_max=0.5).resolved()
 
 
-def test_adam_rdbd_defaults_resolution():
-    cfg = RunConfig(optimizer="adam_rdbd", alpha0=0.005).resolved()
-    assert cfg.eta == 5e-7
-    assert cfg.alpha_max == 0.05
-    cfg2 = RunConfig(optimizer="rdbd").resolved()
-    assert cfg2.eta == 0.01
-    assert cfg2.alpha_max == math.inf
+@pytest.mark.parametrize("optimizer, eta, max_ratio", [
+    ("sgd", 0.0, math.inf), ("adam", 0.0, math.inf), ("dbd", 0.01, math.inf),
+    ("rdbd", 0.01, math.inf), ("adam_rdbd", 5e-7, 10.0),
+], ids=["sgd", "adam", "dbd", "rdbd", "adam_rdbd"])
+def test_optimizer_defaults_resolution(optimizer, eta, max_ratio):
+    for alpha0 in (0.005, 0.003):
+        cfg = RunConfig(optimizer=optimizer, alpha0=alpha0).resolved()
+        assert (cfg.eta, cfg.alpha_max) == (eta, max_ratio * alpha0)
+    cfg = RunConfig(optimizer=optimizer, eta=0.02, alpha_max=0.3).resolved()
+    assert (cfg.eta, cfg.alpha_max) == (0.02, 0.3)
+    # A default alpha_max scales alpha0, so a bad alpha0 must still be
+    # reported as itself, not as the bound it would make.
+    for alpha0, text in ((math.nan, "alpha0 must be finite"),
+                         (math.inf, "alpha0 must be finite"),
+                         (0.0, "alpha0 must be > 0"),
+                         (-0.1, "alpha0 must be > 0")):
+        with pytest.raises(ConfigError) as exc:
+            RunConfig(optimizer=optimizer, alpha0=alpha0).resolved()
+        assert str(exc.value) == text
 
 
 def test_run_is_deterministic_and_csv_bytes_match(tmp_path):
@@ -1602,7 +1613,6 @@ def _per_group_reference(cfg):
     revert mask and the increment a revert takes back. Also returns how
     many reverts took back an increment that a clamp had cut.
     """
-    from rdbd.baselines import AdamState, adam_advance
     from rdbd.data import batch_stream
     from rdbd.harness import build_problem
 
@@ -1627,7 +1637,7 @@ def _per_group_reference(cfg):
             sl = group["sl"]
             d = grad[sl]
             if cfg.optimizer in ("adam", "adam_rdbd"):
-                d = adam_advance(group["adam"], d)
+                d = group["adam"].advance(d)
             alpha, h, reverted = cfg.alpha0, 0.0, False
             if cfg.optimizer in ("sgd", "adam"):
                 x[sl] -= alpha * d

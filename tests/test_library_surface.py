@@ -1,7 +1,8 @@
 """The library holds what a run calls: every public top-level function and
-class of the modules below is used somewhere in src/rdbd besides its own
-definition and the package re-exports. Test-only oracles live in
-tests/reference.py."""
+class of every module of src/rdbd, bar those in UNGUARDED, is used
+somewhere in src/rdbd besides its own definition and the package
+re-exports. A new module is guarded from the start. Test-only oracles live
+in tests/reference.py."""
 
 import ast
 from pathlib import Path
@@ -11,7 +12,13 @@ import pytest
 import rdbd
 
 SRC = Path(rdbd.__file__).parent
-GUARDED = ("problems", "schedulers", "data", "baselines", "cli")
+UNGUARDED = (
+    "harness",  # until its benchmark-only names go (ROADMAP item 10)
+    "theory",   # until the bound calculators get a caller (ROADMAP item 7)
+    "__init__", "__main__",  # the package re-exports and the entry point
+)
+GUARDED = tuple(path.stem for path in sorted(SRC.glob("*.py"))
+                if path.stem not in UNGUARDED)
 
 
 def _used_names(node):

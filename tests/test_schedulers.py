@@ -41,10 +41,29 @@ def test_flat_schedule_rejects_a_non_finite_eta(eta):
 @pytest.mark.parametrize("rule", ["fixed", "dbd", "rdbd"])
 @pytest.mark.parametrize("alpha0", [math.nan, math.inf, -math.inf])
 def test_flat_schedule_rejects_a_non_finite_alpha0(rule, alpha0):
-    # Checked before the bounds, since adam_rdbd's default alpha_max is
-    # 10 * alpha0: a NaN or -inf alpha0 must not be reported as a bound.
+    # Checked before the bounds, since every default alpha_max is a multiple
+    # of alpha0: a NaN or -inf alpha0 must not be reported as a bound.
     with pytest.raises(ValueError, match="^alpha0 must be finite$"):
         FlatSchedule([slice(None)], 2, alpha0, 0.01, 0.0, 10 * alpha0, rule)
+
+
+@pytest.mark.parametrize("rule", ["fixed", "dbd", "rdbd"])
+def test_step_returns_rates_the_caller_may_edit(rule):
+    # An edit to the returned rates must reach neither the schedule's
+    # state nor a later step's report, under every rule.
+    segments = [slice(0, 2), slice(2, 4)]
+    edited, clean = (FlatSchedule(segments, 4, 0.1, 0.5, 0.0, 1.0, rule)
+                     for _ in range(2))
+    x_edited, x_clean = np.ones(4), np.ones(4)
+    d = np.array([0.5, -1.0, 2.0, 0.25])
+    _, alphas, _, _ = edited.step(x_edited, d)
+    clean.step(x_clean, d.copy())
+    alphas[0] = 99.0
+    d = np.array([0.25, -0.5, 1.0, 0.5])
+    _, alphas, _, _ = edited.step(x_edited, d)
+    assert alphas == clean.step(x_clean, d.copy())[1] == edited.alpha
+    assert 99.0 not in alphas
+    assert np.array_equal(x_edited, x_clean)
 
 
 def test_flat_schedule_rejects_an_unknown_rule():
