@@ -2,7 +2,9 @@
 seeded runs, records per-step traces, and compares optimizers over seeds.
 
 A run's trace is one `Trace`: a float64 array with one row per step, in
-the CSV column order below. Every reader in the library and its tests
+the CSV column order below, whose cells three writers fill: the kernel a
+row's group cells, `run` its `step`, `loss` and blank `full_loss`, and
+`settle` an eval's full loss. Every reader in the library and its tests
 reads its columns; `TraceRecord` row views are kept only as the
 benchmark's four-attribute contract, and go once it reads columns.
 
@@ -156,13 +158,14 @@ class Trace:
     weight group of `ids`.
 
     `data` is allocated for every step up front and its first `n` rows are
-    written; `rows` is their view. A NaN `full_loss` marks a step without
-    an eval, and `reverted` is 0 or 1. The column views are 1-D for the
-    first three and `(n, groups)` for the per-group ones. `trace[i]` is a
-    `TraceRecord`, the benchmark's row view, and iterating goes through
-    it. Two traces are equal when their ids and written rows are (NaN
-    equal to NaN). Raises ConfigError when `steps` rows cannot be
-    allocated.
+    written; `rows` is their view. In `run` the kernel writes a row's group
+    cells, the loop its `step`, `loss` and a NaN `full_loss`, and `settle`
+    an eval's full loss. A NaN `full_loss` marks a step without an eval,
+    and `reverted` is 0 or 1. The column views are 1-D for the first three
+    and `(n, groups)` for the per-group ones. `trace[i]` is a `TraceRecord`,
+    the benchmark's row view, and iterating goes through it. Two traces are
+    equal when their ids and written rows are (NaN equal to NaN). Raises
+    ConfigError when `steps` rows cannot be allocated.
     """
 
     def __init__(self, ids, steps):
@@ -175,14 +178,6 @@ class Trace:
                               f"{steps} rows x {columns} float64 columns "
                               f"cannot be allocated ({exc})") from exc
         self.n = 0
-
-    def append(self, loss, grad_norms, alphas, hs, reverted):
-        """Write step n+1 into the next row, with no full loss yet."""
-        row = [self.n + 1, loss, math.nan]
-        for group in zip(grad_norms, alphas, hs, reverted):
-            row += group
-        self.data[self.n] = row
-        self.n += 1
 
     rows = property(lambda self: self.data[:self.n])
     step = property(lambda self: self.rows[:, 0])
@@ -274,10 +269,11 @@ def run(config: RunConfig) -> Trace:
     The dataset, the trace array for every step and the weights are
     allocated before `out` is checked, so a problem or a `steps` too large
     to hold fails as a ConfigError before step 1 and leaves no file. Each
-    step writes its row, and each eval its row's full loss. With `out` set
-    (a file, or a directory for `trace.csv`), the trace CSV is written
-    there; a run that stops on any exception inside the step loop still
-    writes the steps before it, and an unwritable `out` fails before step 1.
+    step writes its row, which counts in `trace.n` once its checks pass,
+    and each eval its row's full loss. With `out` set (a file, or a
+    directory for `trace.csv`), the trace CSV is written there; a run that
+    stops on any exception inside the step loop still writes the steps
+    before it, and an unwritable `out` fails before step 1.
 
     Deterministic for a given (config, seed): the master seed splits into
     independent init and batch-order streams, so optimizer comparisons at
@@ -287,6 +283,7 @@ def run(config: RunConfig) -> Trace:
     problem = build_problem(cfg)
     ids, segments = zip(*problem.segments)
     trace = Trace(ids, cfg.steps)
+    blocks = trace.data[:, 3:].reshape(cfg.steps, len(ids), 4)  # a view
     init_ss, batch_ss = np.random.SeedSequence(cfg.seed).spawn(2)
     try:
         x = problem.initial_point(np.random.default_rng(init_ss)).astype(np.float64)
@@ -339,7 +336,7 @@ def run(config: RunConfig) -> Trace:
     try:
         with np.errstate(**quiet), (ThreadPoolExecutor(1) if overlap
                                     else contextlib.nullcontext()) as pool:
-            for t in range(1, cfg.steps + 1):
+            for t, block in enumerate(blocks, 1):
                 batch = next(batches)
                 batch_loss, grad = problem.loss_and_grad(x, batch)
                 if noise and noise.uniform() < cfg.grad_noise_prob:
@@ -348,16 +345,17 @@ def run(config: RunConfig) -> Trace:
                     fail(t, f"batch loss {batch_loss}")
 
                 d = adam.advance(grad) if adam else grad
-                norms, alphas, hs, reverted = sched.step(x, d)
+                sched.step(x, d, block)
                 # A non-finite entry makes its group's norm non-finite (for
                 # Adam too: inf/inf is NaN), so only then check every entry.
-                if not all(map(math.isfinite, norms)):
+                if not all(map(math.isfinite, block[:, 0].tolist())):
                     check_groups(t, grad, "gradient")
                 if adam:  # v overflows on entries > ~1e154
                     check_groups(t, adam.v, "Adam second moment")
                 check_groups(t, x, "weights")
 
-                trace.append(batch_loss, norms, alphas, hs, reverted)
+                trace.data[t - 1, :3] = t, batch_loss, math.nan
+                trace.n = t
                 if t % cfg.eval_every == 0 or t == cfg.steps:
                     settle()
                     pending = t, (pool.submit(evaluate, x.copy()).result if pool

@@ -3,18 +3,21 @@ consecutive updates, and the Adam direction that it may descend along.
 
 The base rule raises the rate by eta times the dot product of the current
 and previous update directions (agreement -> larger steps, opposition ->
-smaller steps). The revertible variant additionally watches the sign of
-that dot product: when it flips relative to the previous step, the previous
-rate increment is judged biased and undone, both on the rate and on the
-weight displacement it caused, before the current step proceeds.
+smaller steps), the last direction only: the hypergradient form of Baydin
+et al. (2018), not Jacobs' (1988) exponential average, the "bar". The
+revertible variant additionally watches the sign of that dot product: when
+it flips relative to the previous step, the previous rate increment is
+judged biased and undone, both on the rate and on the weight displacement
+it caused, before the current step proceeds.
 
-`FlatSchedule.step` is the one kernel for every rate rule (`fixed`, `dbd`,
-`rdbd`) over every weight group of a flat vector; it also computes each
-group's direction norm, the trace's `grad_norm`. A schedule owns its state;
-a single group is `FlatSchedule([slice(None)], n, alpha0, eta, lo, hi, rule)`.
-The direction is the gradient, or `AdamState.advance(g)`, Adam's
-bias-corrected `u`, at a fixed rate (`adam`) or a scheduled one
-(`adam_rdbd`).
+`FlatSchedule.step(x, d, out)` is the one kernel for every rate rule
+(`fixed`, `dbd`, `rdbd`) over every weight group of a flat vector; it
+writes each group's direction norm, rate, h and revert flag into its row of
+`out`, a `(groups, 4)` block: in a run, the trace row's group cells. A
+schedule owns its state; a single group is `FlatSchedule([slice(None)], n,
+alpha0, eta, lo, hi, rule)`. The direction is the gradient, or
+`AdamState.advance(g)`, Adam's bias-corrected `u`, at a fixed rate (`adam`)
+or a scheduled one (`adam_rdbd`).
 """
 
 from __future__ import annotations
@@ -58,8 +61,10 @@ class FlatSchedule:
         self.prev_update = None if rule == "fixed" else np.zeros(dim)
         self.eta, self.alpha_min, self.alpha_max = eta, alpha_min, alpha_max
 
-    def step(self, x, d):
-        """One step of the rule over every group; x descends in place.
+    def step(self, x, d, out):
+        """One step of the rule over every group; x descends in place, and
+        row k of the (groups, 4) float array `out` gets group k's (norm of
+        d, alpha, h, reverted), or (norm, alpha0, 0.0, 0.0) under `fixed`.
 
         Under `fixed`, x -= alpha0 * d. Otherwise, per group, h = <d,
         prev_update> on its segment; under `rdbd`, a sign flip (h * prev_dot
@@ -69,18 +74,17 @@ class FlatSchedule:
         the clamp (exactly eta*h when it did not bind). The segment descends
         along d at the new rate. d, computed at the un-reverted weights,
         becomes the next prev_update without a copy: do not modify it.
-        Returns new per-group lists (norm of d, alpha, h, reverted), h 0.0
-        and no flag under `fixed`. ValueError unless x, d have shape (dim,).
+        ValueError unless x, d have shape (dim,) and out (groups, 4).
         """
-        if not x.shape == d.shape == (self.dim,):
+        dim, block = (self.dim,), (len(self.segments), 4)
+        if not (x.shape, d.shape, out.shape) == (dim, dim, block):
             raise ValueError(f"shapes differ: x {x.shape}, d {d.shape}, "
-                             f"schedule ({self.dim},)")
+                             f"out {out.shape}, schedule {dim} and {block}")
         if self.rule == "fixed":
-            norms = [_norm(d[sl]) for sl in self.segments]
+            for k, sl in enumerate(self.segments):
+                out[k] = _norm(d[sl]), self.alpha0, 0.0, 0.0
             x -= self.alpha0 * d
-            return (norms, list(self.alpha), [0.0] * len(norms),
-                    [False] * len(norms))
-        norms, hs, flags = [], [], []
+            return
         for k, sl in enumerate(self.segments):
             xk, dk, prev = x[sl], d[sl], self.prev_update[sl]
             h = float(np.dot(dk, prev))
@@ -95,11 +99,8 @@ class FlatSchedule:
                                else new_alpha - alpha)
             xk -= new_alpha * dk
             self.alpha[k], self.prev_dot[k] = new_alpha, h
-            norms.append(_norm(dk))
-            hs.append(h)
-            flags.append(reverted)
+            out[k] = _norm(dk), new_alpha, h, reverted
         self.prev_update = d
-        return norms, list(self.alpha), hs, flags
 
 
 class AdamState:

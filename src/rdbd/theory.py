@@ -86,7 +86,7 @@ def rdbd_theoretical_hyperparams(p: TheoryParams, T: int) -> tuple[float, float]
         alpha0 = sqrt(f_gap) / (sigma * sqrt(L*T))
         eta    = gamma * sqrt(f_gap) / (T * sigma^3 * sqrt(L*T))
     """
-    if T <= 0 or int(T) != T:
+    if not 0 < T < math.inf or int(T) != T:  # NaN fails the first test
         raise ValueError("T must be a positive integer")
     root = math.sqrt(p.lipschitz_L * T)
     alpha0 = math.sqrt(p.f_gap) / (p.sigma * root)

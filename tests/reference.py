@@ -1,7 +1,8 @@
 """Reference oracles the tests check the library against: a finite-difference
 gradient, an empirical update-norm bound, a revert-exactness predicate, an
 IDX serializer, and the dataset builders as they were before each dataset
-was built at its final size. Nothing in a run calls them."""
+was built at its final size. Nothing in a run calls them. `step_columns`
+steps a schedule and reads its report back as lists."""
 
 import struct
 
@@ -43,6 +44,14 @@ def estimate_sigma(problem, region_samples, radius=1.0, rng=None) -> float:
         grad = problem.loss_and_grad(point, None)[1]
         largest = max(largest, float(np.linalg.norm(grad)))
     return 1.1 * largest
+
+
+def step_columns(sched, x, d):
+    """Step `sched` once, writing into a fresh (groups, 4) block; returns
+    its columns, per-group lists of norm, rate, h and revert flag."""
+    out = np.full((len(sched.segments), 4), np.nan)
+    sched.step(x, d, out)
+    return out.T.tolist()
 
 
 def revert_exactness_check(before, after_step_then_revert, eta, h_prev,

@@ -24,7 +24,7 @@ from rdbd.theory import (TheoryParams, alpha_envelope, dbd_hypergradient,
                          dbd_iteration_bound, descent_coefficient_bound,
                          rdbd_iteration_bound, rdbd_theoretical_hyperparams)
 from reference import (estimate_sigma, finite_difference_gradient,
-                       revert_exactness_check, serialize_idx)
+                       revert_exactness_check, serialize_idx, step_columns)
 
 
 def one_group(alpha, eta, prev_update=(0.0, 0.0), prev_dot=0.0,
@@ -66,7 +66,7 @@ def test_criterion_01_full_batch_dbd_iteration_bound():
         norm = float(np.linalg.norm(g))
         assert norm <= sigma             # the measured bound really bounds
         min_norm = min(min_norm, norm)
-        sched.step(x, g)
+        step_columns(sched, x, g)
     report(1, min_norm <= eps,
            f"min grad norm {min_norm:.3e} <= {eps} within {T} iterations")
 
@@ -125,7 +125,7 @@ def test_criterion_03_revert_exactness_randomized():
         x = x0.copy()
         # choose the next update so the product is negative (fires) ...
         g_now = -math.copysign(1.0, h_prev) * g_prev if h_prev else g_prev
-        _, _, (h_t,), (reverted,) = sched.step(x, g_now)
+        _, _, (h_t,), (reverted,) = step_columns(sched, x, g_now)
         if h_prev == 0.0:
             assert not reverted        # zero product can never fire
             continue
@@ -156,11 +156,11 @@ def test_criterion_03_revert_exactness_randomized():
         sched = one_group(alpha0, eta, prev_update=prev, prev_dot=h0,
                           alpha_min=lo, alpha_max=hi)
         x = rng.normal(size=n)
-        *_, (reverted,) = sched.step(x, g1)
+        *_, (reverted,) = step_columns(sched, x, g1)
         assert not reverted and sched.alpha[0] == bound
         after_step = (x.copy(), sched.alpha[0])
         g2 = -math.copysign(rng.uniform(0.5, 2.0), h1) * g1
-        *_, (reverted,) = sched.step(x, g2)
+        *_, (reverted,) = step_columns(sched, x, g2)
         assert reverted
         # undo step 2's own descent and (possibly clamped) increment
         after_revert = (x + sched.alpha[0] * g2,
@@ -192,8 +192,8 @@ def test_criterion_04_part2_equality_and_trajectory_match():
             if h_t * st.prev_dot[0] >= 0:
                 st_d, x_d = copy.deepcopy(st), x.copy()
                 st_d.rule = "dbd"
-                st_d.step(x_d, g)
-                *_, (reverted,) = st.step(x, g)
+                step_columns(st_d, x_d, g)
+                *_, (reverted,) = step_columns(st, x, g)
                 assert not reverted
                 assert abs(st.alpha[0] - st_d.alpha[0]) <= 1e-12 * max(
                     1.0, abs(st_d.alpha[0]))
@@ -201,7 +201,7 @@ def test_criterion_04_part2_equality_and_trajectory_match():
                               <= 1e-12 * np.maximum(1.0, np.abs(x_d)))
                 checked_steps += 1
             else:
-                *_, (reverted,) = st.step(x, g)
+                *_, (reverted,) = step_columns(st, x, g)
                 assert reverted
     # (b) all-nonnegative products: full trajectories match
     for _ in range(10):
@@ -212,8 +212,8 @@ def test_criterion_04_part2_equality_and_trajectory_match():
         x_r = np.zeros(2)
         for s in scalars:
             g = np.array([s, -0.7 * s])
-            st_d.step(x_d, g)
-            *_, (reverted,) = st_r.step(x_r, g)
+            step_columns(st_d, x_d, g)
+            *_, (reverted,) = step_columns(st_r, x_r, g)
             assert not reverted
             assert np.all(np.abs(x_r - x_d)
                           <= 1e-12 * np.maximum(1.0, np.abs(x_d)))
@@ -238,7 +238,7 @@ def test_criterion_05_per_step_steeper_descent_full_batch():
         g = prob.loss_and_grad(x, None)[1]
         assert np.linalg.norm(g) <= sigma
         alpha_before, x_t = sched.alpha[0], x.copy()
-        _, _, (h_t,), (reverted,) = sched.step(x, g)
+        _, _, (h_t,), (reverted,) = step_columns(sched, x, g)
         hist.append((x_t, g.copy(), alpha_before, sched.alpha[0], h_t,
                      reverted))
     checked, worst = 0, -math.inf

@@ -2,6 +2,7 @@ import dataclasses
 import gzip
 import math
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -221,8 +222,9 @@ def test_trace_equality_is_ids_and_written_rows():
     def trace(ids, capacity, rows):
         t = Trace(ids, capacity)
         for loss in rows:
-            t.append(loss, [1.0] * len(ids), [0.5] * len(ids),
-                     [0.0] * len(ids), [False] * len(ids))
+            t.data[t.n] = ([t.n + 1, loss, math.nan]
+                           + [1.0, 0.5, 0.0, 0.0] * len(ids))
+            t.n += 1
         return t
 
     a = trace(["x"], 3, [1.0, 2.0])
@@ -530,8 +532,8 @@ def test_sweep_runs_its_preset_over_the_axis(tmp_path, monkeypatch, capsys,
     def recorded_run(cfg):
         runs.append(cfg)
         trace = Trace(["x"], 1)
-        trace.append(1.0, [1.0], [cfg.alpha0], [0.0], [False])
-        trace.data[0, 2] = 1.0
+        trace.data[0] = 1, 1.0, 1.0, 1.0, cfg.alpha0, 0.0, 0.0
+        trace.n = 1
         return trace
 
     monkeypatch.setattr(cli, "run", recorded_run)
@@ -1693,3 +1695,41 @@ def test_flat_kernel_matches_per_group_reference(optimizer, alpha_max):
         assert any(len(set(flags)) > 1 for flags in records.reverted.tolist())
     if alpha_max is not None:
         assert clamp_reverts == 11
+
+
+@pytest.mark.parametrize("optimizer", ["sgd", "rdbd", "adam_rdbd"])
+def test_step_writes_only_its_groups_cells_of_a_trace_row(optimizer):
+    """The kernel, handed a view of a sentinel-filled trace row, fills each
+    group's four cells with the per-group reference values and leaves
+    `step`, `loss` and `full_loss` alone; a block of another shape raises
+    before anything moves."""
+    from rdbd.data import batch_stream
+
+    cfg = dataclasses.replace(preset("mlp-blobs-demo"), optimizer=optimizer,
+                              eta=None, steps=4).resolved()
+    reference, _ = _per_group_reference(cfg)
+    problem = harness.build_problem(cfg)
+    ids, segments = zip(*problem.segments)
+    init_ss, batch_ss = np.random.SeedSequence(cfg.seed).spawn(2)
+    x = problem.initial_point(np.random.default_rng(init_ss))
+    batches = batch_stream(problem.n_samples, cfg.batch_size, batch_ss)
+    direction, rule, _, _ = harness.OPTIMIZER_TABLE[optimizer]
+    adam = (AdamState(x.size, cfg.beta1, cfg.beta2, cfg.eps_hat)
+            if direction == "adam" else None)
+    sched = FlatSchedule(segments, x.size, cfg.alpha0, cfg.eta,
+                         cfg.alpha_min, cfg.alpha_max, rule)
+    trace = Trace(ids, cfg.steps)
+    trace.data[:] = -7.0
+    for t, expected in enumerate(reference):
+        grad = problem.loss_and_grad(x, next(batches))[1]
+        sched.step(x, adam.advance(grad) if adam else grad,
+                   trace.data[t, 3:].reshape(len(ids), 4))
+        cells = [bool(v) if i % 4 == 3 else v.hex()
+                 for i, v in enumerate(trace.data[t, 3:].tolist())]
+        assert cells == expected[1:1 + 4 * len(ids)]
+    assert (trace.data[:, :3] == -7.0).all()
+    before = x.copy()
+    for shape in [(len(ids), 3), (len(ids) + 1, 4)]:
+        with pytest.raises(ValueError, match=re.escape(f"out {shape}")):
+            sched.step(x, grad, np.zeros(shape))
+    assert np.array_equal(x, before)

@@ -55,8 +55,9 @@ def test_rdbd_theoretical_hyperparams():
                 assert close(e / a0, gamma / (T * sigma ** 2))
     a0, e = rdbd_theoretical_hyperparams(TheoryParams(f_gap=0.0), 4)
     assert a0 == 0.0 and e == 0.0
-    with pytest.raises(ValueError):
-        rdbd_theoretical_hyperparams(p, 0)
+    for T in (0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="^T must be a positive integer$"):
+            rdbd_theoretical_hyperparams(p, T)
 
 
 def test_theoretical_hyperparams_keep_rate_positive():
