@@ -132,18 +132,6 @@ def steeper_descent_conditions(p: TheoryParams, eta: float, alpha: float) -> tup
     return eta_ok, alpha_ok
 
 
-def dbd_hypergradient(grad_now, grad_prev) -> float:
-    """Derivative of the loss after one descent step with respect to the
-    rate used for that step: -<grad(x_t), grad(x_{t-1})>. Negative when the
-    gradients agree, so descent on the rate raises it. Raises ValueError
-    when the shapes differ."""
-    a = np.asarray(grad_now, dtype=np.float64)
-    b = np.asarray(grad_prev, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return -float(np.dot(a, b))
-
-
 def measure_tau(h_values, rel_tol=1e-9):
     """Smallest observed |h_t| over a run, with near-zero steps flagged.
 

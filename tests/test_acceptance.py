@@ -20,9 +20,10 @@ from rdbd.problems import (LogisticProblem, MlpProblem, QuadraticProblem,
                            RosenbrockProblem)
 from rdbd.data import synthetic_blobs
 from rdbd.schedulers import FlatSchedule
-from rdbd.theory import (TheoryParams, alpha_envelope, dbd_hypergradient,
-                         dbd_iteration_bound, descent_coefficient_bound,
-                         rdbd_iteration_bound, rdbd_theoretical_hyperparams)
+from rdbd.theory import (TheoryParams, alpha_envelope, dbd_iteration_bound,
+                         descent_coefficient_bound, rdbd_iteration_bound,
+                         rdbd_theoretical_hyperparams,
+                         steeper_descent_conditions)
 from reference import (estimate_sigma, finite_difference_gradient,
                        revert_exactness_check, serialize_idx, step_columns)
 
@@ -225,12 +226,14 @@ def test_criterion_04_part2_equality_and_trajectory_match():
 
 
 def test_criterion_05_per_step_steeper_descent_full_batch():
-    """On a full-batch quadratic with eta <= 2/(L sigma^2), every step whose
-    increment survives descends at least as much as the plain step."""
+    """On a full-batch quadratic where `steeper_descent_conditions` holds at
+    every rate the schedule reaches, every step whose increment survives
+    descends at least as much as the plain step."""
     prob = QuadraticProblem([1.0, 2.0], np.array([1.0, -0.5]))
     L = prob.L
     sigma = 6.0
-    eta = 1.0 / (L * sigma ** 2)              # within the admissible range
+    eta = 1.0 / (L * sigma ** 2)
+    params = TheoryParams(lipschitz_L=L, sigma=sigma)
     x = np.array([2.0, 1.5])
     sched = one_group(0.2, eta)
     hist = []
@@ -241,6 +244,8 @@ def test_criterion_05_per_step_steeper_descent_full_batch():
         _, _, (h_t,), (reverted,) = step_columns(sched, x, g)
         hist.append((x_t, g.copy(), alpha_before, sched.alpha[0], h_t,
                      reverted))
+    assert all(steeper_descent_conditions(params, eta, alpha) == (True, True)
+               for entry in hist for alpha in entry[2:4])
     checked, worst = 0, -math.inf
     for t in range(len(hist) - 1):
         x_t, g_t, a_before, a_after, h_t, rev = hist[t]
@@ -257,8 +262,10 @@ def test_criterion_05_per_step_steeper_descent_full_batch():
 
 
 def test_criterion_06_hypergradient_matches_rate_derivative():
-    """The rate derivative formula matches a central finite difference of
-    f(x - a*grad f(x)) at 50 random (x, a) points, 1e-6 relative."""
+    """The kernel's -h matches a central finite difference of
+    f(x - a*grad f(x)) at 50 random (x, a) points per problem, 1e-6
+    relative: a `dbd` schedule with eta = 0 steps along g at rate a, then
+    reports h = <grad f(x - a*g), g> at the moved point."""
     def central(phi, a, h):
         # five-point central stencil: exact for the quartic line sections
         return (-phi(a + 2 * h) + 8 * phi(a + h)
@@ -273,8 +280,11 @@ def test_criterion_06_hypergradient_matches_rate_derivative():
             point = rng.uniform(-box, box, 2)
             a = rng.uniform(0.0, a_max)
             g = prob.loss_and_grad(point, None)[1]
-            hyper = dbd_hypergradient(
-                prob.loss_and_grad(point - a * g, None)[1], g)
+            sched, x = one_group(a, 0.0, rule="dbd"), point.copy()
+            step_columns(sched, x, g)                   # x = point - a*g
+            _, _, (h,), _ = step_columns(sched, x,
+                                         prob.loss_and_grad(x, None)[1])
+            hyper = -h
             fd = central(lambda b: prob.loss(point - b * g), a, 1e-3)
             worst = max(worst, abs(hyper - fd) / max(abs(fd), 1e-9))
     report(6, worst <= 1e-6, f"worst relative error {worst:.2e} <= 1e-6 "

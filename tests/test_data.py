@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from rdbd.data import (Dataset, batch_stream, load_mnist, mnist_files,
-                       parse_idx, synthetic_blobs)
+                       parse_idx, stratified_rows, synthetic_blobs)
 from rdbd.harness import MissingDataError, RunConfig, build_problem
 from reference import mnist_subset, serialize_idx, stacked_blobs
 
@@ -38,6 +38,8 @@ def test_parse_idx_rejects_bad_magic():
 
 
 def test_parse_idx_rejects_truncation():
+    with pytest.raises(ValueError, match="shorter than its magic number"):
+        parse_idx(b"\x00\x00")
     with pytest.raises(ValueError, match="truncated"):
         parse_idx(struct.pack(">II", 0x00000801, 5) + bytes([1, 2]))
     with pytest.raises(ValueError, match="truncated"):
@@ -165,6 +167,8 @@ def test_mnist_subset_identity_and_stratification():
         mnist_subset(ds, 5, seed=0)
     with pytest.raises(ValueError):
         mnist_subset(ds, 201, seed=0)
+    with pytest.raises(ValueError, match="labels must lie in"):
+        stratified_rows(labels, 9, 55, seed=0)       # label 9 >= 9 classes
 
 
 def test_subset_preserves_original_order():
@@ -230,3 +234,7 @@ def test_dataset_validation():
         Dataset(np.zeros((2, 2)), np.array([0]), 2)
     with pytest.raises(ValueError):
         Dataset(np.full((2, 2), np.nan), np.array([0, 1]), 2)
+    with pytest.raises(ValueError, match="nonempty"):
+        Dataset(np.zeros((0, 2)), np.zeros(0, dtype=int), 2)
+    with pytest.raises(ValueError, match="num_classes must be >= 1"):
+        Dataset(np.zeros((2, 2)), np.array([0, 0]), 0)

@@ -315,6 +315,7 @@ def test_alpha_envelope_checker_on_unclamped_runs():
         cfg = dataclasses.replace(QUICK, optimizer=opt, alpha_min=-math.inf)
         records = run(cfg)
         assert check_alpha_envelope(records, cfg.alpha0, cfg.eta) == []
+    assert check_alpha_envelope(Trace(("x",), 0), 0.1, 0.01) == []
 
 
 def test_sgd_and_adam_have_constant_alpha():
@@ -517,6 +518,9 @@ def test_presets_and_reserved():
     assert preset("logistic-default").steps == 2000  # copies are isolated
     with pytest.raises(ConfigError, match="unknown preset"):
         preset("imagenet")
+    with pytest.raises(ConfigError,
+                       match="is a sweep; use the sweep command"):
+        preset("batch-size-impact")
 
 
 @pytest.mark.parametrize("name, axis, values", [
@@ -747,6 +751,9 @@ def test_config_file_parsing(tmp_path):
     not_utf8.write_bytes(b"\xff\xfes\x00t\x00e\x00p\x00s\x00")  # UTF-16
     with pytest.raises(ConfigError, match="bad4.cfg: not UTF-8"):
         parse_config_file(str(not_utf8))
+
+    with pytest.raises(ConfigError, match="config file not found"):
+        parse_config_file(str(tmp_path / "no-such-file.cfg"))
 
 
 def test_an_unreadable_config_file_exits_2(tmp_path, monkeypatch, capsys):
@@ -1121,6 +1128,10 @@ def test_cli_compare_accepts_eta_where_it_applies(capsys, argv):
     # numpy cannot draw from a range 2 * grad_noise wide once that overflows
     (["run"], "problem = logistic\ngrad_noise = 1e308\n"),
     (["run"], "problem = quadratic\ngrad_noise = 1e308\n"),
+    pytest.param(["run", "--config", "no-such-file.cfg"], None,
+                 id="missing-config-file"),
+    pytest.param(["run", "--preset", "batch-size-impact"], None,
+                 id="sweep-as-run-preset"),
 ])
 def test_cli_bad_input_exits_with_config_error(tmp_path, capsys, argv,
                                                 config_text):

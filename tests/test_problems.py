@@ -209,6 +209,8 @@ def test_mlp_layout_and_validation():
         MlpProblem((5, 3, 2), ds)
     with pytest.raises(ValueError):
         MlpProblem((4, 3, 3), ds)
+    with pytest.raises(ValueError, match="need at least one weight matrix"):
+        MlpProblem((4,), ds)
 
 
 def _per_layer_loss_grad(sizes, dataset, x, batch):

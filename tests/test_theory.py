@@ -6,10 +6,9 @@ import pytest
 
 from rdbd.data import synthetic_blobs
 from rdbd.problems import LogisticProblem, QuadraticProblem
-from rdbd.theory import (TheoryParams, alpha_envelope, dbd_hypergradient,
-                         dbd_iteration_bound, descent_coefficient_bound,
-                         measure_tau, rdbd_iteration_bound,
-                         rdbd_theoretical_hyperparams,
+from rdbd.theory import (TheoryParams, alpha_envelope, dbd_iteration_bound,
+                         descent_coefficient_bound, measure_tau,
+                         rdbd_iteration_bound, rdbd_theoretical_hyperparams,
                          steeper_descent_conditions)
 
 
@@ -137,25 +136,6 @@ def test_calculators_reject_invalid_theory_params(call):
         call()
 
 
-def test_dbd_hypergradient_values():
-    assert dbd_hypergradient([1.0, 0.0], [1.0, 0.0]) == -1.0
-    assert dbd_hypergradient([1.0, 0.0], [0.0, 1.0]) == 0.0
-    with pytest.raises(ValueError):
-        dbd_hypergradient([1.0], [1.0, 0.0])
-
-
-def test_dbd_hypergradient_matches_rate_derivative():
-    # d/d alpha of f(x - alpha grad f(x)) at alpha=0.1, x=[1,1], A=diag(1,4).
-    prob = QuadraticProblem([1.0, 4.0])
-    x = np.array([1.0, 1.0])
-    alpha = 0.1
-    g = prob.loss_and_grad(x, None)[1]
-    hyper = dbd_hypergradient(prob.loss_and_grad(x - alpha * g, None)[1], g)
-    h = 1e-6
-    fd = (prob.loss(x - (alpha + h) * g) - prob.loss(x - (alpha - h) * g)) / (2 * h)
-    assert abs(hyper - fd) <= 1e-6 * max(1.0, abs(fd))
-
-
 def test_measure_tau():
     tau, flagged = measure_tau([0.0, 2.0, -3.0, 0.5])
     assert tau == 0.5 and flagged == []
@@ -178,28 +158,6 @@ def test_smoothness_inequality_on_known_L_problems():
                    - float(prob.loss_and_grad(y, None)[1] @ (x - y))
                    - 0.5 * L * float((x - y) @ (x - y)))
             assert gap <= 1e-10
-
-
-def test_dbd_hypergradient_basic():
-    assert dbd_hypergradient([1, 2, 3], [1, 2, 3]) == -14
-    assert dbd_hypergradient([1, 0], [0, 1]) == 0
-    assert dbd_hypergradient([3.5, -2.0, 7.0], np.zeros(3)) == 0.0
-
-
-def test_dbd_hypergradient_symmetric_bilinear():
-    hg = dbd_hypergradient
-    rng = np.random.default_rng(42)
-    for _ in range(200):
-        n = rng.integers(1, 12)
-        a = rng.normal(size=n)
-        b = rng.normal(size=n)
-        c = rng.normal(size=n)
-        s, t = rng.normal(size=2)
-        scale = max(1.0, abs(hg(a, b)))
-        assert abs(hg(a, b) - hg(b, a)) <= 1e-12 * scale
-        lhs = hg(s * a + t * c, b)
-        rhs = s * hg(a, b) + t * hg(c, b)
-        assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
 
 
 def _violations(**fields):
