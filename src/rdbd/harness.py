@@ -85,9 +85,6 @@ class RunConfig:
     alpha_min: float = 0.0
     alpha_max: float | None = None  # None -> optimizer default * alpha0
     eval_every: int = 25
-    beta1: float = 0.05
-    beta2: float = 0.99
-    eps_hat: float = 1e-8
     n_samples: int = 2048
     dim: int = 20
     problem_seed: int = 7
@@ -138,7 +135,6 @@ class RunConfig:
         try:  # these rules live where they apply; none builds a dataset
             FlatSchedule((), 0, cfg.alpha0, cfg.eta, cfg.alpha_min,
                          cfg.alpha_max, rule)
-            AdamState(0, cfg.beta1, cfg.beta2, cfg.eps_hat)
             if cfg.problem == "logistic":
                 LogisticProblem.check_shape(cfg.n_samples, cfg.dim)
         except ValueError as exc:
@@ -295,8 +291,7 @@ def run(config: RunConfig) -> Trace:
                if problem.n_samples else itertools.repeat(None))
 
     direction, rule, _, _ = OPTIMIZER_TABLE[cfg.optimizer]
-    adam = (AdamState(x.size, cfg.beta1, cfg.beta2, cfg.eps_hat)
-            if direction == "adam" else None)
+    adam = AdamState(x.size) if direction == "adam" else None
     sched = FlatSchedule(segments, x.size, cfg.alpha0, cfg.eta, cfg.alpha_min,
                          cfg.alpha_max, rule)
     out = _out_file(cfg.out, "trace.csv")

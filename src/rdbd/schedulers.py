@@ -105,18 +105,16 @@ class FlatSchedule:
 
 class AdamState:
     """First/second moment accumulators of `dim` weights, zero before the
-    first step, and the decay constants. Raises ValueError unless beta1
-    and beta2 lie in [0, 1) and eps_hat is finite and > 0."""
+    first step. Constants shared by every instance: the moment decays
+    beta1 = 0.05 and beta2 = 0.99, and eps_hat = 1e-8, added to u's
+    denominator."""
 
-    def __init__(self, dim, beta1, beta2, eps_hat):
-        if not 0 <= beta1 < 1:
-            raise ValueError("beta1 must lie in [0, 1)")
-        if not 0 <= beta2 < 1:
-            raise ValueError("beta2 must lie in [0, 1)")
-        if not 0 < eps_hat < math.inf:
-            raise ValueError("eps_hat must be finite and > 0")
+    beta1 = 0.05
+    beta2 = 0.99
+    eps_hat = 1e-8
+
+    def __init__(self, dim):
         self.m, self.v = np.zeros(dim), np.zeros(dim)
-        self.beta1, self.beta2, self.eps_hat = beta1, beta2, eps_hat
         self.step = 0
 
     def advance(self, g) -> np.ndarray:

@@ -1,4 +1,4 @@
-import math
+"""The update directions a run descends along: the gradient and Adam's `u`."""
 
 import numpy as np
 import pytest
@@ -33,7 +33,7 @@ def test_sgd_one_step_to_optimum_on_scalar_quadratic():
 
 
 def test_adam_first_step_bias_correction():
-    st = AdamState(1, 0.05, 0.99, 1e-8)
+    st = AdamState(1)
     x = np.array([0.0])
     u = st.advance(np.array([1.0]))
     x -= 0.1 * u
@@ -43,7 +43,7 @@ def test_adam_first_step_bias_correction():
 
 
 def test_adam_zero_gradient_is_identity():
-    st = AdamState(3, 0.05, 0.99, 1e-8)
+    st = AdamState(3)
     x = np.array([1.0, -2.0, 0.5])
     u = st.advance(np.zeros(3))
     assert np.all(u == 0.0)
@@ -53,26 +53,15 @@ def test_adam_zero_gradient_is_identity():
 def test_adam_constant_gradient_sign_limit():
     # Under a constant update the direction is c/(|c|+eps) from step one on.
     for c in (0.3, -2.0):
-        st = AdamState(1, 0.05, 0.99, 1e-8)
+        st = AdamState(1)
         for _ in range(200):
             u = st.advance(np.array([c]))
             expected = c / (abs(c) + st.eps_hat)
             assert abs(u[0] - expected) < 1e-12
 
 
-def test_adam_zero_betas_is_normalized_sgd():
-    st = AdamState(1, 0.0, 0.0, 1e-8)
-    for c in (1.5, -0.25, 3.0):
-        u = st.advance(np.array([c]))
-        assert abs(u[0] - c / (abs(c) + 1e-8)) < 1e-15
-
-
 def test_adam_state_validation():
-    with pytest.raises(ValueError):
-        AdamState(2, 1.0, 0.99, 1e-8)
-    with pytest.raises(ValueError):
-        AdamState(2, 0.05, 0.99, 0.0)
-    st = AdamState(2, 0.05, 0.99, 1e-8)
+    st = AdamState(2)
     with pytest.raises(ValueError):
         st.advance(np.array([1.0]))
 
@@ -80,23 +69,16 @@ def test_adam_state_validation():
 def test_adam_advance_rejects_a_gradient_of_another_shape():
     # A (3, 1) gradient has the moments' size, but would broadcast m, v
     # and the direction to (3, 3).
-    st = AdamState(3, 0.05, 0.99, 1e-8)
+    st = AdamState(3)
     with pytest.raises(ValueError, match=r"\(3, 1\).*\(3,\)"):
         st.advance(np.ones((3, 1)))
     assert st.step == 0 and st.m.shape == st.v.shape == (3,)
     assert not st.m.any() and not st.v.any()
 
 
-@pytest.mark.parametrize("eps_hat", [math.nan, math.inf])
-def test_adam_state_rejects_a_non_finite_eps_hat(eps_hat):
-    # A NaN eps_hat made every direction NaN, an infinite one every one 0.
-    with pytest.raises(ValueError, match=r"eps_hat must be finite and > 0"):
-        AdamState(2, 0.05, 0.99, eps_hat)
-
-
 def test_adam_v_stays_nonnegative():
     rng = np.random.default_rng(0)
-    st = AdamState(4, 0.05, 0.99, 1e-8)
+    st = AdamState(4)
     for t in range(50):
         st.advance(rng.normal(size=4))
         assert np.all(st.v >= 0.0)
@@ -105,8 +87,8 @@ def test_adam_v_stays_nonnegative():
 def test_adam_rdbd_first_step_is_plain_adam():
     g = np.array([0.4, -1.0])
     x = np.array([1.0, 2.0])
-    plain_x = x - 0.005 * AdamState(2, 0.05, 0.99, 1e-8).advance(g)
-    adam = AdamState(2, 0.05, 0.99, 1e-8)
+    plain_x = x - 0.005 * AdamState(2).advance(g)
+    adam = AdamState(2)
     sched = one_group(2, 0.005, 5e-7, alpha_max=0.05)
     _, _, (h,), (reverted,) = step_columns(sched, x, adam.advance(g))
     assert not reverted
@@ -119,9 +101,9 @@ def test_adam_rdbd_eta_zero_reproduces_adam():
     rng = np.random.default_rng(21)
     grads = [rng.normal(size=3) for _ in range(50)]
     x_a = np.array([0.5, -0.5, 1.0])
-    adam_a = AdamState(3, 0.05, 0.99, 1e-8)
+    adam_a = AdamState(3)
     x_b = x_a.copy()
-    adam_b = AdamState(3, 0.05, 0.99, 1e-8)
+    adam_b = AdamState(3)
     sched = one_group(3, 0.01, 0.0, alpha_max=0.1)
     for g in grads:
         x_a -= 0.01 * adam_a.advance(g)
@@ -132,7 +114,7 @@ def test_adam_rdbd_eta_zero_reproduces_adam():
 
 def test_adam_rdbd_cap_engages():
     # Persistent agreement with a large meta rate drives alpha into the cap.
-    adam = AdamState(2, 0.05, 0.99, 1e-8)
+    adam = AdamState(2)
     sched = one_group(2, 0.005, 1e-3, alpha_max=0.05)
     x = np.array([5.0, 5.0])
     hit = False
@@ -145,7 +127,7 @@ def test_adam_rdbd_cap_engages():
 
 def test_adam_rdbd_deterministic():
     def trajectory():
-        adam = AdamState(2, 0.05, 0.99, 1e-8)
+        adam = AdamState(2)
         sched = one_group(2, 0.005, 5e-7, alpha_max=0.05)
         x = np.array([1.0, -1.0])
         rng = np.random.default_rng(9)

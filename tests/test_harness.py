@@ -40,18 +40,13 @@ QUICK = RunConfig(problem="logistic", optimizer="rdbd", alpha0=0.005,
     (dict(alpha_min=math.inf), "alpha_min must not be +inf"),
     (dict(alpha_min=-math.inf, alpha_max=-math.inf),
      "alpha_max must not be -inf"),
-    (dict(beta1=1.0), "beta1 must lie in [0, 1)"),
-    (dict(beta2=-0.1), "beta2 must lie in [0, 1)"),
-    (dict(eps_hat=math.nan), "eps_hat must be finite and > 0"),
 ], ids=["eta-finite", "eta-sign", "alpha-bounds", "alpha_min-nan",
-        "alpha_max-nan", "alpha_min-inf", "alpha_max-minus-inf", "beta1",
-        "beta2", "eps_hat"])
+        "alpha_max-nan", "alpha_min-inf", "alpha_max-minus-inf"])
 def test_resolved_reports_the_rule_of_the_kernel(setting, text):
     cfg = dataclasses.replace(QUICK.resolved(), **setting)
     with pytest.raises(ValueError) as kernel:
         FlatSchedule((), 0, cfg.alpha0, cfg.eta, cfg.alpha_min, cfg.alpha_max,
                      "rdbd")
-        AdamState(0, cfg.beta1, cfg.beta2, cfg.eps_hat)
     with pytest.raises(ConfigError) as config:
         cfg.resolved()
     assert str(config.value) == str(kernel.value) == text
@@ -678,6 +673,18 @@ def test_a_config_file_that_sets_subset_n_exits_2(tmp_path, capsys):
         f"config error: {path}:2: unknown key 'subset_n'\n")
 
 
+@pytest.mark.parametrize("key", ["beta1", "beta2", "eps_hat"])
+def test_a_config_file_that_sets_an_adam_constant_exits_2(tmp_path, capsys,
+                                                          key):
+    # Adam's constants are AdamState's, not run settings: even their own
+    # value is refused by name.
+    path = tmp_path / "old.cfg"
+    path.write_text(f"optimizer = adam\n{key} = {getattr(AdamState, key)}\n")
+    assert main(["run", "--config", str(path), "--steps", "5"]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: {path}:2: unknown key {key!r}\n")
+
+
 @pytest.mark.parametrize("name, corrupt", [
     ("train-images-idx3-ubyte.gz",              # bad magic number
      lambda data: gzip.compress(b"\0\0\x09\x99" + gzip.decompress(data)[4:])),
@@ -775,10 +782,9 @@ def test_config_file_sets_every_field(tmp_path):
     expected = RunConfig(
         problem="mlp-blobs", optimizer="adam_rdbd", alpha0=0.25, eta=1e-3,
         batch_size=4, steps=7, seed=3, alpha_min=0.125, alpha_max=2.5,
-        eval_every=2, beta1=0.5, beta2=0.75, eps_hat=1e-6, n_samples=64,
-        dim=5, problem_seed=9, separation=2.5, grad_noise=0.5,
-        grad_noise_prob=0.25, layer_sizes=(6, 5, 3), mnist_dir="data/mnist",
-        out="runs/t.csv")
+        eval_every=2, n_samples=64, dim=5, problem_seed=9, separation=2.5,
+        grad_noise=0.5, grad_noise_prob=0.25, layer_sizes=(6, 5, 3),
+        mnist_dir="data/mnist", out="runs/t.csv")
     fields = dataclasses.fields(RunConfig)
     assert all(getattr(expected, f.name) != f.default for f in fields)
     lines = [f"{f.name.replace('_', '-')} = {getattr(expected, f.name)}"
@@ -1108,10 +1114,13 @@ def test_cli_compare_accepts_eta_where_it_applies(capsys, argv):
     (["run", "--seed", "-1"], None),
     (["compare", "--seed", "-4"], None),
     (["run"], "problem_seed = -3\n"),
-    (["run"], "beta1 = 1.0\n"),
-    (["run"], "beta2 = -0.1\n"),
-    (["run"], "eps_hat = 0\n"),
-    (["run"], "optimizer = adam\neps_hat = nan\n"),
+    pytest.param(["run", "--config", "no-such-file.cfg"], None,
+                 id="missing-config-file"),
+    pytest.param(["run", "--preset", "batch-size-impact"], None,
+                 id="sweep-as-run-preset"),
+    # numpy cannot draw from a range 2 * grad_noise wide once that overflows
+    (["run"], "problem = logistic\ngrad_noise = 1e308\n"),
+    (["run"], "problem = quadratic\ngrad_noise = 1e308\n"),
     (["run"], "separation = nan\n"),
     (["run"], "grad_noise = nan\n"),
     (["run"], "grad_noise = -0.5\n"),
@@ -1125,13 +1134,6 @@ def test_cli_compare_accepts_eta_where_it_applies(capsys, argv):
       "--optimizers", "sgd,dbd", "--seeds", "1"], None),
     # Finite, but X'X overflows, so the logistic constant L cannot be had.
     (["run"], "problem = logistic\nseparation = 1e160\n"),
-    # numpy cannot draw from a range 2 * grad_noise wide once that overflows
-    (["run"], "problem = logistic\ngrad_noise = 1e308\n"),
-    (["run"], "problem = quadratic\ngrad_noise = 1e308\n"),
-    pytest.param(["run", "--config", "no-such-file.cfg"], None,
-                 id="missing-config-file"),
-    pytest.param(["run", "--preset", "batch-size-impact"], None,
-                 id="sweep-as-run-preset"),
 ])
 def test_cli_bad_input_exits_with_config_error(tmp_path, capsys, argv,
                                                 config_text):
@@ -1608,7 +1610,7 @@ def test_run_builds_only_the_kernels_its_optimizer_reads(monkeypatch,
     built = []
     for name in ("AdamState", "FlatSchedule"):
         def counting(*args, name=name, kernel=getattr(harness, name)):
-            if args[0]:  # resolved() checks the settings on zero-width kernels
+            if args[0]:  # resolved() checks settings on a zero-width schedule
                 built.append(name)
             return kernel(*args)
 
@@ -1639,8 +1641,7 @@ def _per_group_reference(cfg):
         n = sl.stop - sl.start
         groups.append(dict(sl=sl, alpha=cfg.alpha0, prev=np.zeros(n),
                            prev_dot=0.0, applied=0.0, clamped=False,
-                           adam=AdamState(n, cfg.beta1, cfg.beta2,
-                                          cfg.eps_hat)))
+                           adam=AdamState(n)))
     clamp_reverts = 0
     rows = []
     for t in range(1, cfg.steps + 1):
@@ -1725,8 +1726,7 @@ def test_step_writes_only_its_groups_cells_of_a_trace_row(optimizer):
     x = problem.initial_point(np.random.default_rng(init_ss))
     batches = batch_stream(problem.n_samples, cfg.batch_size, batch_ss)
     direction, rule, _, _ = harness.OPTIMIZER_TABLE[optimizer]
-    adam = (AdamState(x.size, cfg.beta1, cfg.beta2, cfg.eps_hat)
-            if direction == "adam" else None)
+    adam = AdamState(x.size) if direction == "adam" else None
     sched = FlatSchedule(segments, x.size, cfg.alpha0, cfg.eta,
                          cfg.alpha_min, cfg.alpha_max, rule)
     trace = Trace(ids, cfg.steps)
