@@ -125,9 +125,6 @@ class RunConfig:
                  "grad_noise must be >= 0 and at most half the largest float"),
                 (0 <= cfg.grad_noise_prob <= 1, "grad_noise_prob must lie in [0, 1]"),
                 (cfg.dim >= 1, "dim must be >= 1"),
-                (all(s >= 1 for s in cfg.layer_sizes), "every layer width must be >= 1"),
-                (not cfg.problem.startswith("mlp") or len(cfg.layer_sizes) >= 2,
-                 "layer_sizes needs an input and an output width"),
                 (cfg.batch_size <= samples,
                  f"batch_size must be <= the {samples} samples of {cfg.problem}")):
             if not ok:
@@ -137,6 +134,8 @@ class RunConfig:
                          cfg.alpha_max, rule)
             if cfg.problem == "logistic":
                 LogisticProblem.check_shape(cfg.n_samples, cfg.dim)
+            if cfg.problem.startswith("mlp"):
+                MlpProblem.check_shape(cfg.layer_sizes)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         return cfg
@@ -442,7 +441,7 @@ def write_trace_csv(records, vector_ids, path):
     return path
 
 
-def metric_value(records, metric, threshold=0.5):
+def metric_value(records, metric, threshold):
     """`metric` of the Trace `records`: the last full loss, the first step
     whose full loss is <= `threshold` (inf if none), or the smallest norm
     of a step's whole update direction."""
@@ -499,8 +498,7 @@ def config_grid(base, optimizers, seeds, axis=None, values=()):
         for setting in settings for opt in optimizers for s in range(seeds)]
 
 
-def compare(base, optimizers, seeds, metric="final_loss", threshold=0.5,
-            out=None):
+def compare(base, optimizers, seeds, metric, threshold, out=None):
     """Run the `config_grid` of each optimizer over `seeds` seeds and
     summarize the metric per optimizer.
 
@@ -594,10 +592,10 @@ def check_revert_flags(records):
         return _cells(records, (records.reverted != 0) & ~(h * prev < 0.0))
 
 
-def check_alpha_envelope(records, alpha0, eta, slack=1e-10):
+def check_alpha_envelope(records, alpha0, eta):
     """(step, group id) of each rate of the Trace `records` that leaves
     `alpha_envelope(alpha0, eta, sigma, t)`, with sigma the largest update
-    norm of its group, by more than `slack`.
+    norm of its group, by more than 1e-10.
 
     Only meaningful on runs with clamping disabled; reverts only remove
     increments, so they tighten the bound rather than widening it.
@@ -609,7 +607,7 @@ def check_alpha_envelope(records, alpha0, eta, slack=1e-10):
         for k, sigma in enumerate(records.grad_norm.max(axis=0).tolist()):
             lo, hi = alpha_envelope(alpha0, eta, sigma, records.step)
             alpha = records.alpha[:, k]
-            outside[:, k] = ~((lo - slack <= alpha) & (alpha <= hi + slack))
+            outside[:, k] = ~((lo - 1e-10 <= alpha) & (alpha <= hi + 1e-10))
     return _cells(records, outside)
 
 

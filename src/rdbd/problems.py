@@ -148,8 +148,7 @@ class MlpProblem(Problem):
 
     def __init__(self, layer_sizes, dataset: Dataset):
         layer_sizes = tuple(int(s) for s in layer_sizes)
-        if len(layer_sizes) < 2:
-            raise ValueError("need at least one weight matrix")
+        self.check_shape(layer_sizes)
         if layer_sizes[0] != dataset.dim:
             raise ValueError(
                 f"input width {layer_sizes[0]} != feature dim {dataset.dim}")
@@ -164,6 +163,14 @@ class MlpProblem(Problem):
         super().__init__(layout=layout, dataset=dataset)
         self.layer_sizes = layer_sizes
         self._onehot = np.eye(dataset.num_classes)[dataset.labels]
+
+    @staticmethod
+    def check_shape(layer_sizes):
+        """The layer rules, checkable before any row is drawn."""
+        if len(layer_sizes) < 2:
+            raise ValueError("layer_sizes needs an input and an output width")
+        if not all(s >= 1 for s in layer_sizes):
+            raise ValueError("every layer width must be >= 1")
 
     def _unpack(self, x):
         views = [x[sl] for _, sl in self.segments]

@@ -96,7 +96,7 @@ def test_criterion_02_alpha_envelope_on_all_presets():
         resolved = cfg.resolved()
         records = run(cfg)
         violations = check_alpha_envelope(records, resolved.alpha0,
-                                          resolved.eta, slack=1e-10)
+                                          resolved.eta)
         assert violations == [], (name, violations[:3])
         assert check_revert_flags(records) == []
         checked += len(records)

@@ -23,6 +23,7 @@ from rdbd.harness import (ConfigError, MissingDataError, NumericError,
                           config_grid, emit_plot_data, metric_value, preset,
                           run, trace_columns, write_trace_csv)
 from rdbd.schedulers import AdamState, FlatSchedule
+from rdbd.theory import alpha_envelope
 from reference import mnist_subset, serialize_idx
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -234,13 +235,15 @@ def test_trace_equality_is_ids_and_written_rows():
 
 def test_trace_checks_find_the_rows_a_per_row_check_finds():
     """The column checks against their per-row definition, on a trace
-    with planted revert flags and rates outside the envelope."""
+    with planted revert flags and rates outside the envelope or at its
+    tolerance."""
     cfg = dataclasses.replace(QUICK, problem="mlp-blobs", n_samples=64,
                               layer_sizes=(6, 5, 3), batch_size=8, steps=40,
                               alpha_min=-math.inf)
+    eta = cfg.resolved().eta
     trace = run(cfg)
     assert check_revert_flags(trace) == []
-    assert check_alpha_envelope(trace, cfg.alpha0, cfg.resolved().eta) == []
+    assert check_alpha_envelope(trace, cfg.alpha0, eta) == []
     trace.reverted[[0, 7, 7, 20], [1, 0, 3, 2]] = 1.0
     trace.h[11:13, 1] = 1.0, -1.0
     trace.reverted[12, 1] = 1.0                # a genuine sign flip
@@ -249,6 +252,15 @@ def test_trace_checks_find_the_rows_a_per_row_check_finds():
     prev_h = dict.fromkeys(trace.ids, 0.0)
     gmax = {i: max(norms)
             for i, norms in zip(trace.ids, trace.grad_norm.T.tolist())}
+
+    def envelope(step, i):
+        return alpha_envelope(cfg.alpha0, eta, gmax[i], step)
+
+    # Past the 1e-10 the checks allow, above and below, and exactly at it.
+    trace.alpha[20, 1] = envelope(21, "b1")[1] + 1.5e-10
+    trace.alpha[10, 3] = envelope(11, "b2")[0] - 1.5e-10
+    trace.alpha[25, 0] = envelope(26, "W1")[1] + 1e-10
+    trace.alpha[27, 2] = envelope(28, "W2")[0] - 1e-10
     for step, hs, alphas, reverted in zip(
             trace.step.astype(int).tolist(), trace.h.tolist(),
             trace.alpha.tolist(), trace.reverted.tolist()):
@@ -256,14 +268,13 @@ def test_trace_checks_find_the_rows_a_per_row_check_finds():
             if flag and not h * prev_h[i] < 0.0:
                 flags.append((step, i))
             prev_h[i] = h
-            drift = step * cfg.resolved().eta * gmax[i] ** 2
-            if not (cfg.alpha0 - drift - 1e-10 <= alpha
-                    <= cfg.alpha0 + drift + 1e-10):
+            lo, hi = envelope(step, i)
+            if not lo - 1e-10 <= alpha <= hi + 1e-10:
                 outside.append((step, i))
     assert (1, "b1") in flags and (13, "b1") not in flags
     assert check_revert_flags(trace) == flags
-    assert outside == [(4, "W2"), (31, "W1")]
-    assert check_alpha_envelope(trace, cfg.alpha0, cfg.resolved().eta) == outside
+    assert outside == [(4, "W2"), (11, "b2"), (21, "b1"), (31, "W1")]
+    assert check_alpha_envelope(trace, cfg.alpha0, eta) == outside
 
 
 def test_a_trace_holds_its_array_and_little_else():
@@ -285,18 +296,27 @@ def test_a_trace_holds_its_array_and_little_else():
     assert held <= cfg.steps * len(trace_columns(trace.ids)) * 8 + 16384
 
 
-def test_a_logistic_n_samples_below_dim_fails_before_any_data(tmp_path):
-    # resolved() applies LogisticProblem's shape rule, so neither a run nor
-    # a compare draws the 100 x 50000 matrix (40 MB) or caches it first.
-    cfg = RunConfig(problem="logistic", n_samples=100, dim=50000,
-                    batch_size=4, steps=5)
+@pytest.mark.parametrize("cfg, text", [
+    (RunConfig(problem="logistic", n_samples=100, dim=50000),
+     "logistic needs n_samples >= dim"),
+    (RunConfig(problem="mlp-blobs", layer_sizes=()),
+     "layer_sizes needs an input and an output width"),
+    (RunConfig(problem="mlp-blobs", layer_sizes=(10,), n_samples=100_000),
+     "layer_sizes needs an input and an output width"),
+    (RunConfig(problem="logistic", n_samples=100_000, eval_every=0),
+     "eval_every must be >= 1"),
+], ids=["logistic", "mlp-no-layers", "mlp-one-layer", "eval_every"])
+def test_a_bad_setting_fails_before_any_data(tmp_path, cfg, text):
+    # resolved() applies the problems' shape rules, so neither a run nor a
+    # compare draws the dataset (8 MB and more) or caches it first.
+    cfg = dataclasses.replace(cfg, batch_size=4, steps=5)
     out = tmp_path / "c.csv"
     tracemalloc.start()
     try:
         for call in (lambda: run(cfg), lambda: harness.build_problem(cfg),
-                     lambda: compare(cfg, ["rdbd", "dbd"], 2, out=str(out))):
-            with pytest.raises(ConfigError,
-                               match=r"^logistic needs n_samples >= dim$"):
+                     lambda: compare(cfg, ["rdbd", "dbd"], 2, "final_loss",
+                                     0.5, out=str(out))):
+            with pytest.raises(ConfigError, match=f"^{text}$"):
                 call()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -319,11 +339,16 @@ def test_sgd_and_adam_have_constant_alpha():
         assert records.ids == ("x",)
         assert (records.alpha == QUICK.alpha0).all()
         assert not records.reverted.any()
+    # Equal bounds pin a scheduled rate, so rdbd then takes sgd's steps.
+    pinned = run(dataclasses.replace(QUICK, alpha_min=0.005, alpha_max=0.005))
+    assert (pinned.alpha == 0.005).all()
+    sgd = run(dataclasses.replace(QUICK, optimizer="sgd"))
+    assert np.array_equal(pinned.loss, sgd.loss)
 
 
 def test_compare_identical_configs_identical_rows():
-    rows_a, winner_a = compare(QUICK, ["sgd", "rdbd"], 3, metric="final_loss")
-    rows_b, winner_b = compare(QUICK, ["sgd", "rdbd"], 3, metric="final_loss")
+    rows_a, winner_a = compare(QUICK, ["sgd", "rdbd"], 3, "final_loss", 0.5)
+    rows_b, winner_b = compare(QUICK, ["sgd", "rdbd"], 3, "final_loss", 0.5)
     assert winner_a == winner_b
     assert [(r.optimizer, r.median, r.iqr, r.values) for r in rows_a] == \
            [(r.optimizer, r.median, r.iqr, r.values) for r in rows_b]
@@ -331,11 +356,11 @@ def test_compare_identical_configs_identical_rows():
 
 def test_compare_rejects_a_bad_grid():
     with pytest.raises(ConfigError, match="at least one optimizer"):
-        compare(QUICK, [], 2)
+        compare(QUICK, [], 2, "final_loss", 0.5)
     with pytest.raises(ConfigError, match="at least one optimizer"):
-        compare(QUICK, ["sgd", "rdbd"], 0)
+        compare(QUICK, ["sgd", "rdbd"], 0, "final_loss", 0.5)
     with pytest.raises(ConfigError, match="must not repeat"):
-        compare(QUICK, ["sgd", "rdbd", "sgd"], 2)
+        compare(QUICK, ["sgd", "rdbd", "sgd"], 2, "final_loss", 0.5)
 
 
 def test_compare_checks_every_input_before_the_first_run(tmp_path,
@@ -346,9 +371,10 @@ def test_compare_checks_every_input_before_the_first_run(tmp_path,
     monkeypatch.setattr(harness, "run", runs.append)
     out = tmp_path / "d"
     with pytest.raises(ConfigError, match="unknown metric"):
-        compare(QUICK, ["rdbd"], 1, metric="accuracy", out=str(out) + os.sep)
+        compare(QUICK, ["rdbd"], 1, "accuracy", 0.5, out=str(out) + os.sep)
     with pytest.raises(ConfigError, match="must not repeat"):
-        compare(QUICK, ["rdbd", "rdbd"], 2, out=str(out) + os.sep)
+        compare(QUICK, ["rdbd", "rdbd"], 2, "final_loss", 0.5,
+                out=str(out) + os.sep)
     assert runs == []
     assert not out.exists()
 
@@ -360,7 +386,7 @@ def test_compare_carries_eta_and_alpha_max_to_the_base_optimizer_only(
     runs = []
     monkeypatch.setattr(harness, "run", lambda cfg: runs.append(cfg) or run(cfg))
     compare(dataclasses.replace(QUICK, eta=0.02, alpha_max=0.05),
-            ["rdbd", "dbd", "adam_rdbd"], 2)
+            ["rdbd", "dbd", "adam_rdbd"], 2, "final_loss", 0.5)
     lib_runs = list(runs)
     assert [(c.optimizer, c.seed) for c in lib_runs] == [
         (opt, s) for opt in ("rdbd", "dbd", "adam_rdbd") for s in (1, 2)]
@@ -395,7 +421,7 @@ def test_compare_calls_the_module_level_run_once_per_cell(monkeypatch,
 
     monkeypatch.setattr(harness, "run", counting_run)
     grid = [(opt, s) for opt in ("sgd", "adam", "rdbd") for s in (1, 2)]
-    compare(QUICK, ["sgd", "adam", "rdbd"], 2)
+    compare(QUICK, ["sgd", "adam", "rdbd"], 2, "final_loss", 0.5)
     assert len(calls) == 6 and calls == grid
     calls.clear()
     assert main(["compare", "--problem", "logistic", "--steps", "30",
@@ -429,15 +455,19 @@ def test_config_grid_cells():
 
 def test_metric_values():
     records = run(QUICK)
-    final = metric_value(records, "final_loss")
+    final = metric_value(records, "final_loss", 0.5)
     assert final == records.full_loss[-1]
-    steps = metric_value(records, "steps_to_threshold", threshold=final + 1.0)
+    steps = metric_value(records, "steps_to_threshold", final + 1.0)
     assert steps == 25.0  # first eval step already under a generous threshold
-    assert metric_value(records, "steps_to_threshold", threshold=-1.0) == math.inf
-    gmin = metric_value(records, "min_grad_norm")
+    # A full loss equal to the threshold reaches it; the next eval is lower.
+    first = records.full_loss[24]
+    assert records.full_loss[49] < first
+    assert metric_value(records, "steps_to_threshold", first) == 25.0
+    assert metric_value(records, "steps_to_threshold", -1.0) == math.inf
+    gmin = metric_value(records, "min_grad_norm", 0.5)
     assert gmin <= records.grad_norm[:, 0].min() + 1e-15
     with pytest.raises(ConfigError):
-        metric_value(records, "accuracy")
+        metric_value(records, "accuracy", 0.5)
 
 
 def test_a_finite_direction_whose_squares_overflow_keeps_a_finite_norm(
@@ -454,18 +484,28 @@ def test_a_finite_direction_whose_squares_overflow_keeps_a_finite_norm(
     noise.uniform()
     first = noise.uniform(-cfg.grad_noise, cfg.grad_noise, cfg.dim)
     assert math.isclose(norms[0], math.hypot(*first.tolist()), rel_tol=1e-12)
-    assert metric_value(trace, "min_grad_norm") == norms.min()
+    assert metric_value(trace, "min_grad_norm", 0.5) == norms.min()
     assert check_alpha_envelope(trace, cfg.alpha0, 0.0) == []
     assert main(["compare", "--config", str(path), "--optimizers", "sgd",
                  "--seeds", "2", "--metric", "min_grad_norm"]) == 0
     assert "winner by min_grad_norm: sgd" in capsys.readouterr().out
+    # run's finiteness check takes such entries as finite, and finds a
+    # non-finite entry wherever it is.
+    with np.errstate(over="ignore"):
+        assert harness._all_finite(first)
+        assert harness._all_finite(np.full(7, -1e300))
+    for bad in (np.nan, np.inf, -np.inf):
+        for index in (0, 3, 6):
+            v = np.ones(7)
+            v[index] = bad
+            assert not harness._all_finite(v)
 
 
 def test_trace_readers_take_a_norm_whose_square_overflows():
     trace = run(QUICK)
-    least = metric_value(trace, "min_grad_norm")
+    least = metric_value(trace, "min_grad_norm", 0.5)
     trace.grad_norm[5, 0] = 2e160
-    assert metric_value(trace, "min_grad_norm") == least
+    assert metric_value(trace, "min_grad_norm", 0.5) == least
     assert check_alpha_envelope(trace, QUICK.alpha0, QUICK.eta) == []
 
 
@@ -565,17 +605,6 @@ def test_cli_sweep_with_a_bad_setting_makes_no_directory(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_numeric_failure_aborts_and_flushes(tmp_path):
-    # A huge fixed rate blows the banana-valley iterates up to overflow.
-    path = tmp_path / "diverge.csv"
-    cfg = RunConfig(problem="rosenbrock", optimizer="sgd", alpha0=1.0,
-                    steps=200, batch_size=1, out=str(path))
-    with pytest.raises(NumericError):
-        run(cfg)
-    assert path.exists()
-    assert len(path.read_text().splitlines()) > 1
-
-
 def _write_synthetic_mnist(directory, n=80):
     """Fabricated 28x28 MNIST IDX files: n images (gzipped) and labels."""
     rng = np.random.default_rng(6)
@@ -598,6 +627,10 @@ def test_mnist_pipeline_with_synthetic_idx_files(tmp_path, monkeypatch):
     assert len(records) == 8
     assert list(records.ids) == ["W1", "b1", "W2", "b2", "W3", "b3"]
     assert not math.isnan(records.full_loss[-1])
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    with pytest.raises(MissingDataError):
+        run(dataclasses.replace(cfg, mnist_dir=str(empty)))
 
 
 def test_mnist_subset_converts_only_its_rows(tmp_path):
@@ -720,14 +753,6 @@ def test_an_unreadable_mnist_file_exits_with_config_error(tmp_path,
                  "--mnist-dir", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith(
         "config error: mlp-mnist: [Errno 13] Permission denied")
-
-
-def test_mnist_problem_reports_missing_data(tmp_path, monkeypatch):
-    monkeypatch.delenv("MNIST_DIR", raising=False)
-    cfg = dataclasses.replace(preset("mnist-default"), steps=5,
-                              mnist_dir=str(tmp_path))
-    with pytest.raises(MissingDataError):
-        run(cfg)
 
 
 def test_config_file_parsing(tmp_path):
@@ -980,7 +1005,7 @@ def test_run_and_compare_out_directory_name_their_file(tmp_path):
     run(dataclasses.replace(QUICK, out=str(tmp_path)))
     assert (tmp_path / "trace.csv").read_bytes() == \
         (tmp_path / "file.csv").read_bytes()
-    compare(QUICK, ["rdbd"], 1, out=str(tmp_path))
+    compare(QUICK, ["rdbd"], 1, "final_loss", 0.5, out=str(tmp_path))
     assert (tmp_path / "comparison.csv").read_text().startswith("optimizer,")
 
 
@@ -1008,7 +1033,7 @@ def test_compare_names_no_winner_when_no_median_is_finite(tmp_path, capsys):
         [opt, "steps_to_threshold", "inf", "inf", "2"]
         for opt in ("rdbd", "sgd")]
     rows, winner = compare(dataclasses.replace(QUICK, steps=30), ["sgd"], 1,
-                           metric="steps_to_threshold", threshold=1e-4)
+                           "steps_to_threshold", 1e-4)
     assert winner is None and rows[0].median == math.inf
 
 
@@ -1084,6 +1109,13 @@ def test_cli_sweep_failure_flushes_partial_trace(tmp_path, monkeypatch,
     lines = (tmp_path / "tiny-diverge__alpha0_1.0.csv").read_text().splitlines()
     assert lines[0] == "step,loss,full_loss,grad_norm,alpha,h,reverted"
     assert [int(line.split(",")[0]) for line in lines[1:]] == [1, 2, 3, 4]
+    # A huge fixed rate blows the banana-valley iterates up to overflow; the
+    # library call stops at the same step and writes the same file.
+    path = tmp_path / "diverge.csv"
+    with pytest.raises(NumericError, match="step 5: batch loss inf"):
+        run(dataclasses.replace(PRESETS["rosenbrock-sgd"], alpha0=1.0,
+                                out=str(path)))
+    assert path.read_text().splitlines() == lines
 
 
 @pytest.mark.parametrize("argv", [
@@ -1178,6 +1210,7 @@ def test_run_makes_one_oracle_call_per_step(monkeypatch):
     dataclasses.replace(QUICK, grad_noise=0.3, grad_noise_prob=0.5),
     dataclasses.replace(preset("mlp-blobs-demo"), grad_noise=0.2,
                         grad_noise_prob=1.0),
+    dataclasses.replace(QUICK, grad_noise=0.3, grad_noise_prob=0.0),
 ])
 def test_run_adds_replayable_gradient_noise(monkeypatch, cfg):
     # run draws one gate per step from a stream seeded problem_seed + 1,
@@ -1213,7 +1246,8 @@ def test_run_adds_replayable_gradient_noise(monkeypatch, cfg):
             d = clean + ref.uniform(-cfg.grad_noise, cfg.grad_noise, x.size)
             noised += 1
         assert np.array_equal(x_next, x - cfg.alpha0 * d)
-    assert noised == 39 if cfg.grad_noise_prob == 1.0 else 0 < noised < 39
+    assert (noised == 39 * cfg.grad_noise_prob if cfg.grad_noise_prob in (0, 1)
+            else 0 < noised < 39)
 
 
 def _force_overlap(monkeypatch):
@@ -1235,28 +1269,25 @@ DIVERGING_CASES = pytest.mark.parametrize("alpha0, failed_step, detail", [
 
 
 @DIVERGING_CASES
-def test_diverging_sampled_run_raises_and_flushes(tmp_path, capsys, alpha0,
-                                                  failed_step, detail):
+def test_diverging_sampled_run_raises_and_flushes(tmp_path, capsys, monkeypatch,
+                                                  alpha0, failed_step, detail):
     path = tmp_path / "diverge.csv"
     cfg = RunConfig(problem="logistic", optimizer="sgd", alpha0=alpha0,
                     steps=200, out=str(path))
-    with pytest.raises(NumericError, match=f"step {failed_step}: {detail}"):
-        run(cfg)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "step,loss,full_loss,grad_norm,alpha,h,reverted"
-    assert [int(line.split(",")[0]) for line in lines[1:]] == \
-        list(range(1, failed_step))
-    assert main(["run", "--problem", "logistic", "--optimizer", "sgd",
-                 "--alpha0", repr(alpha0), "--steps", "200"]) == 4
-    assert "numeric failure" in capsys.readouterr().err
-
-
-@DIVERGING_CASES
-def test_diverging_sampled_run_raises_and_flushes_overlapped(
-        tmp_path, capsys, monkeypatch, alpha0, failed_step, detail):
-    _force_overlap(monkeypatch)
-    test_diverging_sampled_run_raises_and_flushes(tmp_path, capsys, alpha0,
-                                                  failed_step, detail)
+    for overlapped in (False, True):
+        with monkeypatch.context() as patch:
+            if overlapped:
+                _force_overlap(patch)
+            with pytest.raises(NumericError,
+                               match=f"step {failed_step}: {detail}"):
+                run(cfg)
+            lines = path.read_text().splitlines()
+            assert lines[0] == "step,loss,full_loss,grad_norm,alpha,h,reverted"
+            assert [int(line.split(",")[0]) for line in lines[1:]] == \
+                list(range(1, failed_step))
+            assert main(["run", "--problem", "logistic", "--optimizer", "sgd",
+                         "--alpha0", repr(alpha0), "--steps", "200"]) == 4
+            assert "numeric failure" in capsys.readouterr().err
 
 
 def _set_b1_gradient_at_step_3(monkeypatch, value):
@@ -1300,21 +1331,17 @@ NON_FINITE_CASES = pytest.mark.parametrize("optimizer, value, detail", [
 def test_non_finite_step_names_the_failure_and_flushes(tmp_path, monkeypatch,
                                                        optimizer, value,
                                                        detail):
-    _set_b1_gradient_at_step_3(monkeypatch, value)
     path = tmp_path / "t.csv"
     cfg = dataclasses.replace(preset("mlp-blobs-demo"), optimizer=optimizer,
                               alpha0=10.0, out=str(path))
-    with pytest.raises(NumericError, match=f"step 3: {detail}"):
-        run(cfg)
-    assert len(path.read_text().splitlines()) == 3   # header and steps 1-2
-
-
-@NON_FINITE_CASES
-def test_non_finite_step_names_the_failure_and_flushes_overlapped(
-        tmp_path, monkeypatch, optimizer, value, detail):
-    _force_overlap(monkeypatch)
-    test_non_finite_step_names_the_failure_and_flushes(
-        tmp_path, monkeypatch, optimizer, value, detail)
+    for overlapped in (False, True):
+        with monkeypatch.context() as patch:
+            _set_b1_gradient_at_step_3(patch, value)
+            if overlapped:
+                _force_overlap(patch)
+            with pytest.raises(NumericError, match=f"step 3: {detail}"):
+                run(cfg)
+            assert len(path.read_text().splitlines()) == 3   # header, steps 1-2
 
 
 @pytest.mark.parametrize("optimizer, detail", [
@@ -1344,21 +1371,6 @@ def test_finite_gradient_whose_norm_overflows_is_not_non_finite(
         with pytest.raises(NumericError, match=detail):
             run(cfg)
         assert len(path.read_text().splitlines()) == 3   # header and steps 1-2
-
-
-def test_all_finite_needs_no_finite_sum_of_squares():
-    from rdbd.harness import _all_finite
-
-    # The sum of squares overflows, yet every entry is finite. run calls
-    # the check with overflow warnings off, and so does this test.
-    with np.errstate(over="ignore"):
-        assert _all_finite(np.array([1e200, 1.0]))
-        assert _all_finite(np.full(7, -1e300))
-    for bad in (np.nan, np.inf, -np.inf):
-        for index in (0, 3, 6):
-            v = np.ones(7)
-            v[index] = bad
-            assert not _all_finite(v)
 
 
 @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
@@ -1418,8 +1430,14 @@ def overlapped(request, monkeypatch):
 @pytest.mark.parametrize("cfg", [
     preset("mlp-blobs-demo"), preset("logistic-default"),
     RunConfig(problem="logistic", grad_noise=0.5, grad_noise_prob=0.3,
-              steps=500)], ids=["mlp-blobs-demo", "logistic-default",
-                                "logistic-noise"])
+              steps=500),
+    dataclasses.replace(QUICK, steps=1),
+    # Full batch, the paper's deterministic setting, at the valid bounds.
+    dataclasses.replace(QUICK, batch_size=256, problem_seed=0),
+    RunConfig(problem="mlp-blobs", n_samples=64, layer_sizes=(6, 1, 3),
+              batch_size=64, steps=30, eval_every=10),
+], ids=["mlp-blobs-demo", "logistic-default", "logistic-noise", "one-step",
+        "logistic-full-batch", "mlp-blobs-full-batch"])
 def test_overlapped_eval_keeps_every_trace_byte(tmp_path, monkeypatch, cfg):
     in_order = tmp_path / "in_order.csv"
     records = run(dataclasses.replace(cfg, out=str(in_order)))

@@ -205,12 +205,16 @@ def test_mlp_layout_and_validation():
     prob = MlpProblem((4, 3, 2), ds)
     assert [name for name, _ in prob.segments] == ["W1", "b1", "W2", "b2"]
     assert prob.dim == 4 * 3 + 3 + 3 * 2 + 2
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="input width 5 != feature dim 4"):
         MlpProblem((5, 3, 2), ds)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="output width 3 != classes 2"):
         MlpProblem((4, 3, 3), ds)
-    with pytest.raises(ValueError, match="need at least one weight matrix"):
+    with pytest.raises(ValueError,
+                       match="layer_sizes needs an input and an output width"):
         MlpProblem((4,), ds)
+    # A zero width fails here, not later in initial_point's 1/sqrt(0).
+    with pytest.raises(ValueError, match="every layer width must be >= 1"):
+        MlpProblem((4, 0, 2), ds)
 
 
 def _per_layer_loss_grad(sizes, dataset, x, batch):
