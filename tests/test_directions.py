@@ -62,16 +62,24 @@ def test_adam_constant_gradient_sign_limit():
             assert abs(u[0] - expected) < 1e-12
 
 
+def _assert_advance_rejects(dim, shape):
+    st = AdamState(dim)
+    with pytest.raises(ValueError, match=re.escape(
+            f"gradient shape {shape} != moment shape ({dim},)")):
+        st.advance(np.ones(shape))
+    assert st.step == 0 and st.m.shape == st.v.shape == (dim,)
+    assert not st.m.any() and not st.v.any()
+
+
+def test_adam_state_validation():
+    # A gradient of another size.
+    _assert_advance_rejects(2, (1,))
+
+
 def test_adam_advance_rejects_a_gradient_of_another_shape():
     # A (3, 1) gradient has the moments' size, but would broadcast m, v
-    # and the direction to (3, 3); a (2,) one has another size.
-    for shape in [(3, 1), (2,)]:
-        st = AdamState(3)
-        with pytest.raises(ValueError, match=re.escape(
-                f"gradient shape {shape} != moment shape (3,)")):
-            st.advance(np.ones(shape))
-        assert st.step == 0 and st.m.shape == st.v.shape == (3,)
-        assert not st.m.any() and not st.v.any()
+    # and the direction to (3, 3).
+    _assert_advance_rejects(3, (3, 1))
 
 
 def test_adam_v_stays_nonnegative():

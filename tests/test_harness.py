@@ -489,16 +489,6 @@ def test_a_finite_direction_whose_squares_overflow_keeps_a_finite_norm(
     assert main(["compare", "--config", str(path), "--optimizers", "sgd",
                  "--seeds", "2", "--metric", "min_grad_norm"]) == 0
     assert "winner by min_grad_norm: sgd" in capsys.readouterr().out
-    # run's finiteness check takes such entries as finite, and finds a
-    # non-finite entry wherever it is.
-    with np.errstate(over="ignore"):
-        assert harness._all_finite(first)
-        assert harness._all_finite(np.full(7, -1e300))
-    for bad in (np.nan, np.inf, -np.inf):
-        for index in (0, 3, 6):
-            v = np.ones(7)
-            v[index] = bad
-            assert not harness._all_finite(v)
 
 
 def test_trace_readers_take_a_norm_whose_square_overflows():
@@ -605,6 +595,18 @@ def test_cli_sweep_with_a_bad_setting_makes_no_directory(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_numeric_failure_aborts_and_flushes(tmp_path):
+    # A huge fixed rate blows the banana-valley iterates up to overflow.
+    path = tmp_path / "diverge.csv"
+    cfg = RunConfig(problem="rosenbrock", optimizer="sgd", alpha0=1.0,
+                    steps=200, batch_size=1, out=str(path))
+    with pytest.raises(NumericError, match="step 5: batch loss inf"):
+        run(cfg)
+    lines = path.read_text().splitlines()
+    assert lines[0] == "step,loss,full_loss,grad_norm,alpha,h,reverted"
+    assert [int(line.split(",")[0]) for line in lines[1:]] == [1, 2, 3, 4]
+
+
 def _write_synthetic_mnist(directory, n=80):
     """Fabricated 28x28 MNIST IDX files: n images (gzipped) and labels."""
     rng = np.random.default_rng(6)
@@ -627,10 +629,6 @@ def test_mnist_pipeline_with_synthetic_idx_files(tmp_path, monkeypatch):
     assert len(records) == 8
     assert list(records.ids) == ["W1", "b1", "W2", "b2", "W3", "b3"]
     assert not math.isnan(records.full_loss[-1])
-    empty = tmp_path / "empty"
-    empty.mkdir()
-    with pytest.raises(MissingDataError):
-        run(dataclasses.replace(cfg, mnist_dir=str(empty)))
 
 
 def test_mnist_subset_converts_only_its_rows(tmp_path):
@@ -753,6 +751,14 @@ def test_an_unreadable_mnist_file_exits_with_config_error(tmp_path,
                  "--mnist-dir", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith(
         "config error: mlp-mnist: [Errno 13] Permission denied")
+
+
+def test_mnist_problem_reports_missing_data(tmp_path, monkeypatch):
+    monkeypatch.delenv("MNIST_DIR", raising=False)
+    cfg = dataclasses.replace(preset("mnist-default"), steps=5,
+                              mnist_dir=str(tmp_path))
+    with pytest.raises(MissingDataError):
+        run(cfg)
 
 
 def test_config_file_parsing(tmp_path):
@@ -1109,13 +1115,6 @@ def test_cli_sweep_failure_flushes_partial_trace(tmp_path, monkeypatch,
     lines = (tmp_path / "tiny-diverge__alpha0_1.0.csv").read_text().splitlines()
     assert lines[0] == "step,loss,full_loss,grad_norm,alpha,h,reverted"
     assert [int(line.split(",")[0]) for line in lines[1:]] == [1, 2, 3, 4]
-    # A huge fixed rate blows the banana-valley iterates up to overflow; the
-    # library call stops at the same step and writes the same file.
-    path = tmp_path / "diverge.csv"
-    with pytest.raises(NumericError, match="step 5: batch loss inf"):
-        run(dataclasses.replace(PRESETS["rosenbrock-sgd"], alpha0=1.0,
-                                out=str(path)))
-    assert path.read_text().splitlines() == lines
 
 
 @pytest.mark.parametrize("argv", [
@@ -1269,25 +1268,28 @@ DIVERGING_CASES = pytest.mark.parametrize("alpha0, failed_step, detail", [
 
 
 @DIVERGING_CASES
-def test_diverging_sampled_run_raises_and_flushes(tmp_path, capsys, monkeypatch,
-                                                  alpha0, failed_step, detail):
+def test_diverging_sampled_run_raises_and_flushes(tmp_path, capsys, alpha0,
+                                                  failed_step, detail):
     path = tmp_path / "diverge.csv"
     cfg = RunConfig(problem="logistic", optimizer="sgd", alpha0=alpha0,
                     steps=200, out=str(path))
-    for overlapped in (False, True):
-        with monkeypatch.context() as patch:
-            if overlapped:
-                _force_overlap(patch)
-            with pytest.raises(NumericError,
-                               match=f"step {failed_step}: {detail}"):
-                run(cfg)
-            lines = path.read_text().splitlines()
-            assert lines[0] == "step,loss,full_loss,grad_norm,alpha,h,reverted"
-            assert [int(line.split(",")[0]) for line in lines[1:]] == \
-                list(range(1, failed_step))
-            assert main(["run", "--problem", "logistic", "--optimizer", "sgd",
-                         "--alpha0", repr(alpha0), "--steps", "200"]) == 4
-            assert "numeric failure" in capsys.readouterr().err
+    with pytest.raises(NumericError, match=f"step {failed_step}: {detail}"):
+        run(cfg)
+    lines = path.read_text().splitlines()
+    assert lines[0] == "step,loss,full_loss,grad_norm,alpha,h,reverted"
+    assert [int(line.split(",")[0]) for line in lines[1:]] == \
+        list(range(1, failed_step))
+    assert main(["run", "--problem", "logistic", "--optimizer", "sgd",
+                 "--alpha0", repr(alpha0), "--steps", "200"]) == 4
+    assert "numeric failure" in capsys.readouterr().err
+
+
+@DIVERGING_CASES
+def test_diverging_sampled_run_raises_and_flushes_overlapped(
+        tmp_path, capsys, monkeypatch, alpha0, failed_step, detail):
+    _force_overlap(monkeypatch)
+    test_diverging_sampled_run_raises_and_flushes(tmp_path, capsys, alpha0,
+                                                  failed_step, detail)
 
 
 def _set_b1_gradient_at_step_3(monkeypatch, value):
@@ -1331,17 +1333,21 @@ NON_FINITE_CASES = pytest.mark.parametrize("optimizer, value, detail", [
 def test_non_finite_step_names_the_failure_and_flushes(tmp_path, monkeypatch,
                                                        optimizer, value,
                                                        detail):
+    _set_b1_gradient_at_step_3(monkeypatch, value)
     path = tmp_path / "t.csv"
     cfg = dataclasses.replace(preset("mlp-blobs-demo"), optimizer=optimizer,
                               alpha0=10.0, out=str(path))
-    for overlapped in (False, True):
-        with monkeypatch.context() as patch:
-            _set_b1_gradient_at_step_3(patch, value)
-            if overlapped:
-                _force_overlap(patch)
-            with pytest.raises(NumericError, match=f"step 3: {detail}"):
-                run(cfg)
-            assert len(path.read_text().splitlines()) == 3   # header, steps 1-2
+    with pytest.raises(NumericError, match=f"step 3: {detail}"):
+        run(cfg)
+    assert len(path.read_text().splitlines()) == 3   # header and steps 1-2
+
+
+@NON_FINITE_CASES
+def test_non_finite_step_names_the_failure_and_flushes_overlapped(
+        tmp_path, monkeypatch, optimizer, value, detail):
+    _force_overlap(monkeypatch)
+    test_non_finite_step_names_the_failure_and_flushes(
+        tmp_path, monkeypatch, optimizer, value, detail)
 
 
 @pytest.mark.parametrize("optimizer, detail", [
@@ -1371,6 +1377,21 @@ def test_finite_gradient_whose_norm_overflows_is_not_non_finite(
         with pytest.raises(NumericError, match=detail):
             run(cfg)
         assert len(path.read_text().splitlines()) == 3   # header and steps 1-2
+
+
+def test_all_finite_needs_no_finite_sum_of_squares():
+    from rdbd.harness import _all_finite
+
+    # The sum of squares overflows, yet every entry is finite. run calls
+    # the check with overflow warnings off, and so does this test.
+    with np.errstate(over="ignore"):
+        assert _all_finite(np.array([1e200, 1.0]))
+        assert _all_finite(np.full(7, -1e300))
+    for bad in (np.nan, np.inf, -np.inf):
+        for index in (0, 3, 6):
+            v = np.ones(7)
+            v[index] = bad
+            assert not _all_finite(v)
 
 
 @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
