@@ -4,34 +4,37 @@ and see whether the tests notice.
     python3 scripts/mutation_audit.py harness
     python3 scripts/mutation_audit.py schedulers.FlatSchedule.step
     python3 scripts/mutation_audit.py harness --matrix tests/test_harness.py
+    python3 scripts/mutation_audit.py cli data harness problems schedulers theory
 
-The target is a module of `src/rdbd`, or a class, function or method in
-it. Each mutant makes one `ast` change inside the target, default
-arguments included: a comparison operator (`<` and `<=`, `>` and `>=`,
-`==` and `!=`, `is`/`is not`, `in`/`not in` swap), a binary or augmented
-arithmetic operator (`+` and `-`, `*` and `/`, `&` and `|` swap; `//`
-becomes `/`, `%` `//`, `**` `*`, `@` `*`), `and` and `or`, a dropped
-`not`, a call of `min` and `max` (or `minimum` and `maximum`) swapped,
-or a numeric constant (0 becomes 1, any other int n becomes n - 1, and a
-float f becomes 2f, or 1.0 when f is 0).
+Each target is a module of `src/rdbd`, or a class, function or method in
+it; several targets share one run. Each mutant makes one `ast` change
+inside its target, default arguments included: a comparison operator
+(`<` and `<=`, `>` and `>=`, `==` and `!=`, `is`/`is not`, `in`/`not in`
+swap), a binary or augmented arithmetic operator (`+` and `-`, `*` and
+`/`, `&` and `|` swap; `//` becomes `/`, `%` `//`, `**` `*`, `@` `*`),
+`and` and `or`, a dropped `not`, a call of `min` and `max` (or `minimum`
+and `maximum`) swapped, or a numeric constant (0 becomes 1, any other int
+n becomes n - 1, and a float f becomes 2f, or 1.0 when f is 0).
 
 Each mutant is written, as `ast.unparse` prints it, into a copy of the
 repository (`src`, `tests`, `scripts`, `perfbench`, `pyproject.toml`),
 where the tier-1 command runs with `-x` in a child process. The audit
 prints one line per mutant, `<file>:<line>:<col> <scope> <kind> <from> ->
 <to> <verdict>`, where the verdict is `killed` (the tests failed),
-`survived` (they passed) or `timeout`, then a count of each. With
-`--matrix <test file>`, only that file runs, without `-x`, and each line
-ends with the ids of the tests that failed; the audit then names each
-test whose kill set is a subset of another test's.
+`survived` (they passed) or `timeout`, then a count of each per target.
+With `--matrix <test file>`, only that file runs, without `-x`, and each
+line ends with the ids of the tests that failed; the audit then names
+each test whose kill set, over every target, is a subset of another
+test's.
 
 Every child has its address space capped at `MEMORY_CAP` bytes, and is
 stopped, with every process it started, after `TIMEOUT_FACTOR` times the
-clean run's time: the first run in each copy, unmutated, which must pass.
-Some mutants loop forever (a `while` whose exit test flips), and others
-allocate without bound. One copy per core, at most two, run side by
-side. Not part of tier-1: the whole suite per mutant makes a module take
-tens of minutes.
+clean run's time: each copy runs the tests once unmutated, and must pass,
+before its first mutant. Some mutants loop forever (a `while` whose exit
+test flips), and others allocate without bound. One copy per core, at
+most two, run side by side. Not part of tier-1: the whole suite per
+mutant makes a module take minutes, and the whole package about 35
+minutes on two cores.
 """
 
 import argparse
@@ -203,7 +206,7 @@ def _failed_tests(report, test_file):
 class _Copy:
     """One copy of the repository that runs one command at a time."""
 
-    def __init__(self, parent, module, test_file):
+    def __init__(self, parent, test_file):
         self.dir = Path(tempfile.mkdtemp(dir=parent))
         for name in COPIED:
             source = ROOT / name
@@ -212,25 +215,27 @@ class _Copy:
                                 ignore_patterns("__pycache__", ".pytest_cache"))
             else:
                 shutil.copy2(source, self.dir / name)
-        self.module = self.dir / "src" / "rdbd" / f"{module}.py"
-        self.original = self.module.read_text()
         self.test_file = test_file
         self.timeout = None
 
-    def run(self, source=None):
+    def run(self, module=None, source=None):
         """(verdict, failed test ids, seconds) of the tests with `source`
-        as the module, or the module as it is."""
+        as `module`, or with every module as it is."""
         report = self.dir / "report.xml"
         report.unlink(missing_ok=True)
         argv = (TIER1[:3] + ["-p", "no:cacheprovider", "--junitxml",
                              str(report), self.test_file]
                 if self.test_file else TIER1 + ["-x", "-p", "no:cacheprovider"])
-        self.module.write_text(source or self.original)
+        if module:
+            path = self.dir / "src" / "rdbd" / f"{module}.py"
+            original = path.read_text()
+            path.write_text(source)
         start = time.perf_counter()
         try:
             code = _run(self.dir, argv, self.timeout)
         finally:
-            self.module.write_text(self.original)
+            if module:
+                path.write_text(original)
         seconds = time.perf_counter() - start
         failed = _failed_tests(report, self.test_file) if self.test_file else []
         verdict = ("timeout" if code is None else
@@ -253,23 +258,27 @@ def _subsumed(kills):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("target", help="module[.Class][.function] of src/rdbd")
+    parser.add_argument("targets", nargs="+", metavar="target",
+                        help="module[.Class][.function] of src/rdbd")
     parser.add_argument("--matrix", metavar="TEST_FILE",
                         help="run only this test file, without -x, and "
                              "record which tests kill each mutant")
     args = parser.parse_args(argv)
-    module, *scope = args.target.split(".")
-    path = ROOT / "src" / "rdbd" / f"{module}.py"
-    if not path.is_file():
-        parser.error(f"no module {path}")
-    try:
-        found = mutants(path.read_text(), scope)
-    except ValueError as exc:
-        parser.error(str(exc))
+    found = []   # (target, module, label, tree) of every mutant, in order
+    for target in args.targets:
+        module, *scope = target.split(".")
+        path = ROOT / "src" / "rdbd" / f"{module}.py"
+        if not path.is_file():
+            parser.error(f"no module {path}")
+        try:
+            found += [(target, module, label, tree)
+                      for label, tree in mutants(path.read_text(), scope)]
+        except ValueError as exc:
+            parser.error(f"{target}: {exc}")
     resource.setrlimit(resource.RLIMIT_AS, (MEMORY_CAP, MEMORY_CAP))
 
     with tempfile.TemporaryDirectory(prefix="mutation-audit-") as parent:
-        copies = [_Copy(parent, module, args.matrix) for _ in range(WORKERS)]
+        copies = [_Copy(parent, args.matrix) for _ in range(WORKERS)]
         with ThreadPoolExecutor(len(copies)) as pool:
             clean = list(pool.map(_Copy.run, copies))
         for verdict, failed, seconds in clean:
@@ -277,8 +286,8 @@ def main(argv=None):
                 sys.exit(f"the unmutated tests fail: {' '.join(failed)}")
         for c in copies:
             c.timeout = TIMEOUT_FACTOR * max(s for _, _, s in clean)
-        print(f"# {len(found)} mutants of {args.target}; clean run "
-              f"{max(s for _, _, s in clean):.1f} s, timeout "
+        print(f"# {len(found)} mutants of {', '.join(args.targets)}; clean "
+              f"run {max(s for _, _, s in clean):.1f} s, timeout "
               f"{copies[0].timeout:.1f} s", flush=True)
 
         free = queue.SimpleQueue()
@@ -286,24 +295,27 @@ def main(argv=None):
             free.put(c)
 
         def audit(mutant):
-            label, tree = mutant
+            target, module, label, tree = mutant
             c = free.get()
             try:
-                verdict, failed, _ = c.run(ast.unparse(tree) + "\n")
+                verdict, failed, _ = c.run(module, ast.unparse(tree) + "\n")
             finally:
                 free.put(c)
-            return label, verdict, failed
+            return target, module, label, verdict, failed
 
-        counts, kills = {}, {}
+        counts, kills = {t: {} for t in args.targets}, {}
         with ThreadPoolExecutor(len(copies)) as pool:
-            for k, (label, verdict, failed) in enumerate(pool.map(audit,
-                                                                  found)):
-                counts[verdict] = counts.get(verdict, 0) + 1
+            for k, (target, module, label, verdict, failed) in enumerate(
+                    pool.map(audit, found)):
+                counts[target][verdict] = counts[target].get(verdict, 0) + 1
                 for test in failed:
                     kills.setdefault(test, set()).add(k)
                 print(f"src/rdbd/{module}.py:{label} {verdict}"
                       + "".join(f" {t}" for t in failed), flush=True)
-    print("# " + ", ".join(f"{n} {v}" for v, n in sorted(counts.items())))
+    for target, count in counts.items():
+        print(f"# {target}: " + (", ".join(f"{n} {v}" for v, n in
+                                           sorted(count.items()))
+                                 or "no mutants"))
     if args.matrix:
         for a, b in _subsumed(kills):
             print(f"# subsumed: {a} ({len(kills[a])}) <= {b} ({len(kills[b])})")

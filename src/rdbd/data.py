@@ -119,14 +119,11 @@ def stratified_rows(labels, num_classes, n, seed) -> np.ndarray:
     counts = np.bincount(labels, minlength=num_classes)
     quotas = n * counts / total
     take = np.floor(quotas).astype(int)
-    remainder = n - take.sum()
-    if remainder > 0:
-        # Break fraction ties toward lower class ids for determinism.
-        fracs = quotas - take
-        order = np.lexsort((np.arange(len(fracs)), -fracs))
-        for c in order[:remainder]:
-            take[c] += 1
-    take = np.minimum(take, counts)
+    # One more row to each of the n - sum(take) classes with the largest
+    # fractional quota, ties to the lower class id. Such a quota is below
+    # its class count, so no class is asked for more rows than it has.
+    order = np.lexsort((np.arange(num_classes), take - quotas))
+    take[order[:n - take.sum()]] += 1
 
     rng = np.random.default_rng(seed)
     chosen = []

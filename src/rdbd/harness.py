@@ -281,7 +281,7 @@ def run(config: RunConfig) -> Trace:
     blocks = trace.data[:, 3:].reshape(cfg.steps, len(ids), 4)  # a view
     init_ss, batch_ss = np.random.SeedSequence(cfg.seed).spawn(2)
     try:
-        x = problem.initial_point(np.random.default_rng(init_ss)).astype(np.float64)
+        x = problem.initial_point(np.random.default_rng(init_ss))
     except (MemoryError, ValueError) as exc:
         raise ConfigError(f"{cfg.problem}: its {problem.dim} weights cannot "
                           f"be allocated ({exc})") from exc
@@ -638,11 +638,10 @@ PRESETS = {
 }
 
 # Sweeps: (base preset, swept field, values).
+_ALPHA0S = [0.01, 0.005, 0.001, 0.0005, 0.0001]
 SWEEPS = {
-    "lr-robustness": ("mnist-default", "alpha0",
-                      [0.01, 0.005, 0.001, 0.0005, 0.0001]),
-    "lr-robustness-logistic": ("logistic-default", "alpha0",
-                               [0.01, 0.005, 0.001, 0.0005, 0.0001]),
+    "lr-robustness": ("mnist-default", "alpha0", _ALPHA0S),
+    "lr-robustness-logistic": ("logistic-default", "alpha0", _ALPHA0S),
     "batch-size-impact": ("logistic-default", "batch_size", [4, 16, 64, 256]),
 }
 

@@ -26,7 +26,8 @@ class Problem:
     skips the backward pass and returns (loss, None). loss_and_grad(x,
     batch) is the one oracle call per step, and loss_and_grad(x, None)
     the whole-dataset loss and gradient; loss(x) is the forward-only
-    whole-dataset loss.
+    whole-dataset loss. initial_point(rng) returns a new float64 vector,
+    which a run updates in place.
     """
 
     def __init__(self, dim=None, layout=None, L=None, dataset=None):

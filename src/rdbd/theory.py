@@ -145,6 +145,6 @@ def measure_tau(h_values, rel_tol=1e-9):
     if h.size <= 1:
         return 0.0, []
     body = np.abs(h[1:])
-    scale = float(np.max(body)) if body.size else 0.0
-    flagged = [i + 1 for i, v in enumerate(body) if v <= rel_tol * max(scale, 1e-300)]
+    scale = float(np.max(body))
+    flagged = [i + 1 for i, v in enumerate(body) if v <= rel_tol * scale]
     return float(np.min(body)), flagged

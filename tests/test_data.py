@@ -38,16 +38,22 @@ def test_parse_idx_rejects_bad_magic():
 
 
 def test_parse_idx_rejects_truncation():
-    with pytest.raises(ValueError, match="shorter than its magic number"):
-        parse_idx(b"\x00\x00")
+    for short in (b"\x00\x00", b"\x00\x00\x08"):
+        with pytest.raises(ValueError, match="shorter than its magic number"):
+            parse_idx(short)
     with pytest.raises(ValueError, match="truncated"):
         parse_idx(struct.pack(">II", 0x00000801, 5) + bytes([1, 2]))
     with pytest.raises(ValueError, match="truncated"):
         parse_idx(struct.pack(">I", 0x00000803))
-    with pytest.raises(ValueError, match="trailing"):
-        parse_idx(struct.pack(">II", 0x00000801, 1) + bytes([1, 2]))
+    with pytest.raises(ValueError, match="has 2 trailing bytes"):
+        parse_idx(struct.pack(">II", 0x00000801, 1) + bytes([1, 2, 3]))
     with pytest.raises(ValueError, match="overflow"):
         parse_idx(struct.pack(">IIII", 0x00000803, 2 ** 30, 2 ** 30, 4))
+    # 2**40 payload bytes is the most a header may claim
+    with pytest.raises(ValueError, match="truncated"):
+        parse_idx(struct.pack(">IIII", 0x00000803, 16384, 8192, 8192))
+    with pytest.raises(ValueError, match="overflow"):     # 2**40 + 1 bytes
+        parse_idx(struct.pack(">IIII", 0x00000803, 257, 4278255361, 1))
     packed = gzip.compress(serialize_idx(np.arange(200, dtype=np.uint8)))
     for corrupt in (packed[:len(packed) // 2],               # EOFError
                     packed[:10] + bytes(20) + packed[30:],   # zlib.error
@@ -94,6 +100,8 @@ def test_batch_stream_deterministic():
     b = batch_stream(100, 16, seed=9)
     for _ in range(20):
         assert np.array_equal(next(a), next(b))
+    ones = batch_stream(3, 1, seed=0)
+    assert sorted(int(next(ones)[0]) for _ in range(3)) == [0, 1, 2]
     with pytest.raises(ValueError):
         batch_stream(10, 0, seed=0)
     with pytest.raises(ValueError):
@@ -169,6 +177,25 @@ def test_mnist_subset_identity_and_stratification():
         mnist_subset(ds, 201, seed=0)
     with pytest.raises(ValueError, match="labels must lie in"):
         stratified_rows(labels, 9, 55, seed=0)       # label 9 >= 9 classes
+    with pytest.raises(ValueError, match="labels must lie in"):
+        stratified_rows(labels - 1, 10, 55, seed=0)  # label -1
+
+
+@pytest.mark.parametrize("counts, n, take", [
+    ([50, 30, 20], 7, [4, 2, 1]),    # unbalanced: the largest fraction, 0.5
+    ([13, 5, 2], 7, [4, 2, 1]),      # two extra rows, not to the largest class
+    ([10, 10, 10], 10, [4, 3, 3]),   # a remainder of 1 among equal fractions
+    ([6, 3, 3], 6, [3, 2, 1]),       # a fractional tie goes to the lower id
+    ([4, 6], 5, [2, 3]),             # no remainder
+], ids=["unbalanced", "two-extra-rows", "remainder-1", "tie-to-lower-id",
+        "no-remainder"])
+def test_stratified_rows_apportion_by_largest_remainder(counts, n, take):
+    labels = np.random.default_rng(1).permutation(
+        np.repeat(np.arange(len(counts)), counts))
+    rows = stratified_rows(labels, len(counts), n, seed=4)
+    assert len(rows) == n
+    assert np.all(np.diff(rows) > 0)
+    assert np.bincount(labels[rows], minlength=len(counts)).tolist() == take
 
 
 def test_subset_preserves_original_order():
@@ -228,6 +255,15 @@ def test_load_mnist_missing_returns_none(tmp_path):
 
 
 def test_dataset_validation():
+    assert len(Dataset(np.zeros((1, 2)), np.array([1]), 2)) == 1
+    for bad in ([0, 2], [-1, 1]):   # a label of num_classes, a negative one
+        with pytest.raises(ValueError, match="labels must lie in"):
+            Dataset(np.zeros((2, 2)), np.array(bad), 2)
+    for value in (-np.inf, np.inf):   # one non-finite entry among finite ones
+        features = np.zeros((2, 2))
+        features[1, 0] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            Dataset(features, np.array([0, 1]), 2)
     with pytest.raises(ValueError):
         Dataset(np.zeros((2, 2)), np.array([0, 5]), 2)
     with pytest.raises(ValueError):

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from rdbd import harness
-from rdbd.cli import main, parse_config_file
+from rdbd.cli import build_parser, main, parse_config_file
 from rdbd.data import Dataset
 from rdbd.harness import (ConfigError, MissingDataError, NumericError,
                           OPTIMIZERS, PRESETS, RunConfig, SWEEPS, Trace,
@@ -245,6 +245,7 @@ def test_trace_checks_find_the_rows_a_per_row_check_finds():
     assert check_revert_flags(trace) == []
     assert check_alpha_envelope(trace, cfg.alpha0, eta) == []
     trace.reverted[[0, 7, 7, 20], [1, 0, 3, 2]] = 1.0
+    trace.h[0, 1] = -1.0                       # no flip against h_0 = 0
     trace.h[11:13, 1] = 1.0, -1.0
     trace.reverted[12, 1] = 1.0                # a genuine sign flip
     trace.alpha[[3, 30], [2, 0]] = [1.0, -1.0]
@@ -541,6 +542,16 @@ def test_presets_and_reserved():
     assert cfg.steps == 2000 and cfg.alpha0 == 0.005 and cfg.eta == 0.01
     cfg.steps = 10
     assert preset("logistic-default").steps == 2000  # copies are isolated
+    mnist = preset("mnist-default")   # the paper's MNIST run
+    assert (mnist.alpha0, mnist.eta, mnist.batch_size, mnist.steps) == \
+        (0.005, 0.01, 16, 3750)
+    rosenbrock = preset("rosenbrock-rdbd")
+    assert (rosenbrock.alpha0, rosenbrock.alpha_max) == (1e-3, 2e-3)
+    # logistic-adam-rdbd states adam_rdbd's default cap, 10 alpha0, so that
+    # compare carries that cap to adam_rdbd only
+    adam = preset("logistic-adam-rdbd")
+    assert adam.alpha_max == 0.05 == dataclasses.replace(
+        adam, alpha_max=None).resolved().alpha_max
     with pytest.raises(ConfigError, match="unknown preset"):
         preset("imagenet")
     with pytest.raises(ConfigError,
@@ -625,6 +636,8 @@ def test_mnist_pipeline_with_synthetic_idx_files(tmp_path, monkeypatch):
     _write_synthetic_mnist(tmp_path)
     cfg = dataclasses.replace(preset("mnist-default"), steps=8, n_samples=40,
                               mnist_dir=str(tmp_path), eval_every=4)
+    # the paper's 784-128-64-10 network, also RunConfig's default
+    assert cfg.layer_sizes == RunConfig().layer_sizes == (784, 128, 64, 10)
     records = run(cfg)
     assert len(records) == 8
     assert list(records.ids) == ["W1", "b1", "W2", "b2", "W3", "b3"]
@@ -833,8 +846,13 @@ def test_cli_run_ok(tmp_path, capsys):
     code = main(["run", "--problem", "logistic", "--optimizer", "rdbd",
                  "--steps", "60", "--seed", "3", "--out", str(out)])
     assert code == 0
-    assert out.exists()
-    assert "run complete" in capsys.readouterr().out
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    reverts = sum(row[6] == "1" for row in rows)
+    assert reverts > 1
+    assert capsys.readouterr().out.splitlines() == [
+        f"run complete: rdbd on logistic, 60 steps, final loss "
+        f"{float(rows[-1][2]):.6g}, {reverts} steps with a revert",
+        f"trace written to {out}"]
 
 
 def test_cli_takes_a_negative_value_in_the_equals_form(capsys):
@@ -1023,6 +1041,9 @@ def test_cli_compare(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "winner by final_loss" in out
     assert (tmp_path / "comparison.csv").exists()
+    # These defaults are the only statement of the seed count and threshold.
+    args = build_parser().parse_args(["compare"])
+    assert (args.seeds, args.metric, args.threshold) == (5, "final_loss", 0.5)
 
 
 def test_compare_names_no_winner_when_no_median_is_finite(tmp_path, capsys):
@@ -1098,7 +1119,11 @@ def test_cli_sweep(tmp_path, monkeypatch, capsys):
     files = sorted(os.listdir(tmp_path))
     assert any(f.endswith("plot.csv") for f in files)
     assert sum(f.endswith(".csv") for f in files) == 3
-    capsys.readouterr()
+    lines = capsys.readouterr().out.splitlines()
+    for value, line in zip((0.01, 0.001), lines):
+        path = tmp_path / f"tiny-demo__alpha0_{value}.csv"
+        final = float(path.read_text().splitlines()[-1].split(",")[2])
+        assert line == f"alpha0={value}: final loss {final:.6g} -> {path}"
 
 
 def test_cli_sweep_failure_flushes_partial_trace(tmp_path, monkeypatch,

@@ -95,6 +95,9 @@ def test_logistic_zero_weights_loss_is_ln2():
 def test_logistic_validation():
     with pytest.raises(ValueError):
         LogisticProblem(synthetic_blobs(4, 8, 2, seed=0))
+    # n_samples == dim is the smallest dataset accepted
+    LogisticProblem.check_shape(8, 8)
+    assert LogisticProblem(synthetic_blobs(8, 8, 2, seed=0)).dim == 8
     with pytest.raises(ValueError):
         LogisticProblem(synthetic_blobs(64, 4, 3, seed=0))
     # Finite features whose X'X overflows leave no Lipschitz constant, and
@@ -155,9 +158,9 @@ def test_logistic_sgd_run_decreases_loss():
 
 def test_lipschitz_constant_bounds_gradient_differences():
     rng = np.random.default_rng(9)
+    logistic = LogisticProblem(synthetic_blobs(128, 5, 2, seed=8))
     for prob, scale in ((QuadraticProblem([0.5, 2.0, 5.0]), 4.0),
-                        (LogisticProblem(synthetic_blobs(128, 5, 2, seed=8)),
-                         3.0)):
+                        (logistic, 3.0)):
         L = prob.L
         for _ in range(100):
             x = rng.normal(size=prob.dim) * scale
@@ -165,6 +168,11 @@ def test_lipschitz_constant_bounds_gradient_differences():
             lhs = np.linalg.norm(prob.loss_and_grad(x, None)[1]
                                  - prob.loss_and_grad(y, None)[1])
             assert lhs <= L * np.linalg.norm(x - y) + 1e-10
+    # The logistic bound is lambda_max(X'X) / (4n), the square of X's
+    # largest singular value over 4n, not merely some upper bound.
+    X = logistic.dataset.features
+    assert math.isclose(logistic.L, np.linalg.norm(X, 2) ** 2 / (4 * len(X)),
+                        rel_tol=1e-12)
 
 
 def test_mlp_uniform_logits_loss():

@@ -85,6 +85,10 @@ def test_step_reports_each_groups_direction_norm(rule):
         norms, *_ = step_columns(sched, np.zeros(7),
                                  np.array([0, 0, 0, 0, 0, np.inf, 1.0]))
         assert norms[3] == math.inf
+        # the rescale divides by the largest entry, not by a zero beside it
+        norms, *_ = step_columns(sched, np.zeros(7),
+                                 np.array([0, 0, 0, 0.0, 1e200, 0, 0]))
+        assert norms[2] == 1e200
 
 
 def test_dbd_first_step_rate_unchanged():

@@ -22,6 +22,9 @@ def test_dbd_iteration_bound_values():
     assert close(dbd_iteration_bound(
         TheoryParams(lipschitz_L=2, f_gap=1, gamma=0.5, epsilon=0.1)),
         2 * 2 * 1 / (0.75 * 0.01))
+    assert close(dbd_iteration_bound(
+        TheoryParams(lipschitz_L=2, f_gap=3, gamma=0.5, epsilon=0.1)),
+        2 * 2 * 3 / (0.75 * 0.01))
     # monotone decreasing toward 2*L*f_gap/eps^2 as gamma -> 0
     values = [dbd_iteration_bound(TheoryParams(gamma=g))
               for g in (0.9, 0.5, 0.1, 0.0)]
@@ -32,6 +35,9 @@ def test_dbd_iteration_bound_values():
 def test_rdbd_iteration_bound_values():
     assert close(rdbd_iteration_bound(
         TheoryParams(sigma=1, lipschitz_L=1, f_gap=1, gamma=0.5, epsilon=1)), 2.75)
+    assert close(rdbd_iteration_bound(
+        TheoryParams(sigma=2, lipschitz_L=3, f_gap=5, gamma=0.5, epsilon=0.5)),
+        2 * math.sqrt(3 * 5) * 2.75 / 0.25)
     base = rdbd_iteration_bound(TheoryParams(epsilon=0.2))
     assert close(rdbd_iteration_bound(TheoryParams(epsilon=0.1)), 4 * base)
     assert close(rdbd_iteration_bound(TheoryParams(gamma=0.0, epsilon=1.0)), 1.5)
@@ -88,6 +94,11 @@ def test_descent_coefficient_bound():
             assert close(rep.margin, 2 * L * (1 / (1 - gamma ** 2) - 1))
     rep = descent_coefficient_bound(1.0, 1.0, 0.0)
     assert rep.satisfied and close(rep.margin, 0.0)
+    # satisfied means lhs <= rhs + 1e-12, where lhs - rhs ~ 2 (alpha - 1)^2:
+    # the first alpha lands exactly on rhs + 1e-12, the second 1.5e-12 above
+    assert descent_coefficient_bound(1 + math.sqrt(5e-13), 1.0, 0.0).satisfied
+    assert not descent_coefficient_bound(1 + math.sqrt(7.5e-13), 1.0,
+                                         0.0).satisfied
     # envelope edge alpha = (1-gamma)/L gives equality
     rep = descent_coefficient_bound((1 - 0.5) / 1.0, 1.0, 0.5)
     assert rep.satisfied
@@ -96,8 +107,9 @@ def test_descent_coefficient_bound():
 
 
 def test_descent_coefficient_inapplicable_is_not_failure():
-    for alpha in (0.0, -0.5, 2.0, 5.0):
-        rep = descent_coefficient_bound(alpha, 1.0, 0.3)
+    for alpha, L in ((0.0, 1.0), (-0.5, 1.0), (2.0, 1.0), (5.0, 1.0),
+                     (2.0 / 2.5, 2.5)):   # the 2/L edge is excluded
+        rep = descent_coefficient_bound(alpha, L, 0.3)
         assert not rep.applicable
         assert rep.satisfied
         assert math.isnan(rep.empirical_value)
@@ -105,6 +117,7 @@ def test_descent_coefficient_inapplicable_is_not_failure():
 
 def test_steeper_descent_conditions():
     p = TheoryParams(lipschitz_L=1.0, sigma=1.0, mu=1.0)
+    assert p == TheoryParams()   # the defaults of L, sigma and mu
     assert steeper_descent_conditions(p, 2.0, 2.0) == (True, True)
     assert steeper_descent_conditions(p, 2.0 + 1e-9, 2.0) == (False, True)
     assert steeper_descent_conditions(p, 2.0, 2.0 + 1e-9) == (True, False)
@@ -112,6 +125,10 @@ def test_steeper_descent_conditions():
     p2 = TheoryParams(lipschitz_L=1.0, sigma=2.0, mu=1.0)
     assert steeper_descent_conditions(p2, 0.5, 0.1) == (True, True)
     assert steeper_descent_conditions(p2, 0.5 + 1e-9, 0.1) == (False, True)
+    # the alpha threshold is 2 mu / L
+    p3 = TheoryParams(lipschitz_L=2.0, sigma=1.0, mu=3.0)
+    assert steeper_descent_conditions(p3, 1.0, 3.0) == (True, True)
+    assert steeper_descent_conditions(p3, 1.0, 3.0 + 1e-9) == (True, False)
 
 
 @pytest.mark.parametrize("call", [
@@ -142,6 +159,10 @@ def test_measure_tau():
     tau, flagged = measure_tau([0.0, 1.0, 0.0, 2.0])
     assert tau == 0.0 and flagged == [2]
     assert measure_tau([0.0]) == (0.0, [])
+    # flagged means |h| <= rel_tol * max |h|, here 4e-9 against a largest 4
+    assert measure_tau([1.0, 4.0, 4e-9, 6e-9]) == (4e-9, [2])
+    assert measure_tau([1.0, 4.0, 4e-9, 6e-9], rel_tol=2e-9)[1] == [2, 3]
+    assert measure_tau([0.0, 0.0, 0.0]) == (0.0, [1, 2])
 
 
 def test_smoothness_inequality_on_known_L_problems():
