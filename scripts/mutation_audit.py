@@ -19,9 +19,12 @@ n becomes n - 1, and a float f becomes 2f, or 1.0 when f is 0).
 Each mutant is written, as `ast.unparse` prints it, into a copy of the
 repository (`src`, `tests`, `scripts`, `perfbench`, `pyproject.toml`),
 where the tier-1 command runs with `-x` in a child process. The audit
-prints one line per mutant, `<file>:<line>:<col> <scope> <kind> <from> ->
-<to> <verdict>`, where the verdict is `killed` (the tests failed),
-`survived` (they passed) or `timeout`, then a count of each per target.
+prints one line per mutant, `<file>:<site> <scope> <kind> <from> -> <to>
+<verdict>`, where the site is the mutated node's `<line>:<col>-<end
+line>:<end col>`, followed by `#<i>` for the i-th operator of a chained
+comparison, so no two sites of a module share one, and the verdict is
+`killed` (the tests failed), `survived` (they passed) or `timeout`, then
+a count of each per target.
 With `--matrix <test file>`, only that file runs, without `-x`, and each
 line ends with the ids of the tests that failed; the audit then names
 each test whose kill set, over every target, is a subset of another
@@ -101,11 +104,14 @@ class _Mutator(ast.NodeTransformer):
 
     visit_ClassDef = visit_FunctionDef = visit_AsyncFunctionDef = _named
 
-    def _site(self, node, kind, before, after):
-        """Number one site; True when it is the one to apply."""
+    def _site(self, node, kind, before, after, op=""):
+        """Number one site, labelled by its node's start and end and, in
+        a chained comparison, `op`, the operator's index; True when it is
+        the one to apply."""
         if self.path[:len(self.scope)] != self.scope:
             return False
-        self.sites.append(f"{node.lineno}:{node.col_offset} "
+        self.sites.append(f"{node.lineno}:{node.col_offset}-{node.end_lineno}:"
+                          f"{node.end_col_offset}{op} "
                           f"{'.'.join(self.path) or '<module>'} {kind} "
                           f"{before} -> {after}")
         return len(self.sites) - 1 == self.chosen
@@ -114,7 +120,8 @@ class _Mutator(ast.NodeTransformer):
         self.generic_visit(node)
         for i, op in enumerate(node.ops):
             new = COMPARE[type(op)]
-            if self._site(node, "compare", SYMBOL[type(op)], SYMBOL[new]):
+            if self._site(node, "compare", SYMBOL[type(op)], SYMBOL[new],
+                          f"#{i}" if len(node.ops) > 1 else ""):
                 node.ops[i] = new()
         return node
 
@@ -162,20 +169,22 @@ class _Mutator(ast.NodeTransformer):
         return node
 
 
-def mutants(source, scope):
-    """[(label, mutated tree)] of every site of the module `source` inside
-    `scope`, a list of class and function names (empty for the whole
-    module), in source walk order. ValueError when the module has no such
-    scope."""
+def sites(source, scope):
+    """The label of every site of the module `source` inside `scope`, a
+    list of class and function names (empty for the whole module), in
+    source walk order. ValueError when the module has no such scope."""
     counter = _Mutator(scope)
     counter.visit(ast.parse(source))
     if not counter.entered:
         raise ValueError(f"no {'.'.join(scope)} in the module")
-    out = []
-    for k, label in enumerate(counter.sites):
-        mutant = _Mutator(scope, k).visit(ast.parse(source))
-        out.append((label, ast.fix_missing_locations(mutant)))
-    return out
+    return counter.sites
+
+
+def mutants(source, scope):
+    """[(label, mutated tree)] of every site of `sites(source, scope)`."""
+    return [(label, ast.fix_missing_locations(
+                _Mutator(scope, k).visit(ast.parse(source))))
+            for k, label in enumerate(sites(source, scope))]
 
 
 def _run(workdir, argv, timeout):

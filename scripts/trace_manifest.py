@@ -44,8 +44,12 @@ files of `rdbd sweep --preset batch-size-impact --seed 0 --out <dir>`, and
 the `comparison.csv` of `rdbd compare --preset mlp-blobs-demo --optimizers
 rdbd,sgd --seeds 2 --steps 300 --out <dir>/` under `--metric
 min_grad_norm` and under `--metric steps_to_threshold --threshold 1.11`.
-The `logistic-adam-rdbd` preset sets `eta` and `alpha_max`, which carry
-over to `adam_rdbd` only, so its line guards that rule. The first sweep's
+The `logistic-adam-rdbd` preset's `eta` (5e-7) and `alpha_max` (0.05)
+equal `adam_rdbd`'s own defaults, so its line would not move if they
+stopped carrying over to the base optimizer; the rule that they carry
+over to it only is guarded by `tests/test_harness.py::
+test_compare_carries_eta_and_alpha_max_to_the_base_optimizer_only`, at
+eta 0.02 and alpha_max 0.05. The first sweep's
 axis is `alpha0`; the second's is `batch_size`, which is part of the
 problem signature, so the two guard both kinds of sweep axis. The last
 two guard the other two metric readers on a six-group trace; every one

@@ -56,7 +56,6 @@ class BoundReport:
     a failure) and the numeric fields are NaN.
     """
 
-    name: str
     theoretical_value: float
     empirical_value: float
     satisfied: bool
@@ -112,15 +111,13 @@ def descent_coefficient_bound(alpha_t: float, L: float, gamma: float) -> BoundRe
     gamma lies in [0, 1).
     """
     TheoryParams(lipschitz_L=L, gamma=gamma)
-    name = "descent_coefficient"
     rhs = 2.0 * L / (1.0 - gamma ** 2)
     if not (0.0 < alpha_t < 2.0 / L):
-        return BoundReport(name=name, theoretical_value=rhs,
-                           empirical_value=math.nan, satisfied=True,
-                           margin=math.nan, applicable=False)
+        return BoundReport(theoretical_value=rhs, empirical_value=math.nan,
+                           satisfied=True, margin=math.nan, applicable=False)
     lhs = 2.0 / (2.0 * alpha_t - alpha_t ** 2 * L)
     margin = rhs - lhs
-    return BoundReport(name=name, theoretical_value=rhs, empirical_value=lhs,
+    return BoundReport(theoretical_value=rhs, empirical_value=lhs,
                        satisfied=lhs <= rhs + 1e-12, margin=margin)
 
 

@@ -1,4 +1,6 @@
 import dataclasses
+import functools
+import gc
 import gzip
 import math
 import os
@@ -14,9 +16,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rdbd import harness
+from rdbd import cli, harness
 from rdbd.cli import build_parser, main, parse_config_file
-from rdbd.data import Dataset
+from rdbd.data import Dataset, batch_stream
 from rdbd.harness import (ConfigError, MissingDataError, NumericError,
                           OPTIMIZERS, PRESETS, RunConfig, SWEEPS, Trace,
                           check_alpha_envelope, check_revert_flags, compare,
@@ -30,6 +32,35 @@ ROOT = Path(__file__).resolve().parent.parent
 QUICK = RunConfig(problem="logistic", optimizer="rdbd", alpha0=0.005,
                   eta=0.01, batch_size=16, steps=120, seed=1, n_samples=256,
                   dim=8, problem_seed=3, eval_every=25)
+
+
+def _patch_problem(monkeypatch, **wrappers):
+    """Make every problem that `harness.run` builds from now on call
+    `wrapper(problem, original, *args)` in place of each method that
+    `wrappers` names, `original` being that problem's own method."""
+    build = harness.build_problem
+
+    def patched_build(config):
+        problem = build(config)
+        for name, wrapper in wrappers.items():
+            monkeypatch.setattr(problem, name, functools.partial(
+                wrapper, problem, getattr(problem, name)))
+        return problem
+
+    monkeypatch.setattr(harness, "build_problem", patched_build)
+
+
+def _count_oracle_calls(monkeypatch):
+    """The list to which every oracle call of the runs from now on appends
+    its batch."""
+    calls = []
+
+    def loss_and_grad(problem, oracle, x, batch):
+        calls.append(batch)
+        return oracle(x, batch)
+
+    _patch_problem(monkeypatch, loss_and_grad=loss_and_grad)
+    return calls
 
 
 @pytest.mark.parametrize("setting, text", [
@@ -279,9 +310,6 @@ def test_trace_checks_find_the_rows_a_per_row_check_finds():
 
 
 def test_a_trace_holds_its_array_and_little_else():
-    import gc
-    import tracemalloc
-
     cfg = preset("logistic-default")
     run(cfg)    # fills the dataset cache and every lazy import
     gc.collect()
@@ -366,8 +394,6 @@ def test_compare_rejects_a_bad_grid():
 
 def test_compare_checks_every_input_before_the_first_run(tmp_path,
                                                           monkeypatch):
-    from rdbd import harness
-
     runs = []
     monkeypatch.setattr(harness, "run", runs.append)
     out = tmp_path / "d"
@@ -382,8 +408,6 @@ def test_compare_checks_every_input_before_the_first_run(tmp_path,
 
 def test_compare_carries_eta_and_alpha_max_to_the_base_optimizer_only(
         tmp_path, monkeypatch, capsys):
-    from rdbd import harness
-
     runs = []
     monkeypatch.setattr(harness, "run", lambda cfg: runs.append(cfg) or run(cfg))
     compare(dataclasses.replace(QUICK, eta=0.02, alpha_max=0.05),
@@ -412,8 +436,6 @@ def test_compare_carries_eta_and_alpha_max_to_the_base_optimizer_only(
 def test_compare_calls_the_module_level_run_once_per_cell(monkeypatch,
                                                            capsys):
     # The benchmark counts compare's runs by patching harness.run.
-    from rdbd import harness
-
     calls = []
 
     def counting_run(cfg):
@@ -565,8 +587,6 @@ def test_presets_and_reserved():
 ])
 def test_sweep_runs_its_preset_over_the_axis(tmp_path, monkeypatch, capsys,
                                              name, axis, values):
-    from rdbd import cli
-
     runs = []
 
     def recorded_run(cfg):
@@ -984,23 +1004,7 @@ def test_cli_sweep_checks_every_output_before_the_first_run(tmp_path, capsys,
 ])
 def test_cli_unwritable_out_exits_with_config_error_before_any_step(
         tmp_path, monkeypatch, capsys, argv):
-    from rdbd import harness
-
-    build = harness.build_problem
-    calls = []
-
-    def counting_build(config):
-        problem = build(config)
-        oracle = problem.loss_and_grad
-
-        def loss_and_grad(x, batch):
-            calls.append(batch)
-            return oracle(x, batch)
-
-        monkeypatch.setattr(problem, "loss_and_grad", loss_and_grad)
-        return problem
-
-    monkeypatch.setattr(harness, "build_problem", counting_build)
+    calls = _count_oracle_calls(monkeypatch)
     file = tmp_path / "file"
     file.write_text("kept\n")
     assert main([arg.format(file=file) for arg in argv]) == 2
@@ -1067,8 +1071,6 @@ def test_compare_names_no_winner_when_no_median_is_finite(tmp_path, capsys):
 @pytest.mark.parametrize("metric", ["final_loss", "min_grad_norm"])
 def test_compare_without_a_finite_median_names_no_threshold_its_metric_ignores(
         monkeypatch, capsys, metric):
-    from rdbd import cli
-
     def infinite(base, optimizers, seeds, metric, threshold, out):
         return [harness.ComparisonRow(opt, metric, math.inf, math.inf,
                                       [math.inf] * seeds)
@@ -1110,8 +1112,7 @@ def test_cli_sweep(tmp_path, monkeypatch, capsys):
         SWEEPS, "tiny-demo",
         ("logistic-default", "alpha0", [0.01, 0.001]))
     monkeypatch.setitem(
-        __import__("rdbd.harness", fromlist=["PRESETS"]).PRESETS,
-        "logistic-default",
+        PRESETS, "logistic-default",
         dataclasses.replace(preset("logistic-default"), steps=50,
                             n_samples=128, dim=6))
     code = main(["sweep", "--preset", "tiny-demo", "--out", str(tmp_path)])
@@ -1203,23 +1204,7 @@ def test_cli_bad_input_exits_with_config_error(tmp_path, capsys, argv,
 
 
 def test_run_makes_one_oracle_call_per_step(monkeypatch):
-    from rdbd import harness
-
-    calls = []
-    build = harness.build_problem
-
-    def counting_build(config):
-        problem = build(config)
-        oracle = problem.loss_and_grad
-
-        def loss_and_grad(x, batch):
-            calls.append(batch)
-            return oracle(x, batch)
-
-        monkeypatch.setattr(problem, "loss_and_grad", loss_and_grad)
-        return problem
-
-    monkeypatch.setattr(harness, "build_problem", counting_build)
+    calls = _count_oracle_calls(monkeypatch)
     for cfg in (QUICK, dataclasses.replace(QUICK, grad_noise=0.2),
                 preset("quadratic-dbd")):
         calls.clear()
@@ -1240,24 +1225,14 @@ def test_run_adds_replayable_gradient_noise(monkeypatch, cfg):
     # run draws one gate per step from a stream seeded problem_seed + 1,
     # then one uniform(-grad_noise, grad_noise) vector when the gate opens;
     # the eval draws nothing. A reference stream replays every SGD step.
-    from rdbd import harness
-
     calls = []
-    build = harness.build_problem
 
-    def recording_build(config):
-        problem = build(config)
-        oracle = problem.loss_and_grad
+    def loss_and_grad(problem, oracle, x, batch):
+        loss, grad = oracle(x, batch)
+        calls.append((x.copy(), grad, grad.copy()))
+        return loss, grad
 
-        def loss_and_grad(x, batch):
-            loss, grad = oracle(x, batch)
-            calls.append((x.copy(), grad, grad.copy()))
-            return loss, grad
-
-        monkeypatch.setattr(problem, "loss_and_grad", loss_and_grad)
-        return problem
-
-    monkeypatch.setattr(harness, "build_problem", recording_build)
+    _patch_problem(monkeypatch, loss_and_grad=loss_and_grad)
     cfg = dataclasses.replace(cfg, optimizer="sgd", steps=40)
     run(cfg)
     assert len(calls) == 40
@@ -1277,8 +1252,6 @@ def test_run_adds_replayable_gradient_noise(monkeypatch, cfg):
 def _force_overlap(monkeypatch):
     """Put every full-dataset eval on the run's worker thread, whatever the
     problem's size."""
-    from rdbd import harness
-
     monkeypatch.setattr(harness, "_OVERLAP_EVAL_SIZE", 1)
 
 
@@ -1319,27 +1292,16 @@ def test_diverging_sampled_run_raises_and_flushes_overlapped(
 
 def _set_b1_gradient_at_step_3(monkeypatch, value):
     """Make the third oracle call of the next run return `value` on b1."""
-    from rdbd import harness
-
-    build = harness.build_problem
     calls = []
 
-    def build_with_bad_b1(config):
-        problem = build(config)
-        oracle = problem.loss_and_grad
-        b1 = dict(problem.segments)["b1"]
+    def loss_and_grad(problem, oracle, x, batch):
+        loss, grad = oracle(x, batch)
+        calls.append(batch)
+        if len(calls) == 3:
+            grad[dict(problem.segments)["b1"]] = value
+        return loss, grad
 
-        def loss_and_grad(x, batch):
-            loss, grad = oracle(x, batch)
-            calls.append(batch)
-            if len(calls) == 3:
-                grad[b1] = value
-            return loss, grad
-
-        monkeypatch.setattr(problem, "loss_and_grad", loss_and_grad)
-        return problem
-
-    monkeypatch.setattr(harness, "build_problem", build_with_bad_b1)
+    _patch_problem(monkeypatch, loss_and_grad=loss_and_grad)
 
 
 NON_FINITE_CASES = pytest.mark.parametrize("optimizer, value, detail", [
@@ -1405,44 +1367,32 @@ def test_finite_gradient_whose_norm_overflows_is_not_non_finite(
 
 
 def test_all_finite_needs_no_finite_sum_of_squares():
-    from rdbd.harness import _all_finite
-
     # The sum of squares overflows, yet every entry is finite. run calls
     # the check with overflow warnings off, and so does this test.
     with np.errstate(over="ignore"):
-        assert _all_finite(np.array([1e200, 1.0]))
-        assert _all_finite(np.full(7, -1e300))
+        assert harness._all_finite(np.array([1e200, 1.0]))
+        assert harness._all_finite(np.full(7, -1e300))
     for bad in (np.nan, np.inf, -np.inf):
         for index in (0, 3, 6):
             v = np.ones(7)
             v[index] = bad
-            assert not _all_finite(v)
+            assert not harness._all_finite(v)
 
 
 @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
 def test_run_stopped_inside_the_loop_leaves_its_partial_trace(
         tmp_path, monkeypatch, error):
-    from rdbd import harness
-
-    build = harness.build_problem
     calls = []
 
-    def build_failing_at_step_3(config):
-        problem = build(config)
-        oracle = problem.loss_and_grad
-
-        def loss_and_grad(x, batch):
-            calls.append(batch)
-            if len(calls) == 3:
-                raise error("oracle failed")
-            return oracle(x, batch)
-
-        monkeypatch.setattr(problem, "loss_and_grad", loss_and_grad)
-        return problem
+    def loss_and_grad(problem, oracle, x, batch):
+        calls.append(batch)
+        if len(calls) == 3:
+            raise error("oracle failed")
+        return oracle(x, batch)
 
     full = tmp_path / "full.csv"
     run(dataclasses.replace(QUICK, out=str(full)))
-    monkeypatch.setattr(harness, "build_problem", build_failing_at_step_3)
+    _patch_problem(monkeypatch, loss_and_grad=loss_and_grad)
     path = tmp_path / "t.csv"
     with pytest.raises(error, match="oracle failed"):
         run(dataclasses.replace(QUICK, out=str(path)))
@@ -1504,21 +1454,13 @@ def test_no_eval_sees_its_weights_change_after_it_starts(monkeypatch,
                                                          overlapped, name):
     # Every eval is deferred, so each must get weights the steps after it
     # cannot move.
-    build = harness.build_problem
     evals = []
 
-    def build_recording_evals(config):
-        problem = build(config)
-        loss = problem.loss
+    def recording_loss(problem, loss, x):
+        evals.append((x, x.copy()))
+        return loss(x)
 
-        def recording_loss(x):
-            evals.append((x, x.copy()))
-            return loss(x)
-
-        monkeypatch.setattr(problem, "loss", recording_loss)
-        return problem
-
-    monkeypatch.setattr(harness, "build_problem", build_recording_evals)
+    _patch_problem(monkeypatch, loss=recording_loss)
     trace = run(preset(name))
     assert len(evals) == np.count_nonzero(~np.isnan(trace.full_loss))
     for x, snapshot in evals:
@@ -1550,38 +1492,26 @@ def test_small_problems_start_no_thread_and_large_ones_do(monkeypatch):
 @pytest.mark.parametrize("eval_fails", [False, True])
 def test_failure_while_an_eval_is_pending_flushes_its_full_loss(
         tmp_path, monkeypatch, overlapped, error, eval_fails):
-    from rdbd import harness
-
     full = tmp_path / "full.csv"
     run(dataclasses.replace(QUICK, out=str(full)))
-    build = harness.build_problem
     failed = threading.Event()
-    evals = []
+    calls, evals = [], []
 
-    def build_failing_at_step_30(config):
-        problem = build(config)
-        oracle, loss = problem.loss_and_grad, problem.loss
-        calls = []
+    def loss_and_grad(problem, oracle, x, batch):
+        calls.append(batch)
+        if len(calls) == 30:
+            failed.set()
+            raise error("oracle failed")
+        return oracle(x, batch)
 
-        def loss_and_grad(x, batch):
-            calls.append(batch)
-            if len(calls) == 30:
-                failed.set()
-                raise error("oracle failed")
-            return oracle(x, batch)
+    def slow_loss(problem, loss, x):
+        # On a thread, the step-25 eval is still running when step 30
+        # fails; in order, it starts only once step 30 has failed.
+        if overlapped:
+            evals.append(failed.wait(timeout=30))
+        return math.inf if eval_fails else loss(x)
 
-        def slow_loss(x):
-            # On a thread, the step-25 eval is still running when step 30
-            # fails; in order, it starts only once step 30 has failed.
-            if overlapped:
-                evals.append(failed.wait(timeout=30))
-            return math.inf if eval_fails else loss(x)
-
-        monkeypatch.setattr(problem, "loss_and_grad", loss_and_grad)
-        monkeypatch.setattr(problem, "loss", slow_loss)
-        return problem
-
-    monkeypatch.setattr(harness, "build_problem", build_failing_at_step_30)
+    _patch_problem(monkeypatch, loss_and_grad=loss_and_grad, loss=slow_loss)
     path = tmp_path / "t.csv"
     threads = threading.active_count()
     # A failed step-25 eval wins over the later failure, as it would in order.
@@ -1602,27 +1532,17 @@ def test_failure_while_an_eval_is_pending_flushes_its_full_loss(
 @pytest.mark.parametrize("eval_step", [25, 50])
 def test_eval_that_raises_raises_the_same_exception(tmp_path, monkeypatch,
                                                     overlapped, eval_step):
-    from rdbd import harness
-
     full = tmp_path / "full.csv"
     run(dataclasses.replace(QUICK, out=str(full)))
-    build = harness.build_problem
-    boom = ValueError("eval failed")
+    boom, evals = ValueError("eval failed"), []
 
-    def build_with_failing_eval(config):
-        problem = build(config)
-        loss, evals = problem.loss, []
+    def failing_loss(problem, loss, x):
+        evals.append(x)
+        if len(evals) == eval_step // QUICK.eval_every:
+            raise boom
+        return loss(x)
 
-        def failing_loss(x):
-            evals.append(x)
-            if len(evals) == eval_step // QUICK.eval_every:
-                raise boom
-            return loss(x)
-
-        monkeypatch.setattr(problem, "loss", failing_loss)
-        return problem
-
-    monkeypatch.setattr(harness, "build_problem", build_with_failing_eval)
+    _patch_problem(monkeypatch, loss=failing_loss)
     path = tmp_path / "t.csv"
     threads = threading.active_count()
     with pytest.raises(ValueError) as info:
@@ -1649,15 +1569,14 @@ def test_overlapped_eval_that_overflows_does_not_warn(overlapped):
 
 @pytest.mark.parametrize("name", ["mlp-blobs-demo", "logistic-default"])
 def test_mlp_blobs_runs_share_one_read_only_dataset(name):
-    from rdbd.harness import build_problem
-
     cfg = preset(name)
-    first = build_problem(cfg)
-    again = build_problem(dataclasses.replace(cfg, seed=cfg.seed + 1))
+    first = harness.build_problem(cfg)
+    again = harness.build_problem(dataclasses.replace(cfg, seed=cfg.seed + 1))
     assert again.dataset is first.dataset
     assert not first.dataset.features.flags.writeable
     assert not first.dataset.labels.flags.writeable
-    other = build_problem(dataclasses.replace(cfg, problem_seed=cfg.problem_seed + 1))
+    other = harness.build_problem(
+        dataclasses.replace(cfg, problem_seed=cfg.problem_seed + 1))
     assert other.dataset is not first.dataset
     assert not np.array_equal(other.dataset.features, first.dataset.features)
     # A repeated run still reproduces its trace exactly.
@@ -1692,11 +1611,8 @@ def _per_group_reference(cfg):
     revert mask and the increment a revert takes back. Also returns how
     many reverts took back an increment that a clamp had cut.
     """
-    from rdbd.data import batch_stream
-    from rdbd.harness import build_problem
-
     cfg = cfg.resolved()
-    problem = build_problem(cfg)
+    problem = harness.build_problem(cfg)
     init_ss, batch_ss = np.random.SeedSequence(cfg.seed).spawn(2)
     x = problem.initial_point(np.random.default_rng(init_ss))
     batches = batch_stream(problem.n_samples, cfg.batch_size, batch_ss)
@@ -1779,8 +1695,6 @@ def test_step_writes_only_its_groups_cells_of_a_trace_row(optimizer):
     group's four cells with the per-group reference values and leaves
     `step`, `loss` and `full_loss` alone; a block of another shape raises
     before anything moves."""
-    from rdbd.data import batch_stream
-
     cfg = dataclasses.replace(preset("mlp-blobs-demo"), optimizer=optimizer,
                               eta=None, steps=4).resolved()
     reference, _ = _per_group_reference(cfg)

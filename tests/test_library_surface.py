@@ -2,13 +2,16 @@
 src/rdbd, bar those in UNGUARDED, is read somewhere in src/rdbd besides its
 own definition and the package re-exports. A public name is a top-level
 function, class or constant whose name does not start with "_", or a
-method, property, class attribute or annotated field of such a class
-likewise named. A new module is guarded from the start. Test-only oracles
-live in tests/reference.py.
+method, property, class attribute, annotated field or `self.<name>`
+instance attribute of such a class likewise named. A new module is
+guarded from the start. Test-only oracles live in tests/reference.py.
 
-The check matches by name alone: a read of `x.loss` counts for every
-`loss` the library defines, so a method whose name some other attribute
-also uses, such as `TraceRecord.loss`, counts as used.
+A top-level name counts as read as a bare name or as an attribute; a
+class member only as an attribute, so a local variable of the same name
+does not count. The check matches attributes by name alone: a read of
+`x.loss` counts for every `loss` member the library defines, so a method
+whose name some other attribute also uses, such as `TraceRecord.loss`,
+counts as used.
 
 WAITING lists, one by one, the public names that may still lack a caller,
 each with the ROADMAP item it waits on. The test fails on an unused name
@@ -34,6 +37,7 @@ WAITING = {
     "harness.RunConfig.problem_signature": "items 1 and 10 (perfbench reads it)",
     "harness.TraceRecord.grad_norms": "items 1 and 10 (perfbench reads it)",
     "harness.check_alpha_envelope": "item 3",
+    "problems.Problem.L": "item 3",
     "theory.steeper_descent_conditions": "item 3",
     "theory.measure_tau": "item 3",
     "theory.rdbd_theoretical_hyperparams": "items 3 and 8",
@@ -44,6 +48,7 @@ WAITING = {
     "theory.BoundReport.empirical_value": "items 3 and 7",
     "theory.BoundReport.satisfied": "items 3 and 7",
     "theory.BoundReport.applicable": "items 3 and 7",
+    "theory.BoundReport.margin": "items 3 and 7",
 }
 
 
@@ -53,13 +58,17 @@ def _tree(module):
 
 
 def _read_names(node):
-    """name -> how often node reads it, as a bare name or as an attribute."""
+    """name -> how often node reads it as a bare name, and ".name" -> how
+    often it reads it as an attribute."""
     counts = {}
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
-            counts[sub.id] = counts.get(sub.id, 0) + 1
+            key = sub.id
         elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
-            counts[sub.attr] = counts.get(sub.attr, 0) + 1
+            key = "." + sub.attr
+        else:
+            continue
+        counts[key] = counts.get(key, 0) + 1
     return counts
 
 
@@ -88,30 +97,56 @@ def _names_defined(stmt):
     return [name for name in names if not name.startswith("_")]
 
 
+def _self_attributes(method):
+    """(name, statement) for each public `self.<name>` a method assigns."""
+    for stmt in ast.walk(method):
+        if isinstance(stmt, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = getattr(stmt, "targets", None) or [stmt.target]
+            for sub in (sub for t in targets for sub in ast.walk(t)):
+                if (isinstance(sub, ast.Attribute)
+                        and isinstance(sub.value, ast.Name)
+                        and sub.value.id == "self"
+                        and not sub.attr.startswith("_")):
+                    yield sub.attr, stmt
+
+
 def _public_definitions(module):
-    """(qualified name, bare name, the node that defines it) for each public
-    name of module: its top-level ones, and those of its public classes."""
+    """qualified name -> (the read keys that count for it, the nodes that
+    define it) for each public name of module: its top-level ones, and
+    those of its public classes."""
+    found = {}
+
+    def add(qualified, keys, node):
+        found.setdefault(qualified, (keys, []))[1].append(node)
+
     for stmt in _tree(module).body:
         for name in _names_defined(stmt):
-            yield f"{module}.{name}", name, stmt
+            add(f"{module}.{name}", (name, "." + name), stmt)
             if isinstance(stmt, ast.ClassDef):
                 for item in stmt.body:
                     for attr in _names_defined(item):
-                        yield f"{module}.{name}.{attr}", attr, item
+                        add(f"{module}.{name}.{attr}", ("." + attr,), item)
+                    if isinstance(item, ast.FunctionDef):
+                        for attr, node in _self_attributes(item):
+                            add(f"{module}.{name}.{attr}", ("." + attr,), node)
+    return found
 
 
 @pytest.mark.parametrize("module", GUARDED)
 def test_every_public_name_has_a_caller_in_the_library(module):
     reads = _library_reads()
-    defined, unused = set(), set()
-    for qualified, name, node in _public_definitions(module):
-        defined.add(qualified)
-        if reads.get(name, 0) == _read_names(node).get(name, 0):
+    defined = _public_definitions(module)
+    unused = set()
+    for qualified, (keys, nodes) in defined.items():
+        own = [_read_names(node) for node in nodes]
+        if all(reads.get(k, 0) == sum(o.get(k, 0) for o in own)
+               for k in keys):
             unused.add(qualified)
     waiting = {name for name in WAITING if name.split(".")[0] == module}
     assert sorted(unused - waiting) == [], (
         f"rdbd.{module} defines names only tests use")
-    assert sorted(waiting - defined) == [], "WAITING lists names that are gone"
+    assert sorted(waiting - set(defined)) == [], (
+        "WAITING lists names that are gone")
     assert sorted(waiting - unused) == [], (
         "WAITING lists names that now have a caller in the library")
 

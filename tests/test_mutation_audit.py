@@ -1,9 +1,12 @@
 """The mutant generator of `scripts/mutation_audit.py`, without running a
-mutant: each mutant compiles and changes exactly one node."""
+mutant: each mutant compiles and changes exactly one node, and each site
+has its own label."""
 
 import ast
 import importlib.util
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 _spec = importlib.util.spec_from_file_location(
@@ -42,3 +45,13 @@ def test_mutants_of_the_kernel_step_are_stable_compile_and_change_one_node():
     for label, mutant in found:
         compile(mutant, label, "exec")
         assert _differing_nodes(tree, mutant) == 1, label
+
+
+@pytest.mark.parametrize("module", sorted(
+    path.stem for path in (ROOT / "src" / "rdbd").glob("*.py")))
+def test_every_site_of_a_module_has_its_own_label(module):
+    # Nested operators can start at one column, and the operators of a
+    # chained comparison share one node.
+    source = (ROOT / "src" / "rdbd" / f"{module}.py").read_text()
+    sites = [label.split()[0] for label in audit.sites(source, [])]
+    assert len(set(sites)) == len(sites)
