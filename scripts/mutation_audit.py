@@ -35,7 +35,10 @@ stopped, with every process it started, after `TIMEOUT_FACTOR` times the
 clean run's time: each copy runs the tests once unmutated, and must pass,
 before its first mutant. Some mutants loop forever (a `while` whose exit
 test flips), and others allocate without bound. One copy per core, at
-most two, run side by side. Not part of tier-1: the whole suite per
+most two, run side by side. A mutant that times out runs once more, with
+the same timeout, while no other copy runs, so a kill slowed down by the
+load beside it is not reported as a timeout; the count of each target
+says how many mutants were re-run. Not part of tier-1: the whole suite per
 mutant makes a module take minutes, and the whole package about 35
 minutes on two cores.
 """
@@ -50,6 +53,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 import xml.etree.ElementTree as ET
 from concurrent.futures import ThreadPoolExecutor
@@ -252,6 +256,40 @@ class _Copy:
         return verdict, failed, seconds
 
 
+def verdicts(copies, found):
+    """(verdict, failed test ids, re-run) of each mutant of `found`, in
+    order, run side by side on `copies`. A mutant that times out runs
+    again on one copy while the others stay idle; `re-run` says so."""
+    free, gate = queue.SimpleQueue(), threading.Lock()
+    for c in copies:
+        free.put(c)
+
+    def audit(mutant):
+        _, module, _, tree = mutant
+        source = ast.unparse(tree) + "\n"
+        with gate:
+            c = free.get()
+        try:
+            verdict, failed, _ = c.run(module, source)
+        finally:
+            free.put(c)
+        if verdict != "timeout":
+            return verdict, failed, False
+        # Holding the gate keeps every copy from being handed out, so the
+        # re-run starts once the other copies are back and runs alone.
+        with gate:
+            held = [free.get() for _ in copies]
+            try:
+                verdict, failed, _ = held[0].run(module, source)
+            finally:
+                for c in held:
+                    free.put(c)
+        return verdict, failed, True
+
+    with ThreadPoolExecutor(len(copies)) as pool:
+        yield from pool.map(audit, found)
+
+
 def _subsumed(kills):
     """(test, other) for each test whose kill set is a subset of another's,
     `other` being the largest such superset; of two tests with equal sets,
@@ -299,32 +337,22 @@ def main(argv=None):
               f"run {max(s for _, _, s in clean):.1f} s, timeout "
               f"{copies[0].timeout:.1f} s", flush=True)
 
-        free = queue.SimpleQueue()
-        for c in copies:
-            free.put(c)
-
-        def audit(mutant):
-            target, module, label, tree = mutant
-            c = free.get()
-            try:
-                verdict, failed, _ = c.run(module, ast.unparse(tree) + "\n")
-            finally:
-                free.put(c)
-            return target, module, label, verdict, failed
-
         counts, kills = {t: {} for t in args.targets}, {}
-        with ThreadPoolExecutor(len(copies)) as pool:
-            for k, (target, module, label, verdict, failed) in enumerate(
-                    pool.map(audit, found)):
-                counts[target][verdict] = counts[target].get(verdict, 0) + 1
-                for test in failed:
-                    kills.setdefault(test, set()).add(k)
-                print(f"src/rdbd/{module}.py:{label} {verdict}"
-                      + "".join(f" {t}" for t in failed), flush=True)
+        reruns = dict.fromkeys(args.targets, 0)
+        for k, ((target, module, label, _), (verdict, failed, rerun)) in \
+                enumerate(zip(found, verdicts(copies, found))):
+            counts[target][verdict] = counts[target].get(verdict, 0) + 1
+            reruns[target] += rerun
+            for test in failed:
+                kills.setdefault(test, set()).add(k)
+            print(f"src/rdbd/{module}.py:{label} {verdict}"
+                  + "".join(f" {t}" for t in failed), flush=True)
     for target, count in counts.items():
         print(f"# {target}: " + (", ".join(f"{n} {v}" for v, n in
                                            sorted(count.items()))
-                                 or "no mutants"))
+                                 or "no mutants")
+              + (f"; {reruns[target]} timed out and ran again alone"
+                 if reruns[target] else ""))
     if args.matrix:
         for a, b in _subsumed(kills):
             print(f"# subsumed: {a} ({len(kills[a])}) <= {b} ({len(kills[b])})")

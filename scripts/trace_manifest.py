@@ -10,8 +10,8 @@ moved. `tests/test_trace_manifest.py` compares every line with
 `tests/golden/trace_manifest.txt`. The first line, `# python ...`, names
 the Python, numpy and BLAS versions and the machine type, which the hashes
 depend on; every other line is `<label> seed=<n> <sha256>`. rdbd is
-imported from the `src/` next to this script, and the IDX writer from
-`tests/reference.py`.
+imported from the `src/` next to this script, and the MNIST file writer
+from `tests/reference.py`.
 BLAS is pinned to one thread before numpy loads, as in `perfbench/run.py`:
 the last bits of the MLP gradient depend on OpenBLAS's thread count, so
 without the pin the MLP lines would differ between machines. The lines are
@@ -93,7 +93,7 @@ import numpy as np  # noqa: E402
 from rdbd import cli, harness  # noqa: E402
 from rdbd.data import synthetic_blobs  # noqa: E402
 from rdbd.harness import RunConfig  # noqa: E402
-from reference import serialize_idx  # noqa: E402
+from reference import write_mnist  # noqa: E402
 from workloads import HERMETIC_PRESETS, MLP_784  # noqa: E402
 
 
@@ -154,17 +154,6 @@ DATASETS = (("mlp-784", (2048, 784, 10, 7, 4.0)),
             ("logistic-default", (2048, 20, 2, 7, 4.0)))
 
 
-def write_mnist(directory, rows=80):
-    """Write a seeded IDX pair of `rows` 4x4 images and their labels, which
-    run through 0-9 in turn, as the MNIST training files."""
-    images = np.random.default_rng(6).integers(0, 256, (rows, 4, 4),
-                                               dtype=np.uint8)
-    labels = (np.arange(rows) % 10).astype(np.uint8)
-    for name, array in (("train-images-idx3-ubyte", images),
-                        ("train-labels-idx1-ubyte", labels)):
-        Path(directory, name).write_bytes(serialize_idx(array))
-
-
 def digest(path):
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
@@ -209,7 +198,7 @@ def mnist_lines():
     with tempfile.TemporaryDirectory() as tmp:
         mnist_dir = Path(tmp) / "mnist"
         mnist_dir.mkdir()
-        write_mnist(mnist_dir)
+        write_mnist(mnist_dir, side=4, gzipped=())
         path = str(Path(tmp) / "trace.csv")
         harness.run(dataclasses.replace(
             harness.preset("mnist-default"), layer_sizes=(16, 8, 10),

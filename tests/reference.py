@@ -1,14 +1,20 @@
 """Reference oracles the tests check the library against: a finite-difference
 gradient, an empirical update-norm bound, a revert-exactness predicate, an
 IDX serializer, and the dataset builders as they were before each dataset
-was built at its final size. Nothing in a run calls them. `step_columns`
-steps a schedule and reads its report back as lists."""
+was built at its final size. Nothing in a run calls them. Beside them, the
+fixtures the test files share: `one_group`, `step_columns`, `write_mnist`
+and `traced_memory`."""
 
+import gzip
+import math
 import struct
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 
 from rdbd.data import IMAGES_MAGIC, LABELS_MAGIC, Dataset, stratified_rows
+from rdbd.schedulers import FlatSchedule
 
 
 def finite_difference_gradient(problem, x, step) -> np.ndarray:
@@ -44,6 +50,16 @@ def estimate_sigma(problem, region_samples, radius=1.0, rng=None) -> float:
         grad = problem.loss_and_grad(point, None)[1]
         largest = max(largest, float(np.linalg.norm(grad)))
     return 1.1 * largest
+
+
+def one_group(alpha=0.005, eta=0.01, prev_update=(0.0, 0.0), prev_dot=0.0,
+              alpha_min=-math.inf, alpha_max=math.inf, rule="dbd"):
+    """A one-group schedule whose previous step applied eta*prev_dot."""
+    sched = FlatSchedule([slice(None)], len(prev_update), alpha, eta,
+                         alpha_min, alpha_max, rule)
+    sched.prev_update = np.array(prev_update, float)
+    sched.prev_dot, sched.applied = [prev_dot], [eta * prev_dot]
+    return sched
 
 
 def step_columns(sched, x, d):
@@ -93,6 +109,34 @@ def serialize_idx(arr) -> bytes:
     header = struct.pack(">I", magic) + struct.pack(
         f">{arr.ndim}I", *arr.shape)
     return header + arr.tobytes()
+
+
+def write_mnist(directory, rows=80, side=28, seed=6, gzipped=("images",)):
+    """Write (images, labels), `rows` random side x side images and labels
+    0-9 in turn, as MNIST training files into `directory`, and return them.
+    The parts `gzipped` names ("images", "labels") are gzipped, as `.gz`."""
+    images = np.random.default_rng(seed).integers(0, 256, (rows, side, side),
+                                                  dtype=np.uint8)
+    labels = (np.arange(rows) % 10).astype(np.uint8)
+    for part, name, array in (("images", "train-images-idx3-ubyte", images),
+                              ("labels", "train-labels-idx1-ubyte", labels)):
+        payload = serialize_idx(array)
+        if part in gzipped:
+            name, payload = name + ".gz", gzip.compress(payload)
+        Path(directory, name).write_bytes(payload)
+    return images, labels
+
+
+def traced_memory(call):
+    """(result, current, peak) of `call()`: the bytes tracemalloc counts as
+    still allocated when it returns, and at most while it ran."""
+    tracemalloc.start()
+    try:
+        result = call()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, current, peak
 
 
 def stacked_blobs(n, dim, num_classes, seed, separation=4.0):

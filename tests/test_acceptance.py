@@ -19,23 +19,12 @@ from rdbd.harness import (PRESETS, RunConfig, check_alpha_envelope,
 from rdbd.problems import (LogisticProblem, MlpProblem, QuadraticProblem,
                            RosenbrockProblem)
 from rdbd.data import synthetic_blobs
-from rdbd.schedulers import FlatSchedule
 from rdbd.theory import (TheoryParams, alpha_envelope, dbd_iteration_bound,
                          descent_coefficient_bound, rdbd_iteration_bound,
                          rdbd_theoretical_hyperparams,
                          steeper_descent_conditions)
-from reference import (estimate_sigma, finite_difference_gradient,
+from reference import (estimate_sigma, finite_difference_gradient, one_group,
                        revert_exactness_check, serialize_idx, step_columns)
-
-
-def one_group(alpha, eta, prev_update=(0.0, 0.0), prev_dot=0.0,
-              alpha_min=-math.inf, alpha_max=math.inf, rule="rdbd"):
-    """A one-group schedule whose previous step applied eta*prev_dot."""
-    sched = FlatSchedule([slice(None)], len(prev_update), alpha, eta,
-                         alpha_min, alpha_max, rule)
-    sched.prev_update = np.array(prev_update, float)
-    sched.prev_dot, sched.applied = [prev_dot], [eta * prev_dot]
-    return sched
 
 
 def report(criterion, ok, detail):
@@ -121,7 +110,7 @@ def test_criterion_03_revert_exactness_randomized():
 
         # state as it stands after the step that applied the increment
         sched = one_group(alpha_before_increment + eta * h_prev, eta,
-                          prev_update=g_prev, prev_dot=h_prev)
+                          prev_update=g_prev, prev_dot=h_prev, rule="rdbd")
         x0 = rng.normal(size=n)
         x = x0.copy()
         # choose the next update so the product is negative (fires) ...
@@ -155,7 +144,7 @@ def test_criterion_03_revert_exactness_randomized():
         bound = alpha0 + rng.uniform(0.1, 0.9) * eta * h1
         lo, hi = (-math.inf, bound) if h1 > 0 else (bound, math.inf)
         sched = one_group(alpha0, eta, prev_update=prev, prev_dot=h0,
-                          alpha_min=lo, alpha_max=hi)
+                          alpha_min=lo, alpha_max=hi, rule="rdbd")
         x = rng.normal(size=n)
         *_, (reverted,) = step_columns(sched, x, g1)
         assert not reverted and sched.alpha[0] == bound
@@ -185,7 +174,7 @@ def test_criterion_04_part2_equality_and_trajectory_match():
     for _ in range(10):
         scalars = rng.uniform(0.5, 2.0, size=30) * np.where(
             rng.uniform(size=30) < 0.4, -1.0, 1.0)
-        st = one_group(0.005, 0.01)
+        st = one_group(0.005, 0.01, rule="rdbd")
         x = np.zeros(2)
         for s in scalars:
             g = np.array([s, 0.3 * s])
@@ -208,7 +197,7 @@ def test_criterion_04_part2_equality_and_trajectory_match():
     for _ in range(10):
         scalars = rng.uniform(0.1, 2.0, size=40)     # same sign throughout
         st_d = one_group(0.005, 0.01, rule="dbd")
-        st_r = one_group(0.005, 0.01)
+        st_r = one_group(0.005, 0.01, rule="rdbd")
         x_d = np.zeros(2)
         x_r = np.zeros(2)
         for s in scalars:
@@ -235,7 +224,7 @@ def test_criterion_05_per_step_steeper_descent_full_batch():
     eta = 1.0 / (L * sigma ** 2)
     params = TheoryParams(lipschitz_L=L, sigma=sigma)
     x = np.array([2.0, 1.5])
-    sched = one_group(0.2, eta)
+    sched = one_group(0.2, eta, rule="rdbd")
     hist = []
     for t in range(1, 61):
         g = prob.loss_and_grad(x, None)[1]

@@ -1,7 +1,6 @@
 import gzip
 import os
 import struct
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +8,8 @@ import pytest
 from rdbd.data import (Dataset, batch_stream, load_mnist, mnist_files,
                        parse_idx, stratified_rows, synthetic_blobs)
 from rdbd.harness import MissingDataError, RunConfig, build_problem
-from reference import mnist_subset, serialize_idx, stacked_blobs
+from reference import (mnist_subset, serialize_idx, stacked_blobs,
+                       traced_memory, write_mnist)
 
 
 def test_parse_idx_labels():
@@ -136,12 +136,7 @@ def test_synthetic_blobs_equals_the_stacked_construction(n, dim, classes,
 
 def test_synthetic_blobs_is_built_at_its_final_size():
     synthetic_blobs(10, 2, 10, 7)   # the first call imports modules lazily
-    tracemalloc.start()
-    try:
-        ds = synthetic_blobs(2048, 784, 10, 7)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    ds, _, peak = traced_memory(lambda: synthetic_blobs(2048, 784, 10, 7))
     assert peak <= 1.05 * ds.features.nbytes
 
 
@@ -206,23 +201,9 @@ def test_subset_preserves_original_order():
     assert np.all(np.diff(sub.features[:, 0]) > 0)
 
 
-def _write_fake_mnist(directory, n=32, compress=False):
-    rng = np.random.default_rng(0)
-    images = rng.integers(0, 256, size=(n, 4, 4), dtype=np.uint8)
-    labels = (np.arange(n) % 10).astype(np.uint8)
-    pairs = [("train-images-idx3-ubyte", serialize_idx(images)),
-             ("train-labels-idx1-ubyte", serialize_idx(labels))]
-    for name, payload in pairs:
-        if compress:
-            name += ".gz"
-            payload = gzip.compress(payload)
-        with open(os.path.join(directory, name), "wb") as f:
-            f.write(payload)
-    return images, labels
-
-
 def test_load_mnist_from_dir_and_env(tmp_path, monkeypatch):
-    images, labels = _write_fake_mnist(str(tmp_path), compress=True)
+    images, labels = write_mnist(tmp_path, 32, side=4, seed=0,
+                                 gzipped=("images", "labels"))
     ds = load_mnist(str(tmp_path), 32, seed=0)   # n = 32 keeps every row
     assert len(ds) == 32
     assert ds.dim == 16
@@ -245,7 +226,7 @@ def test_load_mnist_from_dir_and_env(tmp_path, monkeypatch):
 def test_load_mnist_missing_returns_none(tmp_path):
     assert mnist_files(str(tmp_path)) is None
     assert load_mnist(str(tmp_path), 10, 0) is None
-    _write_fake_mnist(str(tmp_path))
+    write_mnist(tmp_path, 32, side=4, seed=0, gzipped=())
     assert mnist_files(None) is None
     assert mnist_files(str(tmp_path)) == [
         str(tmp_path / "train-images-idx3-ubyte"),

@@ -9,7 +9,6 @@ import struct
 import subprocess
 import sys
 import threading
-import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -26,12 +25,15 @@ from rdbd.harness import (ConfigError, MissingDataError, NumericError,
                           run, trace_columns, write_trace_csv)
 from rdbd.schedulers import AdamState, FlatSchedule
 from rdbd.theory import alpha_envelope
-from reference import mnist_subset, serialize_idx
+from reference import mnist_subset, traced_memory, write_mnist
 
 ROOT = Path(__file__).resolve().parent.parent
 QUICK = RunConfig(problem="logistic", optimizer="rdbd", alpha0=0.005,
                   eta=0.01, batch_size=16, steps=120, seed=1, n_samples=256,
                   dim=8, problem_seed=3, eval_every=25)
+# QUICK's run on a four-group network: W1, b1, W2 and b2.
+SMALL_MLP = dataclasses.replace(QUICK, problem="mlp-blobs", n_samples=64,
+                                layer_sizes=(6, 5, 3), batch_size=8)
 
 
 def _patch_problem(monkeypatch, **wrappers):
@@ -48,6 +50,12 @@ def _patch_problem(monkeypatch, **wrappers):
         return problem
 
     monkeypatch.setattr(harness, "build_problem", patched_build)
+
+
+def _refused(capsys, argv, code=2):
+    """The stderr of `main(argv)`, which must exit with `code`."""
+    assert main(argv) == code
+    return capsys.readouterr().err
 
 
 def _count_oracle_calls(monkeypatch):
@@ -86,10 +94,9 @@ def test_resolved_reports_the_rule_of_the_kernel(setting, text):
 
 @pytest.mark.parametrize("flag", ["--alpha-min", "--alpha-max"])
 def test_cli_names_a_nan_rate_bound(capsys, flag):
-    assert main(["run", "--problem", "logistic", "--steps", "3", flag,
-                 "nan"]) == 2
     name = flag[2:].replace("-", "_")
-    assert capsys.readouterr().err == \
+    assert _refused(capsys, ["run", "--problem", "logistic", "--steps", "3",
+                             flag, "nan"]) == \
         f"config error: {name} must not be NaN\n"
 
 
@@ -101,8 +108,8 @@ def test_cli_names_a_nan_rate_bound(capsys, flag):
 def test_cli_rejects_an_infinite_rate_bound_on_the_wrong_side(capsys, flags,
                                                               text):
     # Every rule checks the bounds, a fixed rate that never reads them too.
-    assert main(["run", "--steps", "3", *flags]) == 2
-    assert capsys.readouterr().err == f"config error: {text}\n"
+    assert _refused(capsys, ["run", "--steps", "3", *flags]) == \
+        f"config error: {text}\n"
 
 
 def test_config_validation_errors():
@@ -197,9 +204,8 @@ def test_write_trace_csv_rejects_ids_that_are_not_the_traces(tmp_path, ids):
 
 def test_trace_is_one_float64_array_in_csv_column_order(tmp_path):
     path = tmp_path / "t.csv"
-    cfg = dataclasses.replace(QUICK, problem="mlp-blobs", n_samples=64,
-                              layer_sizes=(6, 5, 3), batch_size=8, steps=30,
-                              eval_every=10, out=str(path))
+    cfg = dataclasses.replace(SMALL_MLP, steps=30, eval_every=10,
+                              out=str(path))
     trace = run(cfg)
     assert trace.ids == ("W1", "b1", "W2", "b2")
     assert trace.data.shape == (30, 3 + 4 * 4) and trace.data.dtype == np.float64
@@ -218,9 +224,7 @@ def test_trace_row_view_is_the_benchmarks_contract():
     a multi-group run: group ids from the first row's `grad_norms`, every
     row's `loss` and `full_loss`, the last row's `full_loss`, the
     `reverted` flags, the length, and iteration. Nothing else reads rows."""
-    cfg = dataclasses.replace(QUICK, problem="mlp-blobs", n_samples=64,
-                              layer_sizes=(6, 5, 3), batch_size=8, steps=30,
-                              eval_every=10)
+    cfg = dataclasses.replace(SMALL_MLP, steps=30, eval_every=10)
     t = run(cfg)
     assert {name for name in dir(t[0]) if not name.startswith("_")} == {
         "loss", "full_loss", "grad_norms", "reverted"}
@@ -268,9 +272,7 @@ def test_trace_checks_find_the_rows_a_per_row_check_finds():
     """The column checks against their per-row definition, on a trace
     with planted revert flags and rates outside the envelope or at its
     tolerance."""
-    cfg = dataclasses.replace(QUICK, problem="mlp-blobs", n_samples=64,
-                              layer_sizes=(6, 5, 3), batch_size=8, steps=40,
-                              alpha_min=-math.inf)
+    cfg = dataclasses.replace(SMALL_MLP, steps=40, alpha_min=-math.inf)
     eta = cfg.resolved().eta
     trace = run(cfg)
     assert check_revert_flags(trace) == []
@@ -313,14 +315,7 @@ def test_a_trace_holds_its_array_and_little_else():
     cfg = preset("logistic-default")
     run(cfg)    # fills the dataset cache and every lazy import
     gc.collect()
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        trace = run(cfg)
-        gc.collect()
-        held = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
+    trace, held, _ = traced_memory(lambda: (run(cfg), gc.collect())[0])
     assert len(trace) == cfg.steps == 2000
     assert held <= cfg.steps * len(trace_columns(trace.ids)) * 8 + 16384
 
@@ -340,16 +335,15 @@ def test_a_bad_setting_fails_before_any_data(tmp_path, cfg, text):
     # compare draws the dataset (8 MB and more) or caches it first.
     cfg = dataclasses.replace(cfg, batch_size=4, steps=5)
     out = tmp_path / "c.csv"
-    tracemalloc.start()
-    try:
+
+    def refuse_each_call():
         for call in (lambda: run(cfg), lambda: harness.build_problem(cfg),
                      lambda: compare(cfg, ["rdbd", "dbd"], 2, "final_loss",
                                      0.5, out=str(out))):
             with pytest.raises(ConfigError, match=f"^{text}$"):
                 call()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+
+    _, _, peak = traced_memory(refuse_each_call)
     assert peak < 1 << 20
     assert not out.exists()
 
@@ -542,9 +536,7 @@ def test_emit_plot_data_shape_and_round_trip(tmp_path):
 
 
 def test_emit_plot_data_labels_each_group_of_a_multi_group_trace(tmp_path):
-    cfg = dataclasses.replace(QUICK, problem="mlp-blobs", n_samples=64,
-                              layer_sizes=(6, 5, 3), batch_size=8, steps=30,
-                              eval_every=10)
+    cfg = dataclasses.replace(SMALL_MLP, steps=30, eval_every=10)
     trace = run(cfg)
     path = tmp_path / "plot.csv"
     rows = emit_plot_data([("mlp", trace)], str(path))
@@ -610,9 +602,8 @@ def test_sweep_runs_its_preset_over_the_axis(tmp_path, monkeypatch, capsys,
 
 def test_cli_sweep_rejects_an_unknown_sweep(tmp_path, capsys):
     out = tmp_path / "new"
-    assert main(["sweep", "--preset", "momentum-sweep",
-                 "--out", str(out) + os.sep]) == 2
-    assert capsys.readouterr().err == (
+    assert _refused(capsys, ["sweep", "--preset", "momentum-sweep",
+                             "--out", str(out) + os.sep]) == (
         "config error: unknown sweep 'momentum-sweep'; known sweeps: "
         "batch-size-impact, lr-robustness, lr-robustness-logistic\n")
     assert not out.exists()
@@ -620,9 +611,9 @@ def test_cli_sweep_rejects_an_unknown_sweep(tmp_path, capsys):
 
 def test_cli_sweep_with_a_bad_setting_makes_no_directory(tmp_path, capsys):
     out = tmp_path / "new"
-    assert main(["sweep", "--preset", "lr-robustness-logistic",
-                 "--seed", "-1", "--out", str(out) + os.sep]) == 2
-    assert capsys.readouterr().err == "config error: seed must be >= 0\n"
+    assert _refused(capsys, ["sweep", "--preset", "lr-robustness-logistic",
+                             "--seed", "-1", "--out", str(out) + os.sep]) == \
+        "config error: seed must be >= 0\n"
     assert not out.exists()
 
 
@@ -638,22 +629,11 @@ def test_numeric_failure_aborts_and_flushes(tmp_path):
     assert [int(line.split(",")[0]) for line in lines[1:]] == [1, 2, 3, 4]
 
 
-def _write_synthetic_mnist(directory, n=80):
-    """Fabricated 28x28 MNIST IDX files: n images (gzipped) and labels."""
-    rng = np.random.default_rng(6)
-    images = rng.integers(0, 256, size=(n, 28, 28), dtype=np.uint8)
-    labels = (np.arange(n) % 10).astype(np.uint8)
-    (directory / "train-images-idx3-ubyte.gz").write_bytes(
-        gzip.compress(serialize_idx(images)))
-    (directory / "train-labels-idx1-ubyte").write_bytes(serialize_idx(labels))
-    return images, labels
-
-
 def test_mnist_pipeline_with_synthetic_idx_files(tmp_path, monkeypatch):
     # Fabricated 28x28 IDX files exercise the full real-data wiring:
     # loader -> stratified subset -> network problem -> trace.
     monkeypatch.delenv("MNIST_DIR", raising=False)
-    _write_synthetic_mnist(tmp_path)
+    write_mnist(tmp_path)
     cfg = dataclasses.replace(preset("mnist-default"), steps=8, n_samples=40,
                               mnist_dir=str(tmp_path), eval_every=4)
     # the paper's 784-128-64-10 network, also RunConfig's default
@@ -665,15 +645,11 @@ def test_mnist_pipeline_with_synthetic_idx_files(tmp_path, monkeypatch):
 
 
 def test_mnist_subset_converts_only_its_rows(tmp_path):
-    images, labels = _write_synthetic_mnist(tmp_path, n=3000)
+    images, labels = write_mnist(tmp_path, rows=3000)
     cfg = dataclasses.replace(preset("mnist-default"), n_samples=256,
                               problem_seed=4, mnist_dir=str(tmp_path))
-    tracemalloc.start()
-    try:
-        dataset = harness.build_problem(cfg).dataset
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    dataset, _, peak = traced_memory(
+        lambda: harness.build_problem(cfg).dataset)
     full = Dataset(images.reshape(3000, -1).astype(np.float64) / 255.0,
                    labels, 10)
     expected = mnist_subset(full, 256, 4)
@@ -683,21 +659,14 @@ def test_mnist_subset_converts_only_its_rows(tmp_path):
 
 
 def test_a_large_quadratic_builds_without_a_dense_matrix():
-    tracemalloc.start()
-    try:
-        problem = harness.build_problem(RunConfig(problem="quadratic",
-                                                  dim=2000))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    problem, _, peak = traced_memory(lambda: harness.build_problem(
+        RunConfig(problem="quadratic", dim=2000)))
     assert peak < 1 << 20          # a 2000 x 2000 float64 matrix is 32 MB
     assert problem.dim == 2000 and problem.L == 2000.0
 
 
-def test_mnist_runs_share_one_read_only_subset(tmp_path):
-    _write_synthetic_mnist(tmp_path)
-    cfg = dataclasses.replace(preset("mnist-default"), n_samples=40,
-                              mnist_dir=str(tmp_path))
+def _assert_seeds_share_one_read_only_dataset(cfg):
+    """Another seed reuses cfg's dataset; another problem seed does not."""
     first = harness.build_problem(cfg)
     again = harness.build_problem(dataclasses.replace(cfg, seed=cfg.seed + 1))
     assert again.dataset is first.dataset
@@ -709,6 +678,12 @@ def test_mnist_runs_share_one_read_only_subset(tmp_path):
     assert not np.array_equal(other.dataset.features, first.dataset.features)
 
 
+def test_mnist_runs_share_one_read_only_subset(tmp_path):
+    write_mnist(tmp_path)
+    _assert_seeds_share_one_read_only_dataset(dataclasses.replace(
+        preset("mnist-default"), n_samples=40, mnist_dir=str(tmp_path)))
+
+
 @pytest.mark.parametrize("settings", [
     "n_samples = 81\n",                        # above the file's 80 rows
     "n_samples = 9\nbatch_size = 4\n",         # below the 10 classes
@@ -718,22 +693,21 @@ def test_mnist_runs_share_one_read_only_subset(tmp_path):
 def test_bad_mnist_settings_exit_with_config_error(tmp_path, monkeypatch,
                                                    capsys, settings):
     monkeypatch.delenv("MNIST_DIR", raising=False)
-    _write_synthetic_mnist(tmp_path)
+    write_mnist(tmp_path)
     path = tmp_path / "bad.cfg"
     path.write_text("problem = mlp-mnist\n" + settings)
-    assert main(["run", "--config", str(path), "--steps", "5",
-                 "--mnist-dir", str(tmp_path)]) == 2
-    assert capsys.readouterr().err.startswith("config error: mlp-mnist:")
+    assert _refused(capsys, ["run", "--config", str(path), "--steps", "5",
+                             "--mnist-dir", str(tmp_path)]).startswith(
+        "config error: mlp-mnist:")
 
 
 def test_a_config_file_that_sets_subset_n_exits_2(tmp_path, capsys):
     # n_samples sizes every sampled problem, the MNIST subset included.
-    _write_synthetic_mnist(tmp_path)
+    write_mnist(tmp_path)
     path = tmp_path / "old.cfg"
     path.write_text("problem = mlp-mnist\nsubset_n = 40\n")
-    assert main(["run", "--config", str(path), "--steps", "5",
-                 "--mnist-dir", str(tmp_path)]) == 2
-    assert capsys.readouterr().err == (
+    assert _refused(capsys, ["run", "--config", str(path), "--steps", "5",
+                             "--mnist-dir", str(tmp_path)]) == (
         f"config error: {path}:2: unknown key 'subset_n'\n")
 
 
@@ -744,8 +718,8 @@ def test_a_config_file_that_sets_an_adam_constant_exits_2(tmp_path, capsys,
     # value is refused by name.
     path = tmp_path / "old.cfg"
     path.write_text(f"optimizer = adam\n{key} = {getattr(AdamState, key)}\n")
-    assert main(["run", "--config", str(path), "--steps", "5"]) == 2
-    assert capsys.readouterr().err == (
+    assert _refused(capsys, ["run", "--config", str(path), "--steps",
+                             "5"]) == (
         f"config error: {path}:2: unknown key {key!r}\n")
 
 
@@ -762,27 +736,26 @@ def test_a_config_file_that_sets_an_adam_constant_exits_2(tmp_path, capsys,
 def test_corrupt_mnist_files_exit_with_config_error(tmp_path, monkeypatch,
                                                     capsys, name, corrupt):
     monkeypatch.delenv("MNIST_DIR", raising=False)
-    _write_synthetic_mnist(tmp_path)
+    write_mnist(tmp_path)
     path = tmp_path / name
     path.write_bytes(corrupt(path.read_bytes()))
-    assert main(["run", "--preset", "mnist-default", "--steps", "2",
-                 "--mnist-dir", str(tmp_path)]) == 2
-    assert capsys.readouterr().err.startswith("config error: mlp-mnist:")
+    assert _refused(capsys, ["run", "--preset", "mnist-default", "--steps",
+                             "2", "--mnist-dir", str(tmp_path)]).startswith(
+        "config error: mlp-mnist:")
 
 
 def test_an_unreadable_mnist_file_exits_with_config_error(tmp_path,
                                                          monkeypatch, capsys):
     # A chmod does not deny root a read, so the read itself fails here.
     monkeypatch.delenv("MNIST_DIR", raising=False)
-    _write_synthetic_mnist(tmp_path)
+    write_mnist(tmp_path)
 
     def denied(path):
         raise PermissionError(13, "Permission denied", str(path))
 
     monkeypatch.setattr(Path, "read_bytes", denied)
-    assert main(["run", "--preset", "mnist-default", "--steps", "2",
-                 "--mnist-dir", str(tmp_path)]) == 2
-    assert capsys.readouterr().err.startswith(
+    assert _refused(capsys, ["run", "--preset", "mnist-default", "--steps",
+                             "2", "--mnist-dir", str(tmp_path)]).startswith(
         "config error: mlp-mnist: [Errno 13] Permission denied")
 
 
@@ -836,8 +809,7 @@ def test_an_unreadable_config_file_exits_2(tmp_path, monkeypatch, capsys):
         raise PermissionError(13, "Permission denied", name)
 
     monkeypatch.setattr("rdbd.cli.open", denied, raising=False)
-    assert main(["run", "--config", str(path)]) == 2
-    assert capsys.readouterr().err == (
+    assert _refused(capsys, ["run", "--config", str(path)]) == (
         f"config error: cannot read config file {path}: "
         f"[Errno 13] Permission denied: '{path}'\n")
 
@@ -913,8 +885,7 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
 def test_cli_run_with_a_huge_steps_exits_2_before_step_1(tmp_path, capsys):
     # 2**62 rows is a trace shape numpy refuses without allocating.
     out = tmp_path / "new" / "t.csv"
-    assert main(["run", "--steps", str(2 ** 62), "--out", str(out)]) == 2
-    err = capsys.readouterr().err
+    err = _refused(capsys, ["run", "--steps", str(2 ** 62), "--out", str(out)])
     assert err.startswith(f"config error: steps={2 ** 62} is too large: "
                           f"its trace of {2 ** 62} rows x 7 float64 columns "
                           f"cannot be allocated (")
@@ -937,8 +908,7 @@ def test_cli_run_with_a_problem_too_large_exits_2_before_step_1(
     path = tmp_path / "huge.cfg"
     path.write_text(f"problem = {problem}\n{setting}\n")
     out = tmp_path / "new" / "t.csv"
-    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
-    err = capsys.readouterr().err
+    err = _refused(capsys, ["run", "--config", str(path), "--out", str(out)])
     assert err.startswith(f"config error: {problem}: ")
     assert "Traceback" not in err
     assert not (tmp_path / "new").exists()
@@ -955,8 +925,7 @@ def test_cli_failed_command_leaves_no_directory(tmp_path, monkeypatch,
                                                 capsys, argv, code):
     monkeypatch.delenv("MNIST_DIR", raising=False)
     out = str(tmp_path / "new" / "a") + os.sep
-    assert main(argv + ["--out", out]) == code
-    assert "Traceback" not in capsys.readouterr().err
+    assert "Traceback" not in _refused(capsys, argv + ["--out", out], code)
     assert os.listdir(tmp_path) == []
 
 
@@ -989,9 +958,9 @@ def test_cli_sweep_checks_every_output_before_the_first_run(tmp_path, capsys,
                                                             taken):
     # A directory where the sweep would write one of its files.
     (tmp_path / taken).mkdir()
-    assert main(["sweep", "--preset", "lr-robustness-logistic",
-                 "--out", str(tmp_path)]) == 2
-    assert capsys.readouterr().err.startswith("config error: cannot write")
+    assert _refused(capsys, ["sweep", "--preset", "lr-robustness-logistic",
+                             "--out", str(tmp_path)]).startswith(
+        "config error: cannot write")
     assert os.listdir(tmp_path) == [taken]
     assert os.listdir(tmp_path / taken) == []
 
@@ -1007,8 +976,8 @@ def test_cli_unwritable_out_exits_with_config_error_before_any_step(
     calls = _count_oracle_calls(monkeypatch)
     file = tmp_path / "file"
     file.write_text("kept\n")
-    assert main([arg.format(file=file) for arg in argv]) == 2
-    assert capsys.readouterr().err.startswith("config error: cannot write")
+    err = _refused(capsys, [arg.format(file=file) for arg in argv])
+    assert err.startswith("config error: cannot write")
     assert calls == []
     assert file.read_text() == "kept\n"
 
@@ -1020,8 +989,8 @@ def test_out_with_a_nul_byte_is_a_config_error(tmp_path, monkeypatch, capsys,
     cfg = tmp_path / "nul.cfg"
     cfg.write_text(f"problem = rosenbrock\nsteps = 5\nout = {tmp_path}/{name}\n")
     for argv in (["run"], ["compare", "--seeds", "1"]):
-        assert main(argv + ["--config", str(cfg)]) == 2
-        assert capsys.readouterr().err.startswith("config error: cannot write")
+        assert _refused(capsys, argv + ["--config", str(cfg)]).startswith(
+            "config error: cannot write")
     monkeypatch.chdir(tmp_path)
     with pytest.raises(ConfigError, match="cannot write"):
         run(RunConfig(problem="rosenbrock", steps=5, out=name))
@@ -1135,9 +1104,8 @@ def test_cli_sweep_failure_flushes_partial_trace(tmp_path, monkeypatch,
                   batch_size=1))
     monkeypatch.setitem(SWEEPS, "tiny-diverge",
                         ("rosenbrock-sgd", "alpha0", [1.0]))
-    code = main(["sweep", "--preset", "tiny-diverge", "--out", str(tmp_path)])
-    assert code == 4
-    assert "step 5: batch loss inf" in capsys.readouterr().err
+    assert "step 5: batch loss inf" in _refused(capsys, [
+        "sweep", "--preset", "tiny-diverge", "--out", str(tmp_path)], 4)
     lines = (tmp_path / "tiny-diverge__alpha0_1.0.csv").read_text().splitlines()
     assert lines[0] == "step,loss,full_loss,grad_norm,alpha,h,reverted"
     assert [int(line.split(",")[0]) for line in lines[1:]] == [1, 2, 3, 4]
@@ -1199,8 +1167,8 @@ def test_cli_bad_input_exits_with_config_error(tmp_path, capsys, argv,
         path = tmp_path / "bad.cfg"
         path.write_text(config_text)
         flags = ["--config", str(path)] + flags
-    assert main([command, "--steps", "5"] + flags) == 2
-    assert capsys.readouterr().err.startswith("config error:")
+    assert _refused(capsys, [command, "--steps", "5"] + flags).startswith(
+        "config error:")
 
 
 def test_run_makes_one_oracle_call_per_step(monkeypatch):
@@ -1277,9 +1245,9 @@ def test_diverging_sampled_run_raises_and_flushes(tmp_path, capsys, alpha0,
     assert lines[0] == "step,loss,full_loss,grad_norm,alpha,h,reverted"
     assert [int(line.split(",")[0]) for line in lines[1:]] == \
         list(range(1, failed_step))
-    assert main(["run", "--problem", "logistic", "--optimizer", "sgd",
-                 "--alpha0", repr(alpha0), "--steps", "200"]) == 4
-    assert "numeric failure" in capsys.readouterr().err
+    assert "numeric failure" in _refused(capsys, [
+        "run", "--problem", "logistic", "--optimizer", "sgd", "--alpha0",
+        repr(alpha0), "--steps", "200"], 4)
 
 
 @DIVERGING_CASES
@@ -1570,15 +1538,7 @@ def test_overlapped_eval_that_overflows_does_not_warn(overlapped):
 @pytest.mark.parametrize("name", ["mlp-blobs-demo", "logistic-default"])
 def test_mlp_blobs_runs_share_one_read_only_dataset(name):
     cfg = preset(name)
-    first = harness.build_problem(cfg)
-    again = harness.build_problem(dataclasses.replace(cfg, seed=cfg.seed + 1))
-    assert again.dataset is first.dataset
-    assert not first.dataset.features.flags.writeable
-    assert not first.dataset.labels.flags.writeable
-    other = harness.build_problem(
-        dataclasses.replace(cfg, problem_seed=cfg.problem_seed + 1))
-    assert other.dataset is not first.dataset
-    assert not np.array_equal(other.dataset.features, first.dataset.features)
+    _assert_seeds_share_one_read_only_dataset(cfg)
     # A repeated run still reproduces its trace exactly.
     assert run(cfg) == run(cfg)
 
@@ -1602,6 +1562,14 @@ def test_run_builds_only_the_kernels_its_optimizer_reads(monkeypatch,
     assert sorted(built) == kernels
 
 
+def _run_setup(cfg):
+    """The problem, starting point and batch stream `run(cfg)` draws."""
+    problem = harness.build_problem(cfg)
+    init_ss, batch_ss = np.random.SeedSequence(cfg.seed).spawn(2)
+    return (problem, problem.initial_point(np.random.default_rng(init_ss)),
+            batch_stream(problem.n_samples, cfg.batch_size, batch_ss))
+
+
 def _per_group_reference(cfg):
     """The rows of `run(cfg)`, with the rule written out per weight group.
 
@@ -1612,10 +1580,7 @@ def _per_group_reference(cfg):
     many reverts took back an increment that a clamp had cut.
     """
     cfg = cfg.resolved()
-    problem = harness.build_problem(cfg)
-    init_ss, batch_ss = np.random.SeedSequence(cfg.seed).spawn(2)
-    x = problem.initial_point(np.random.default_rng(init_ss))
-    batches = batch_stream(problem.n_samples, cfg.batch_size, batch_ss)
+    problem, x, batches = _run_setup(cfg)
     groups = []
     for _, sl in problem.segments:
         n = sl.stop - sl.start
@@ -1698,11 +1663,8 @@ def test_step_writes_only_its_groups_cells_of_a_trace_row(optimizer):
     cfg = dataclasses.replace(preset("mlp-blobs-demo"), optimizer=optimizer,
                               eta=None, steps=4).resolved()
     reference, _ = _per_group_reference(cfg)
-    problem = harness.build_problem(cfg)
+    problem, x, batches = _run_setup(cfg)
     ids, segments = zip(*problem.segments)
-    init_ss, batch_ss = np.random.SeedSequence(cfg.seed).spawn(2)
-    x = problem.initial_point(np.random.default_rng(init_ss))
-    batches = batch_stream(problem.n_samples, cfg.batch_size, batch_ss)
     direction, rule, _, _ = harness.OPTIMIZER_TABLE[optimizer]
     adam = AdamState(x.size) if direction == "adam" else None
     sched = FlatSchedule(segments, x.size, cfg.alpha0, cfg.eta,

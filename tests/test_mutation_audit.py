@@ -55,3 +55,19 @@ def test_every_site_of_a_module_has_its_own_label(module):
     source = (ROOT / "src" / "rdbd" / f"{module}.py").read_text()
     sites = [label.split()[0] for label in audit.sites(source, [])]
     assert len(set(sites)) == len(sites)
+
+
+def test_a_timeout_runs_again_alone_and_reports_its_second_verdict(
+        monkeypatch):
+    monkeypatch.delattr(audit.subprocess, "Popen")   # no child may start
+    failing = ["tests/test_data.py::test_x"]
+
+    class SlowThenFailing:   # a kill that ran out of time under other load
+        runs = [("timeout", [], 9.0), ("killed", failing, 1.0)]
+
+        def run(self, module, source):
+            return self.runs.pop(0)
+
+    mutant = ("data", "data", "1:4-1:5", ast.parse("x = 2"))
+    assert list(audit.verdicts([SlowThenFailing()], [mutant])) == [
+        ("killed", failing, True)]

@@ -4,17 +4,7 @@ import numpy as np
 import pytest
 
 from rdbd.schedulers import FlatSchedule
-from reference import revert_exactness_check, step_columns
-
-
-def make_sched(alpha=0.005, eta=0.01, prev_update=(0.0, 0.0), prev_dot=0.0,
-               alpha_min=-math.inf, alpha_max=math.inf, rule="dbd"):
-    """A one-group schedule whose previous step applied eta*prev_dot."""
-    sched = FlatSchedule([slice(None)], len(prev_update), alpha, eta,
-                         alpha_min, alpha_max, rule)
-    sched.prev_update = np.asarray(prev_update, float)
-    sched.prev_dot, sched.applied = [prev_dot], [eta * prev_dot]
-    return sched
+from reference import one_group, revert_exactness_check, step_columns
 
 
 def one_step(sched, x, g):
@@ -28,9 +18,9 @@ def one_step(sched, x, g):
 
 def test_flat_schedule_validation():
     with pytest.raises(ValueError):
-        make_sched(alpha=0.1, eta=-1e-3)
+        one_group(alpha=0.1, eta=-1e-3)
     with pytest.raises(ValueError):
-        make_sched(alpha=0.1, eta=0.0, alpha_min=1.0, alpha_max=0.5)
+        one_group(alpha=0.1, eta=0.0, alpha_min=1.0, alpha_max=0.5)
 
 
 @pytest.mark.parametrize("eta", [math.inf, -math.inf, math.nan])
@@ -93,7 +83,7 @@ def test_step_reports_each_groups_direction_norm(rule):
 
 def test_dbd_first_step_rate_unchanged():
     # Zero previous update forces h=0, so the starting rate stays put.
-    sched = make_sched()
+    sched = one_group()
     g = np.array([1.0, 1.0])
     new_x, new_alpha, h, reverted = one_step(sched, [1.0, 2.0], g)
     assert h == 0.0
@@ -105,14 +95,14 @@ def test_dbd_first_step_rate_unchanged():
 
 
 def test_dbd_rate_increment():
-    sched = make_sched(prev_update=(2.0, 0.0))
+    sched = one_group(prev_update=(2.0, 0.0))
     _, new_alpha, h, _ = one_step(sched, [0.0, 0.0], [1.0, 0.0])
     assert h == 2.0
     assert abs(new_alpha - 0.025) < 1e-15
 
 
 def test_dbd_clamp_floor():
-    sched = make_sched(prev_update=(-2.0, 0.0), alpha_min=0.0)
+    sched = one_group(prev_update=(-2.0, 0.0), alpha_min=0.0)
     x = [1.0, 1.0]
     new_x, new_alpha, _, _ = one_step(sched, x, [1.0, 0.0])
     # raw alpha would be 0.005 + 0.01*(-2) = -0.015
@@ -122,17 +112,17 @@ def test_dbd_clamp_floor():
 
 def test_dbd_errors():
     with pytest.raises(ValueError):
-        step_columns(make_sched(), np.ones(2), np.ones(1))
+        step_columns(one_group(), np.ones(2), np.ones(1))
     with pytest.raises(ValueError):
-        step_columns(make_sched(prev_update=(0.0,)), np.ones(2), np.ones(2))
+        step_columns(one_group(prev_update=(0.0,)), np.ones(2), np.ones(2))
 
 
 def test_rdbd_zero_prev_dot_matches_dbd():
     # h_t * 0 is never < 0, so the first two steps cannot revert.
     for g in ([1.0, 0.5], [-3.0, 2.0]):
         x = [0.3, -0.7]
-        x_a, alpha_a, _, _ = one_step(make_sched(), x, g)
-        x_b, alpha_b, _, reverted = one_step(make_sched(rule="rdbd"), x, g)
+        x_a, alpha_a, _, _ = one_step(one_group(), x, g)
+        x_b, alpha_b, _, reverted = one_step(one_group(rule="rdbd"), x, g)
         assert not reverted
         assert np.array_equal(x_a, x_b)
         assert alpha_a == alpha_b
@@ -140,8 +130,8 @@ def test_rdbd_zero_prev_dot_matches_dbd():
 
 def test_rdbd_revert_worked_example():
     # prev_dot=+2 then h=-3: product negative, revert fires.
-    sched = make_sched(prev_dot=2.0, prev_update=(1.0, 0.0), alpha_min=0.0,
-                       rule="rdbd")
+    sched = one_group(prev_dot=2.0, prev_update=(1.0, 0.0), alpha_min=0.0,
+                      rule="rdbd")
     new_x, new_alpha, h, reverted = one_step(sched, [1.0, 1.0], [-3.0, 0.0])
     assert reverted
     assert h == -3.0
@@ -155,8 +145,8 @@ def test_rdbd_revert_after_clamp_undoes_applied_increment():
     # Step 2 asks for +2 on the rate but the cap lets only +0.5 through, so
     # the revert at step 3 takes back 0.5 on the rate and 0.5*[2,0] on the
     # weights, not the eta*h_prev = 2 the rule asked for.
-    sched = make_sched(alpha=1.0, eta=1.0, alpha_min=0.0, alpha_max=1.5,
-                       rule="rdbd")
+    sched = one_group(alpha=1.0, eta=1.0, alpha_min=0.0, alpha_max=1.5,
+                      rule="rdbd")
     x = np.zeros(2)
     for g in ([1.0, 0.0], [2.0, 0.0], [-1.0, 0.0]):
         *_, (reverted,) = step_columns(sched, x, np.array(g))
@@ -169,7 +159,7 @@ def test_rdbd_revert_after_clamp_undoes_applied_increment():
 
 def test_rdbd_sign_agreement_stream():
     # Three aligned updates: alpha: 0.005 -> 0.005 -> 0.015 -> 0.025.
-    sched = make_sched(rule="rdbd")
+    sched = one_group(rule="rdbd")
     x = np.array([1.0, 1.0])
     for t in range(3):
         *_, (reverted,) = step_columns(sched, x, np.array([1.0, 0.0]))
@@ -187,9 +177,9 @@ def test_rdbd_nonreverting_step_equals_dbd_from_same_state():
         if float(g @ state["prev_update"]) * state["prev_dot"] < 0:
             continue
         x = rng.normal(size=n)
-        x_r, alpha_r, _, reverted = one_step(make_sched(**state, rule="rdbd"),
+        x_r, alpha_r, _, reverted = one_step(one_group(**state, rule="rdbd"),
                                              x, g)
-        x_d, alpha_d, _, _ = one_step(make_sched(**state), x, g)
+        x_d, alpha_d, _, _ = one_step(one_group(**state), x, g)
         assert not reverted
         assert np.array_equal(x_r, x_d)
         assert alpha_r == alpha_d
@@ -197,7 +187,7 @@ def test_rdbd_nonreverting_step_equals_dbd_from_same_state():
 
 def _run_stream(rule, scalars, alpha0=0.005, eta=0.01):
     """Drive a fixed 2-D gradient stream; returns (alphas, xs, reverts)."""
-    sched = make_sched(alpha=alpha0, eta=eta, rule=rule)
+    sched = one_group(alpha=alpha0, eta=eta, rule=rule)
     x = np.zeros(2)
     alphas, xs, revs = [], [], []
     for s in scalars:
@@ -231,8 +221,8 @@ def test_alpha_envelope_random_streams():
     rng = np.random.default_rng(11)
     for rule in ("dbd", "rdbd"):
         for _ in range(20):
-            sched = make_sched(alpha=0.01, eta=0.02,
-                               prev_update=(0.0, 0.0, 0.0), rule=rule)
+            sched = one_group(alpha=0.01, eta=0.02,
+                              prev_update=(0.0, 0.0, 0.0), rule=rule)
             x = np.zeros(3)
             gmax = 0.0
             for t in range(50):
